@@ -413,7 +413,12 @@ fn bench_cleaner(carry: usize, window: usize, reps: usize) -> (usize, usize, f64
         merge::merge_in_place(&mut v, carry);
     });
     let total = (carry + window) as f64;
-    (carry, window, resort_ns as f64 / total, inc_ns as f64 / total)
+    (
+        carry,
+        window,
+        resort_ns as f64 / total,
+        inc_ns as f64 / total,
+    )
 }
 
 fn bench_algorithm(
@@ -532,7 +537,10 @@ fn bench_overlap(alg: Algorithm, b: usize, n: usize, latency_us: u64, rows: &mut
         let t0 = Instant::now();
         let rep = alg.run(&mut pdm, &region, n, DEFAULT_ALPHA).unwrap();
         let el = t0.elapsed();
-        assert!(!rep.fell_back, "{name}: unexpected fallback in overlap benchmark");
+        assert!(
+            !rep.fell_back,
+            "{name}: unexpected fallback in overlap benchmark"
+        );
         // Stamp the run wall time so stall_share() has a denominator.
         pdm.stats_mut().wall.run_nanos = el.as_nanos() as u64;
         let stats = pdm.stats();
@@ -546,7 +554,11 @@ fn bench_overlap(alg: Algorithm, b: usize, n: usize, latency_us: u64, rows: &mut
     };
     let (wall_blocking, rp0, wp0, ov0, _) = leg(false);
     let (wall_overlap, rp1, wp1, ov1, wall1) = leg(true);
-    assert_eq!((rp0, wp0), (rp1, wp1), "{name}: overlap changed the pass counts");
+    assert_eq!(
+        (rp0, wp0),
+        (rp1, wp1),
+        "{name}: overlap changed the pass counts"
+    );
     assert_eq!(
         ov0.prefetch_batches + ov0.flush_batches,
         0,
@@ -641,7 +653,13 @@ fn real_disk_leg(
     let el = t0.elapsed();
     pdm.stats_mut().wall.run_nanos = el.as_nanos() as u64;
     let wall = pdm.stats().wall.clone();
-    (el.as_secs_f64() * 1e3, rep.read_passes, rep.write_passes, direct_io, wall)
+    (
+        el.as_secs_f64() * 1e3,
+        rep.read_passes,
+        rep.write_passes,
+        direct_io,
+        wall,
+    )
 }
 
 /// A/B one algorithm on the real-disk backend: best-of-`reps` per leg,
@@ -721,8 +739,11 @@ fn run_real_disk_suite(quick: bool, dir: Option<&str>, out_path: &str) {
         write_passes: passes.1,
         wall: wall_percentiles(&best_wall),
     };
-    std::fs::write(out_path, render_realdisk_json(quick, direct_io, &rows, &baseline))
-        .expect("write artifact");
+    std::fs::write(
+        out_path,
+        render_realdisk_json(quick, direct_io, &rows, &baseline),
+    )
+    .expect("write artifact");
     eprintln!("wrote {out_path} (direct_io: {direct_io})");
     for r in rows.iter().chain(std::iter::once(&baseline)) {
         eprintln!(
@@ -761,7 +782,10 @@ fn fault_leg(
     let mut builder = StorageBuilder::new(BackendKind::AsyncFile, cfg.num_disks, cfg.block_size);
     if armed {
         builder = builder
-            .inject_file(FileFaultMode::ShortRate { seed: 0xFA57, rate_ppm })
+            .inject_file(FileFaultMode::ShortRate {
+                seed: 0xFA57,
+                rate_ppm,
+            })
             .retry(RetryPolicy::default());
     }
     let built = builder.build::<u64>().expect("async-file fault stack");
@@ -969,7 +993,11 @@ fn main() {
     let reps = if quick { 3 } else { 7 };
 
     let mut kernel_rows = Vec::new();
-    bench_sort_kernel(if quick { 1 << 14 } else { 1 << 17 }, reps, &mut kernel_rows);
+    bench_sort_kernel(
+        if quick { 1 << 14 } else { 1 << 17 },
+        reps,
+        &mut kernel_rows,
+    );
 
     let mut merge_rows = Vec::new();
     bench_kway_merge(1 << 14, 64, reps, &mut merge_rows);
@@ -984,9 +1012,21 @@ fn main() {
     let mut algo_rows = Vec::new();
     let b = if quick { 16 } else { 32 };
     let n = b * b * b; // N = M√M, every three-pass sorter's full capacity
-    bench_algorithm(Algorithm::ThreePass2, BackendKind::Mem, b, n, &mut algo_rows);
+    bench_algorithm(
+        Algorithm::ThreePass2,
+        BackendKind::Mem,
+        b,
+        n,
+        &mut algo_rows,
+    );
     bench_algorithm(Algorithm::SevenPass, BackendKind::Mem, b, n, &mut algo_rows);
-    bench_algorithm(Algorithm::ThreePass2, BackendKind::Threaded, b, n, &mut algo_rows);
+    bench_algorithm(
+        Algorithm::ThreePass2,
+        BackendKind::Threaded,
+        b,
+        n,
+        &mut algo_rows,
+    );
 
     // Run-formation A/B: greedy memory-sized runs vs the adaptive up/down
     // strategy, across the skew spectrum. `--workload` narrows to one row.
@@ -1007,25 +1047,51 @@ fn main() {
         // kernel work) beside 100µs of emulated per-batch disk latency —
         // both material, neither drowning the other.
         let ob = 64;
-        for alg in [Algorithm::SevenPass, Algorithm::ThreePass2, Algorithm::ThreePass1] {
+        for alg in [
+            Algorithm::SevenPass,
+            Algorithm::ThreePass2,
+            Algorithm::ThreePass1,
+        ] {
             bench_overlap(alg, ob, ob * ob * ob, 100, &mut overlap_rows);
         }
         // expected_two_pass caps out near M^1.5/√((α+2)lnM+2) ≈ 44k keys
         // at M = 4096, so its row runs below the three-pass rows' N.
-        bench_overlap(Algorithm::ExpectedTwoPass, ob, 1 << 15, 100, &mut overlap_rows);
+        bench_overlap(
+            Algorithm::ExpectedTwoPass,
+            ob,
+            1 << 15,
+            100,
+            &mut overlap_rows,
+        );
         // The merge sort's forecast refills and write-behind: fan-in 15,
         // 64 runs over two merge levels.
-        bench_overlap(Algorithm::MergeSort, ob, ob * ob * ob, 100, &mut overlap_rows);
+        bench_overlap(
+            Algorithm::MergeSort,
+            ob,
+            ob * ob * ob,
+            100,
+            &mut overlap_rows,
+        );
         std::fs::write(path, render_overlap_json(quick, &overlap_rows)).expect("write artifact");
         eprintln!("wrote {path}");
     }
 
-    let json = render_json(quick, &kernel_rows, &merge_rows, &cleaner, &algo_rows, &run_gen_rows);
+    let json = render_json(
+        quick,
+        &kernel_rows,
+        &merge_rows,
+        &cleaner,
+        &algo_rows,
+        &run_gen_rows,
+    );
     std::fs::write(&out_path, &json).expect("write artifact");
     eprintln!("wrote {out_path}");
     // Human-readable one-liners for the log.
     for r in &kernel_rows {
-        eprintln!("  {:<16} n = {:>7}  {:>8.2} ns/key  {} allocs", r.name, r.n, r.ns_per_key, r.allocs);
+        eprintln!(
+            "  {:<16} n = {:>7}  {:>8.2} ns/key  {} allocs",
+            r.name, r.n, r.ns_per_key, r.allocs
+        );
     }
     for r in &merge_rows {
         eprintln!(

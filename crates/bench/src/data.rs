@@ -118,7 +118,11 @@ mod tests {
         let mut d = v.clone();
         d.sort_unstable();
         d.dedup();
-        assert!(d.len() <= 16, "expected at most 16 distinct, got {}", d.len());
+        assert!(
+            d.len() <= 16,
+            "expected at most 16 distinct, got {}",
+            d.len()
+        );
         assert_eq!(duplicate_heavy(4096, 16, 9), v);
     }
 }

@@ -56,7 +56,12 @@ pub fn e1_lower_bounds() {
         "≥2 passes for N = M√M and ≥3 for N = M² at B = √M (claim col = paper)",
     );
     let mut t = Table::new(&[
-        "log2 M", "N", "AKL passes", "AV passes", "ceil", "paper claim",
+        "log2 M",
+        "N",
+        "AKL passes",
+        "AV passes",
+        "ceil",
+        "paper claim",
     ]);
     for log_m in [12u32, 16, 20, 24] {
         let m = 1usize << log_m;
@@ -67,9 +72,8 @@ pub fn e1_lower_bounds() {
                 (if n == m * b { "M^1.5" } else { "M^2" }).to_string(),
                 f3(pdm_theory::min_passes(n, m, b)),
                 f3(pdm_theory::av_min_passes(n, m, b)),
-                int(pdm_theory::min_passes_ceil(n, m, b).max(
-                    (pdm_theory::av_min_passes(n, m, b) - 1e-9).ceil() as usize,
-                )),
+                int(pdm_theory::min_passes_ceil(n, m, b)
+                    .max((pdm_theory::av_min_passes(n, m, b) - 1e-9).ceil() as usize)),
                 int(claim),
             ]);
         }
@@ -85,7 +89,13 @@ pub fn e2_three_pass1() {
         "ThreePass1 sorts M√M keys in exactly 3 passes (all inputs)",
     );
     let mut t = Table::new(&[
-        "b=√M", "N", "input", "read passes", "write passes", "sorted", "claim",
+        "b=√M",
+        "N",
+        "input",
+        "read passes",
+        "write passes",
+        "sorted",
+        "claim",
     ]);
     for b in [16usize, 32, 64] {
         let n = b * b * b;
@@ -157,9 +167,7 @@ pub fn e3_exp_two_pass_mesh() {
     let cap = exp_two_pass_mesh::capacity(m, 1.0);
     println!("M = {m}, analytic capacity(α=1) = {cap} (constants are conservative —");
     println!("the table sweeps N up to the structural max M√M to show the success crossover)");
-    let mut t = Table::new(&[
-        "N/M", "N", "trials", "2-pass fraction", "mean read passes",
-    ]);
+    let mut t = Table::new(&["N/M", "N", "trials", "2-pass fraction", "mean read passes"]);
     for n_over_m in [2usize, 4, 8, 16, 24, 32] {
         let n = n_over_m * m;
         let trials = 30u64;
@@ -197,7 +205,13 @@ pub fn e4_three_pass2_vs_cc() {
         "both take 3 passes; ThreePass2 sorts M^1.5 keys vs columnsort's ≈ M^1.5/√2",
     );
     let mut t = Table::new(&[
-        "M", "algo", "B", "capacity", "cap/M^1.5", "read passes", "sorted",
+        "M",
+        "algo",
+        "B",
+        "capacity",
+        "cap/M^1.5",
+        "read passes",
+        "sorted",
     ]);
     for b in [16usize, 32] {
         let m = b * b;
@@ -255,7 +269,15 @@ pub fn e5_shuffling_lemma() {
         "after shuffling sorted parts, max displacement ≤ (n/√q)√((α+2)ln n+1) + n/q whp",
     );
     let mut t = Table::new(&[
-        "n", "q", "alpha", "trials", "worst", "mean", "bound", "bound/worst", "violations",
+        "n",
+        "q",
+        "alpha",
+        "trials",
+        "worst",
+        "mean",
+        "bound",
+        "bound/worst",
+        "violations",
     ]);
     for (n, q) in [
         (1usize << 12, 1usize << 6),
@@ -296,7 +318,12 @@ pub fn e6_expected_two_pass() {
     let cap = expected_two_pass::capacity(m, 2.0);
     println!("M = {m}, capacity(α=2) = {cap}, structural max = {}", m * b);
     let mut t = Table::new(&[
-        "N", "N/cap", "trials", "fallback frac", "mean read passes", "expected (paper)",
+        "N",
+        "N/cap",
+        "trials",
+        "fallback frac",
+        "mean read passes",
+        "expected (paper)",
     ]);
     for mult in [0.5f64, 1.0, 1.5, 2.0, 3.0] {
         let n = (((cap as f64 * mult) as usize) / m).max(1) * m;
@@ -332,7 +359,10 @@ pub fn e6_expected_two_pass() {
 
     // α sweep: the capacity/confidence dial of all the expected theorems
     let mut t = Table::new(&[
-        "alpha", "capacity(M,α)", "fallback frac at cap", "paper fail bound M^-α",
+        "alpha",
+        "capacity(M,α)",
+        "fallback frac at cap",
+        "paper fail bound M^-α",
     ]);
     for alpha in [1.0f64, 2.0, 3.0, 4.0] {
         let capa = expected_two_pass::capacity(m, alpha);
@@ -376,7 +406,9 @@ pub fn e7_expected_three_pass() {
     let cap = expected_three_pass::capacity(m, 2.0);
     let ecap = expected_three_pass::effective_capacity(m, 2.0);
     let scap = expected_three_pass::structural_capacity(m, 2.0);
-    println!("M = {m}, theorem capacity = {cap}, effective (rounded runs) = {ecap}, structural = {scap}");
+    println!(
+        "M = {m}, theorem capacity = {cap}, effective (rounded runs) = {ecap}, structural = {scap}"
+    );
     let mut t = Table::new(&["N", "trials", "fallback frac", "mean read passes", "claim"]);
     for n in [ecap, scap / 2, scap] {
         let n = (n / m).max(1) * m;
@@ -388,8 +420,7 @@ pub fn e7_expected_three_pass() {
                 let reg = pdm.alloc_region_for_keys(n).unwrap();
                 pdm.ingest(&reg, &input).unwrap();
                 pdm.reset_stats();
-                let rep =
-                    expected_three_pass::expected_three_pass(&mut pdm, &reg, n, 2.0).unwrap();
+                let rep = expected_three_pass::expected_three_pass(&mut pdm, &reg, n, 2.0).unwrap();
                 assert!(sorted_ok(&mut pdm, &rep.output, &input));
                 (rep.fell_back, rep.read_passes)
             })
@@ -423,9 +454,18 @@ pub fn e7_expected_three_pass() {
 
 /// E8 — Theorem 6.2: `SevenPass` sorts `M²` keys in exactly 7 passes.
 pub fn e8_seven_pass() {
-    banner("E8 (Thm 6.2)", "SevenPass sorts M² keys in exactly 7 passes");
+    banner(
+        "E8 (Thm 6.2)",
+        "SevenPass sorts M² keys in exactly 7 passes",
+    );
     let mut t = Table::new(&[
-        "b=√M", "N = M²", "read passes", "write passes", "parallel eff", "sorted", "claim",
+        "b=√M",
+        "N = M²",
+        "read passes",
+        "write passes",
+        "parallel eff",
+        "sorted",
+        "claim",
     ]);
     let mut breakdown: Vec<PhaseStats> = Vec::new();
     let mut breakdown_n = 0usize;
@@ -524,28 +564,34 @@ pub fn e10_integer_sort() {
         "IntegerSort: (1+µ) write passes distributing, 2(1+µ) with step A; µ < 1",
     );
     let mut t = Table::new(&[
-        "b", "N/M", "mode", "read passes", "write passes", "fill factor", "claim total",
+        "b",
+        "N/M",
+        "mode",
+        "read passes",
+        "write passes",
+        "fill factor",
+        "claim total",
     ]);
     for b in [16usize, 32] {
         let m = b * b;
         let range = (m / b) as u64; // R = M/B = b
         for n_over_m in [16usize, 64] {
             let n = n_over_m * m;
-            for mode in [integer_sort::FlushMode::PerPhase, integer_sort::FlushMode::Packed] {
+            for mode in [
+                integer_sort::FlushMode::PerPhase,
+                integer_sort::FlushMode::Packed,
+            ] {
                 let input = data::uniform(n, range, 77);
                 let mut pdm: Pdm<u64> = Pdm::new(PdmConfig::square(4, b)).unwrap();
                 let reg = pdm.alloc_region_for_keys(n).unwrap();
                 pdm.ingest(&reg, &input).unwrap();
                 // measure fill factor via a bare distribution first
                 let src = pdm_sort::integer_sort::Source::Region(&reg, n);
-                let buckets = pdm_sort::integer_sort::distribute(
-                    &mut pdm,
-                    &src,
-                    range as usize,
-                    mode,
-                    |k| *k as usize,
-                )
-                .unwrap();
+                let buckets =
+                    pdm_sort::integer_sort::distribute(&mut pdm, &src, range as usize, mode, |k| {
+                        *k as usize
+                    })
+                    .unwrap();
                 let fill = buckets.fill_factor(b);
                 // distribution-only passes (the paper's "without step A"):
                 // measured on the bare distribute run above
@@ -562,9 +608,8 @@ pub fn e10_integer_sort() {
                     "(1+µ)".into(),
                 ]);
                 pdm.reset_stats();
-                let rep =
-                    pdm_sort::integer_sort::integer_sort_with(&mut pdm, &reg, n, range, mode)
-                        .unwrap();
+                let rep = pdm_sort::integer_sort::integer_sort_with(&mut pdm, &reg, n, range, mode)
+                    .unwrap();
                 assert!(sorted_ok(&mut pdm, &rep.output, &input));
                 t.row(&[
                     int(b),
@@ -590,13 +635,23 @@ pub fn e11_radix_sort() {
         "RadixSort: (1+ν)·log(N/M)/log(M/B)+1 passes; example N=M², C=4 → ≤ 3.6",
     );
     let mut t = Table::new(&[
-        "b", "D", "mode", "N", "rounds", "pred rounds", "passes (r+w)/2", "paper example",
+        "b",
+        "D",
+        "mode",
+        "N",
+        "rounds",
+        "pred rounds",
+        "passes (r+w)/2",
+        "paper example",
     ]);
     for (b, d) in [(16usize, 4usize), (32, 8)] {
         let m = b * b;
         let n = m * m; // the Obs 7.2 example: N = M², C = M/(DB) = b/D = 4
         let cfg = PdmConfig::square(d, b);
-        for mode in [integer_sort::FlushMode::PerPhase, integer_sort::FlushMode::Packed] {
+        for mode in [
+            integer_sort::FlushMode::PerPhase,
+            integer_sort::FlushMode::Packed,
+        ] {
             let input = data::uniform(n, u64::MAX, 123);
             let mut pdm: Pdm<u64> = Pdm::new(cfg).unwrap();
             let reg = pdm.alloc_region_for_keys(n).unwrap();
@@ -632,7 +687,12 @@ pub fn e12_generalized_zero_one() {
     use pdm_theory::network::odd_even_transposition;
     use pdm_theory::zero_one;
     let mut t = Table::new(&[
-        "n", "comparators cut", "alpha (min k-frac)", "bound", "measured perm frac", "holds",
+        "n",
+        "comparators cut",
+        "alpha (min k-frac)",
+        "bound",
+        "measured perm frac",
+        "holds",
     ]);
     for n in [8usize, 9] {
         let full = odd_even_transposition(n);
@@ -655,7 +715,12 @@ pub fn e12_generalized_zero_one() {
 
     // larger n, sampled
     let mut t = Table::new(&[
-        "n", "cut", "alpha (sampled)", "bound", "perm frac (sampled)", "holds",
+        "n",
+        "cut",
+        "alpha (sampled)",
+        "bound",
+        "perm frac (sampled)",
+        "holds",
     ]);
     let mut rng = pdm_model::rng::SplitMix64::seed_from_u64(999);
     for (n, cut) in [(16usize, 2usize), (16, 8), (24, 4)] {
@@ -686,7 +751,13 @@ pub fn e13_summary() {
     let b = 32usize;
     let m = b * b;
     let mut t = Table::new(&[
-        "algorithm", "B", "N sorted", "read passes", "write passes", "fell back", "LB passes",
+        "algorithm",
+        "B",
+        "N sorted",
+        "read passes",
+        "write passes",
+        "fell back",
+        "LB passes",
     ]);
 
     let mut run = |a: Algorithm, n: usize| {
@@ -711,11 +782,20 @@ pub fn e13_summary() {
     // Each table sorter at (a memory-load multiple of) its capacity here.
     let cap = |a: Algorithm| a.capacity(&PdmConfig::square(4, b), 2.0);
     for (a, n) in [
-        (Algorithm::ExpectedTwoPass, cap(Algorithm::ExpectedTwoPass) / m * m),
+        (
+            Algorithm::ExpectedTwoPass,
+            cap(Algorithm::ExpectedTwoPass) / m * m,
+        ),
         (Algorithm::ThreePass1, m * b),
         (Algorithm::ThreePass2, m * b),
-        (Algorithm::ExpectedThreePass, cap(Algorithm::ExpectedThreePass) / m * m),
-        (Algorithm::ExpectedSixPass, cap(Algorithm::ExpectedSixPass).min(m * m / 4)),
+        (
+            Algorithm::ExpectedThreePass,
+            cap(Algorithm::ExpectedThreePass) / m * m,
+        ),
+        (
+            Algorithm::ExpectedSixPass,
+            cap(Algorithm::ExpectedSixPass).min(m * m / 4),
+        ),
         (Algorithm::SevenPass, m * m / 4),
         (Algorithm::MergeSort, m * m / 4),
     ] {
@@ -759,9 +839,7 @@ pub fn x1_srm_striping() {
     );
     use pdm_baseline::Striping;
     let (d, b, m) = (4usize, 16usize, 256usize);
-    let mut t = Table::new(&[
-        "workload", "striping", "read passes", "read efficiency",
-    ]);
+    let mut t = Table::new(&["workload", "striping", "read passes", "read efficiency"]);
     let f = m / (2 * b);
     let run = m;
     let n = 8 * f * run;
@@ -782,8 +860,7 @@ pub fn x1_srm_striping() {
             let input = pdm.alloc_region_for_keys(n).unwrap();
             pdm.ingest(&input, &data).unwrap();
             pdm.reset_stats();
-            let rep =
-                pdm_baseline::srm_merge_sort(&mut pdm, &input, n, striping, 99).unwrap();
+            let rep = pdm_baseline::srm_merge_sort(&mut pdm, &input, n, striping, 99).unwrap();
             assert!(sorted_ok(&mut pdm, &rep.output, &data));
             t.row(&[
                 name.into(),

@@ -100,7 +100,10 @@ impl Algorithm {
     pub fn deterministic(self) -> bool {
         matches!(
             self,
-            Algorithm::ThreePass1 | Algorithm::ThreePass2 | Algorithm::SevenPass | Algorithm::MergeSort
+            Algorithm::ThreePass1
+                | Algorithm::ThreePass2
+                | Algorithm::SevenPass
+                | Algorithm::MergeSort
         )
     }
 
@@ -114,7 +117,9 @@ impl Algorithm {
             Algorithm::ExpTwoPassMesh => crate::exp_two_pass_mesh::capacity(m, alpha),
             Algorithm::ThreePass2 => crate::three_pass2::capacity(m),
             Algorithm::ExpectedTwoPass => crate::expected_two_pass::capacity(m, alpha),
-            Algorithm::ExpectedThreePass => crate::expected_three_pass::effective_capacity(m, alpha),
+            Algorithm::ExpectedThreePass => {
+                crate::expected_three_pass::effective_capacity(m, alpha)
+            }
             Algorithm::SevenPass => crate::seven_pass::capacity(m),
             Algorithm::ExpectedSixPass => crate::seven_pass::capacity_six(m, alpha),
             Algorithm::IntegerSort
@@ -181,10 +186,13 @@ impl std::str::FromStr for Algorithm {
     type Err = String;
 
     fn from_str(s: &str) -> std::result::Result<Self, String> {
-        Algorithm::ALL.into_iter().find(|a| a.name() == s).ok_or_else(|| {
-            let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
-            format!("unknown algorithm '{s}' ({})", names.join("|"))
-        })
+        Algorithm::ALL
+            .into_iter()
+            .find(|a| a.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
+                format!("unknown algorithm '{s}' ({})", names.join("|"))
+            })
     }
 }
 
@@ -553,7 +561,10 @@ pub struct RegionEmitter {
 impl RegionEmitter {
     /// Emit into `region` from block 0.
     pub fn new(region: Region) -> Self {
-        Self { region, next_block: 0 }
+        Self {
+            region,
+            next_block: 0,
+        }
     }
 
     /// Blocks written so far.
@@ -617,7 +628,13 @@ pub fn in_memory_sort<K: PdmKey, S: Storage<K>>(
     let out = pdm.alloc_region_for_keys(n)?;
     pdm.write_region(&out, &buf)?;
     pdm.end_phase();
-    Ok(SortReport::from_stats(pdm, out, n, Algorithm::InMemory, false))
+    Ok(SortReport::from_stats(
+        pdm,
+        out,
+        n,
+        Algorithm::InMemory,
+        false,
+    ))
 }
 
 #[cfg(test)]
@@ -794,7 +811,10 @@ mod tests {
         }
         let t = cleaner.telemetry();
         assert!(t.violations >= 1);
-        assert!(t.min_margin.unwrap() < 0, "violated boundary has negative margin");
+        assert!(
+            t.min_margin.unwrap() < 0,
+            "violated boundary has negative margin"
+        );
         let (_, clean) = cleaner
             .finish(&mut pdm, &mut |p, ks| emitter.emit(p, ks))
             .unwrap();
@@ -855,8 +875,10 @@ mod tests {
 
     #[test]
     fn exactly_the_resumable_sorters_are_deterministic() {
-        let det: Vec<Algorithm> =
-            Algorithm::ALL.into_iter().filter(|a| a.deterministic()).collect();
+        let det: Vec<Algorithm> = Algorithm::ALL
+            .into_iter()
+            .filter(|a| a.deterministic())
+            .collect();
         assert_eq!(
             det,
             vec![
@@ -879,7 +901,10 @@ mod tests {
             assert_eq!(a.deterministic(), a == Algorithm::MergeSort, "{a}");
             // the same bound on every input
             let passes = crate::merge_sort::predicted_passes(&cfg, 5000);
-            let want = PassBound { passes, expected: false };
+            let want = PassBound {
+                passes,
+                expected: false,
+            };
             assert_eq!(a.pass_bound(&cfg, 5000, 2.0), Some(want), "{a}");
         }
         // up/down was 2× slower on random input, so `auto` leaves it out
@@ -894,8 +919,18 @@ mod tests {
         let cfg = PdmConfig::square(4, 64);
         let m = cfg.mem_capacity;
         let bound = |a: Algorithm, n| a.pass_bound(&cfg, n, 2.0);
-        let exact = |passes| Some(PassBound { passes, expected: false });
-        let expected = |passes| Some(PassBound { passes, expected: true });
+        let exact = |passes| {
+            Some(PassBound {
+                passes,
+                expected: false,
+            })
+        };
+        let expected = |passes| {
+            Some(PassBound {
+                passes,
+                expected: true,
+            })
+        };
         assert_eq!(bound(Algorithm::InMemory, m), exact(1));
         assert_eq!(bound(Algorithm::InMemory, m + 1), None);
         assert_eq!(bound(Algorithm::ExpectedTwoPass, m + 1), expected(2));

@@ -98,7 +98,10 @@ mod tests {
         assert_eq!(choose(&cfg, m + 1, 2.0).unwrap(), Algorithm::MergeSort);
         let cap2 = capacity_expected_two_pass(m, 2.0);
         assert_eq!(choose(&cfg, cap2, 2.0).unwrap(), Algorithm::MergeSort);
-        assert_eq!(choose(&cfg, 15 * m + 1, 2.0).unwrap(), Algorithm::ThreePass2);
+        assert_eq!(
+            choose(&cfg, 15 * m + 1, 2.0).unwrap(),
+            Algorithm::ThreePass2
+        );
         // M√M: both take three passes, and the paper's sorter comes first
         assert_eq!(choose(&cfg, m * 64, 2.0).unwrap(), Algorithm::ThreePass2);
         assert_eq!(choose(&cfg, m * 64 + 1, 2.0).unwrap(), Algorithm::MergeSort);
@@ -113,7 +116,10 @@ mod tests {
             last = passes;
         }
         // past M² the merge sort still covers N
-        assert_eq!(choose(&PdmConfig::square(2, 8), 4097, 2.0).unwrap(), Algorithm::MergeSort);
+        assert_eq!(
+            choose(&PdmConfig::square(2, 8), 4097, 2.0).unwrap(),
+            Algorithm::MergeSort
+        );
     }
 
     /// The rule as an explicit chain: the old ladder's first rung that fits
@@ -142,17 +148,28 @@ mod tests {
         } else {
             return Ok(MergeSort);
         };
-        Ok(if merge < passes || (merge == passes && expected) { MergeSort } else { rung })
+        Ok(if merge < passes || (merge == passes && expected) {
+            MergeSort
+        } else {
+            rung
+        })
     }
 
     #[test]
     fn table_choose_matches_the_reference_chain_at_every_boundary() {
-        for cfg in [PdmConfig::square(2, 16), PdmConfig::square(4, 64), PdmConfig::square(16, 64)] {
+        for cfg in [
+            PdmConfig::square(2, 16),
+            PdmConfig::square(4, 64),
+            PdmConfig::square(16, 64),
+        ] {
             let m = cfg.mem_capacity;
             let f = max_fanin(&cfg);
             for alpha in [1.0, 2.0, 4.0] {
                 let mut probes = vec![0, 1, m * m, m * m + 1];
-                for a in Algorithm::CANDIDATES.into_iter().filter(|a| *a != Algorithm::MergeSort) {
+                for a in Algorithm::CANDIDATES
+                    .into_iter()
+                    .filter(|a| *a != Algorithm::MergeSort)
+                {
                     let cap = a.capacity(&cfg, alpha);
                     probes.extend([cap - 1, cap, cap + 1]);
                 }
@@ -208,7 +225,10 @@ mod tests {
         assert_eq!(pick(&big, 4 << 20), (Algorithm::ThreePass2, 3, tie));
         // D = 16, B = 64: fan-in 3, and the paper's sorters keep each range
         let wide = PdmConfig::square(16, 64);
-        assert_eq!(choose(&wide, 40_000, 2.0).unwrap(), Algorithm::ExpectedTwoPass);
+        assert_eq!(
+            choose(&wide, 40_000, 2.0).unwrap(),
+            Algorithm::ExpectedTwoPass
+        );
         assert_eq!(choose(&wide, m * 64, 2.0).unwrap(), Algorithm::ThreePass2);
         assert_eq!(
             pick(&wide, m * m),
@@ -226,8 +246,14 @@ mod tests {
         // nothing past a block.
         let mut rng = SplitMix64::seed_from_u64(103);
         for (cfg, sizes) in [
-            (PdmConfig::square(2, 16), [200, 256, 300, 1000, 1792, 1793, 4096, 4097, 20_000]),
-            (PdmConfig::square(4, 16), [256, 500, 800, 2000, 4096, 5000, 30_000, 63_000, 70_000]),
+            (
+                PdmConfig::square(2, 16),
+                [200, 256, 300, 1000, 1792, 1793, 4096, 4097, 20_000],
+            ),
+            (
+                PdmConfig::square(4, 16),
+                [256, 500, 800, 2000, 4096, 5000, 30_000, 63_000, 70_000],
+            ),
         ] {
             let (m, b) = (cfg.mem_capacity, cfg.block_size);
             let mut picks = Vec::new();

@@ -16,7 +16,9 @@
 //!   absorbs. The online check catches bad inputs; fallback is the
 //!   deterministic `ThreePass2` (Lemma 4.1), as the paper prescribes.
 
-use crate::common::{alloc_staggered, require_square_cfg, Algorithm, Cleaner, RegionEmitter, SortReport};
+use crate::common::{
+    alloc_staggered, require_square_cfg, Algorithm, Cleaner, RegionEmitter, SortReport,
+};
 use crate::three_pass2;
 use pdm_model::prelude::*;
 
@@ -160,7 +162,11 @@ mod tests {
         let rep = run_sort(&mut pdm, &data);
         check_sorted(&mut pdm, &rep, &data);
         assert!(!rep.fell_back, "random input fell back");
-        assert!((rep.read_passes - 2.0).abs() < 1e-9, "read {}", rep.read_passes);
+        assert!(
+            (rep.read_passes - 2.0).abs() < 1e-9,
+            "read {}",
+            rep.read_passes
+        );
         assert!(rep.peak_mem <= 2 * 1024 + 256);
         assert!(pdm.stats().read_parallel_efficiency(2) > 0.99);
     }

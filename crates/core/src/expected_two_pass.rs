@@ -65,7 +65,10 @@ pub(crate) fn runs_plan<K: PdmKey, S: Storage<K>>(pdm: &Pdm<K, S>, n: usize) -> 
     let chunk = chunk_blocks * b;
     let run_len = n.div_ceil(n1 * chunk) * chunk;
     debug_assert!(run_len <= m && n1 * run_len >= n);
-    debug_assert!(n1 * run_len - n < n1 * chunk, "padding must stay below one window");
+    debug_assert!(
+        n1 * run_len - n < n1 * chunk,
+        "padding must stay below one window"
+    );
     Ok(RunsPlan {
         b,
         m,
@@ -86,7 +89,13 @@ pub(crate) fn pass1_runs_shuffled<K: PdmKey, S: Storage<K>>(
     p: &RunsPlan,
     windows: &[Region],
 ) -> Result<()> {
-    let RunsPlan { b, n1, chunk_blocks, run_len, .. } = *p;
+    let RunsPlan {
+        b,
+        n1,
+        chunk_blocks,
+        run_len,
+        ..
+    } = *p;
     debug_assert_eq!(windows.len(), p.windows);
     let in_blocks = input.len_blocks();
     let run_blocks = run_len / b;
@@ -195,8 +204,9 @@ pub fn expected_two_pass<K: PdmKey, S: Storage<K>>(
     pdm.begin_phase("E2P: stream+verify");
     let mut emitter = RegionEmitter::new(out);
     let mut wb = WriteBehind::new(pdm);
-    let (_, clean) =
-        pass2_stream(pdm, &p, &windows, &mut |pd, ks| emitter.emit_behind(pd, &mut wb, ks))?;
+    let (_, clean) = pass2_stream(pdm, &p, &windows, &mut |pd, ks| {
+        emitter.emit_behind(pd, &mut wb, ks)
+    })?;
     wb.finish(pdm)?;
     pdm.end_phase();
 
@@ -271,7 +281,11 @@ mod tests {
         let rep = run_sort(&mut pdm, &data);
         check_sorted(&mut pdm, &rep, &data);
         assert!(!rep.fell_back, "random input should not fall back");
-        assert!((rep.read_passes - 2.0).abs() < 1e-9, "read {}", rep.read_passes);
+        assert!(
+            (rep.read_passes - 2.0).abs() < 1e-9,
+            "read {}",
+            rep.read_passes
+        );
         assert!((rep.write_passes - 2.0).abs() < 1e-9);
         assert!(rep.peak_mem <= 2 * 256);
     }
@@ -356,11 +370,21 @@ mod tests {
                 assert_eq!(pdm.pending_io(), 0, "phases must drain all overlap I/O");
                 let got = pdm.inspect_prefix(&rep.output, data.len()).unwrap();
                 let s = pdm.stats();
-                (got, rep.fell_back, s.blocks_read, s.blocks_written, s.read_steps, s.write_steps)
+                (
+                    got,
+                    rep.fell_back,
+                    s.blocks_read,
+                    s.blocks_written,
+                    s.read_steps,
+                    s.write_steps,
+                )
             };
             let on = run(true);
             let off = run(false);
-            assert_eq!(on, off, "overlap must be invisible to output and accounting");
+            assert_eq!(
+                on, off,
+                "overlap must be invisible to output and accounting"
+            );
         }
     }
 

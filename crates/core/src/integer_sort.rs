@@ -79,10 +79,7 @@ impl BucketRun {
 
     /// Address of written block `g`.
     pub fn block_addr(&self, g: usize) -> (Region, usize) {
-        (
-            self.regions[g / self.extent_blocks],
-            g % self.extent_blocks,
-        )
+        (self.regions[g / self.extent_blocks], g % self.extent_blocks)
     }
 }
 
@@ -306,8 +303,7 @@ pub fn gather<K: PdmKey, S: Storage<K>>(
         while g < run.blocks() {
             let take = d.min(run.blocks() - g);
             buf.clear();
-            let targets: Vec<(Region, usize)> =
-                (g..g + take).map(|i| run.block_addr(i)).collect();
+            let targets: Vec<(Region, usize)> = (g..g + take).map(|i| run.block_addr(i)).collect();
             pdm.read_blocks_multi(&targets, buf.as_vec_mut())?;
             for (i, gi) in (g..g + take).enumerate() {
                 writer.push_slice(pdm, &buf[i * b..i * b + run.block_keys[gi]])?;
@@ -352,7 +348,13 @@ pub fn integer_sort_with<K: PdmKey + RankedKey, S: Storage<K>>(
     let written = writer.finish(pdm)?;
     pdm.end_phase();
     debug_assert_eq!(written, n);
-    Ok(SortReport::from_stats(pdm, out, n, Algorithm::IntegerSort, false))
+    Ok(SortReport::from_stats(
+        pdm,
+        out,
+        n,
+        Algorithm::IntegerSort,
+        false,
+    ))
 }
 
 #[cfg(test)]
@@ -443,7 +445,13 @@ mod tests {
         let mut rng = SplitMix64::seed_from_u64(84);
         // 90% of keys in bucket 3
         let data: Vec<u64> = (0..4096)
-            .map(|_| if rng.gen_bool(0.9) { 3 } else { rng.gen_range(0..16) })
+            .map(|_| {
+                if rng.gen_bool(0.9) {
+                    3
+                } else {
+                    rng.gen_range(0..16)
+                }
+            })
             .collect();
         let rep = run_sort(&mut pdm, &data, 16, FlushMode::PerPhase);
         check_sorted(&mut pdm, &rep, &data);
@@ -503,6 +511,9 @@ mod tests {
         assert!(per_phase.fill_factor(16) < packed.fill_factor(16));
         assert!(packed.fill_factor(16) > 0.95);
         assert_eq!(per_phase.total, 4096);
-        assert_eq!(per_phase.max_bucket(), per_phase.runs.iter().map(|r| r.total).max().unwrap());
+        assert_eq!(
+            per_phase.max_bucket(),
+            per_phase.runs.iter().map(|r| r.total).max().unwrap()
+        );
     }
 }

@@ -48,7 +48,12 @@ struct Node<K> {
 /// climbing — legal because equal keys are interchangeable in the
 /// key-only output.
 #[inline(always)]
-fn replay<K: PdmKey>(nodes: &mut [Node<K>], tails: &mut [&[K]], cap: usize, win: Node<K>) -> Node<K> {
+fn replay<K: PdmKey>(
+    nodes: &mut [Node<K>],
+    tails: &mut [&[K]],
+    cap: usize,
+    win: Node<K>,
+) -> Node<K> {
     let wi = win.leaf as usize;
     let tail = &mut tails[wi];
     let mut cur = match tail.split_first() {

@@ -123,7 +123,10 @@ fn external_sort<K: PdmKey, S: Storage<K>>(
     algorithm: Algorithm,
 ) -> Result<SortReport> {
     if n == 0 || n > input.len_keys() {
-        return Err(PdmError::RegionOutOfBounds { index: n, len: input.len_keys() });
+        return Err(PdmError::RegionOutOfBounds {
+            index: n,
+            len: input.len_keys(),
+        });
     }
     pdm.begin_phase("MS: run formation");
     let mut runs = if algorithm == Algorithm::MergeSort {
@@ -132,9 +135,11 @@ fn external_sort<K: PdmKey, S: Storage<K>>(
         up_down_runs(pdm, input, n)?
     };
     for run in &runs {
-        pdm.stats_mut().probe_gauge("rungen.run_len", run.keys as i64);
+        pdm.stats_mut()
+            .probe_gauge("rungen.run_len", run.keys as i64);
     }
-    pdm.stats_mut().probe_gauge("rungen.runs", runs.len() as i64);
+    pdm.stats_mut()
+        .probe_gauge("rungen.runs", runs.len() as i64);
 
     let fan = max_fanin(pdm.cfg());
     let levels = merge_levels(runs.len(), fan);
@@ -151,10 +156,17 @@ fn external_sort<K: PdmKey, S: Storage<K>>(
         runs = next;
     }
     pdm.end_phase();
-    pdm.stats_mut().probe_gauge("rungen.merge_levels", levels as i64);
+    pdm.stats_mut()
+        .probe_gauge("rungen.merge_levels", levels as i64);
     // Both formers open with an ascending run, and merges emit ascending.
     debug_assert!(runs.len() == 1 && runs[0].ascending);
-    Ok(SortReport::from_stats(pdm, runs[0].region, n, algorithm, false))
+    Ok(SortReport::from_stats(
+        pdm,
+        runs[0].region,
+        n,
+        algorithm,
+        false,
+    ))
 }
 
 /// Release the allocations of a closing level's input runs that no run of
@@ -188,7 +200,11 @@ fn load_sort_store<K: PdmKey, S: Storage<K>>(
     let mut buf = pdm.alloc_buf(cfg.mem_capacity)?;
     let loads = (0..in_blocks)
         .step_by(run_blocks)
-        .map(|first| (first..(first + run_blocks).min(in_blocks)).map(|i| (*input, i)).collect())
+        .map(|first| {
+            (first..(first + run_blocks).min(in_blocks))
+                .map(|i| (*input, i))
+                .collect()
+        })
         .collect();
     let mut loads = ReadAhead::new(pdm, loads)?;
     let mut stores = WriteBehind::new(pdm);
@@ -208,7 +224,12 @@ fn load_sort_store<K: PdmKey, S: Storage<K>>(
         let region = pdm.alloc_region_for_keys(keys)?;
         let idx: Vec<usize> = (0..blocks).collect();
         stores.write(pdm, &region, &idx, &buf)?;
-        runs.push(Run { region, alloc: region, keys, ascending: true });
+        runs.push(Run {
+            region,
+            alloc: region,
+            keys,
+            ascending: true,
+        });
     }
     stores.finish(pdm)?;
     Ok(runs)
@@ -257,7 +278,11 @@ impl<K: PdmKey> UpDown<K> {
 
     /// The nearest key that extends the current run, if any.
     fn pop(&mut self) -> Option<K> {
-        let k = if self.ascending { self.up.pop().map(|Reverse(k)| k) } else { self.down.pop() };
+        let k = if self.ascending {
+            self.up.pop().map(|Reverse(k)| k)
+        } else {
+            self.down.pop()
+        };
         self.last = k.or(self.last);
         k
     }
@@ -327,7 +352,12 @@ fn up_down_runs<K: PdmKey, S: Storage<K>>(
     runs.into_iter()
         .map(|(first, keys, ascending)| {
             let region = scratch.sub(first, keys.div_ceil(b))?;
-            Ok(Run { region, alloc: scratch, keys, ascending })
+            Ok(Run {
+                region,
+                alloc: scratch,
+                keys,
+                ascending,
+            })
         })
         .collect()
 }
@@ -440,18 +470,18 @@ impl<K: PdmKey> Forecast<K> {
     /// Submit queued requests, smallest key first, as far as the window
     /// allows. Forced by an emptied run, that run's request goes first and
     /// is always admitted.
-    fn submit<S: Storage<K>>(
-        &mut self,
-        pdm: &mut Pdm<K, S>,
-        force: Option<usize>,
-    ) -> Result<()> {
+    fn submit<S: Storage<K>>(&mut self, pdm: &mut Pdm<K, S>, force: Option<usize>) -> Result<()> {
         if self.queue.is_empty() {
             return Ok(());
         }
         self.queue.sort_unstable_by_key(|q| (q.0, q.1));
         // With equal keys another run's fresh request can sort first.
         if let Some(run) = force {
-            let at = self.queue.iter().position(|q| q.1 == run).expect("the forcing run is queued");
+            let at = self
+                .queue
+                .iter()
+                .position(|q| q.1 == run)
+                .expect("the forcing run is queued");
             self.queue[..=at].rotate_right(1);
         }
         let (mut take, mut blocks) = (0, 0);
@@ -466,16 +496,23 @@ impl<K: PdmKey> Forecast<K> {
         if take == 0 {
             return Ok(());
         }
-        let (runs, steps): (Vec<usize>, Vec<Vec<(Region, usize)>>) =
-            self.queue.drain(..take).map(|(_, run, step)| (run, step)).unzip();
+        let (runs, steps): (Vec<usize>, Vec<Vec<(Region, usize)>>) = self
+            .queue
+            .drain(..take)
+            .map(|(_, run, step)| (run, step))
+            .unzip();
         let read = match steps.as_slice() {
             [one] => pdm.start_read_blocks_multi(one)?,
             _ => pdm.start_read_blocks_group(&steps)?,
         };
-        let slot = self.groups.iter().position(Option::is_none).unwrap_or_else(|| {
-            self.groups.push(None);
-            self.groups.len() - 1
-        });
+        let slot = self
+            .groups
+            .iter()
+            .position(Option::is_none)
+            .unwrap_or_else(|| {
+                self.groups.push(None);
+                self.groups.len() - 1
+            });
         let b = pdm.cfg().block_size;
         let mut at = 0;
         for (&run, step) in runs.iter().zip(&steps) {
@@ -483,7 +520,11 @@ impl<K: PdmKey> Forecast<K> {
             self.next[run] = Ahead::Sent { slot, at, len };
             at += len;
         }
-        self.groups[slot] = Some(Group { read: Some(read), data: Vec::new(), left: take });
+        self.groups[slot] = Some(Group {
+            read: Some(read),
+            data: Vec::new(),
+            left: take,
+        });
         self.ahead += blocks;
         self.queued_blocks -= blocks;
         Ok(())
@@ -507,7 +548,9 @@ impl<K: PdmKey> Forecast<K> {
         let Ahead::Sent { slot, at, len } = self.next[i] else {
             unreachable!("a run with keys on disk has its next stripe requested");
         };
-        let g = self.groups[slot].as_mut().expect("a sent stripe's group is live");
+        let g = self.groups[slot]
+            .as_mut()
+            .expect("a sent stripe's group is live");
         if let Some(read) = g.read.take() {
             g.data.resize(read.expected_keys(), K::MAX);
             pdm.finish_read_blocks(read, &mut g.data)?;
@@ -605,7 +648,12 @@ fn merge_group<K: PdmKey, S: Storage<K>>(
         }
     }
     writer.finish(pdm)?;
-    Ok(Run { region, alloc: region, keys, ascending: true })
+    Ok(Run {
+        region,
+        alloc: region,
+        keys,
+        ascending: true,
+    })
 }
 
 #[cfg(test)]
@@ -627,7 +675,11 @@ mod tests {
         assert_eq!(rep.algorithm, algo);
         let mut want = keys.to_vec();
         want.sort_unstable();
-        assert_eq!(pdm.inspect_prefix(&rep.output, keys.len()).unwrap(), want, "{algo}");
+        assert_eq!(
+            pdm.inspect_prefix(&rep.output, keys.len()).unwrap(),
+            want,
+            "{algo}"
+        );
         assert_eq!(pdm.mem().current(), 0, "{algo}: leaked tracked memory");
         rep
     }
@@ -636,7 +688,9 @@ mod tests {
     fn up_down(cfg: PdmConfig, keys: &[u64]) -> Vec<(Vec<u64>, bool)> {
         let (mut pdm, input) = staged(cfg, keys);
         let runs = up_down_runs(&mut pdm, &input, keys.len()).unwrap();
-        runs.iter().map(|r| (pdm.inspect_prefix(&r.region, r.keys).unwrap(), r.ascending)).collect()
+        runs.iter()
+            .map(|r| (pdm.inspect_prefix(&r.region, r.keys).unwrap(), r.ascending))
+            .collect()
     }
 
     const BOTH: [Algorithm; 2] = [Algorithm::MergeSort, Algorithm::UpDownMergeSort];
@@ -674,17 +728,26 @@ mod tests {
         // Up/down's scratch region has ⌈N/M⌉ blocks of slack, and its runs
         // and their merges pad to whole blocks: that is all it adds.
         let n = 27 * m;
-        let nearly: Vec<u64> = (0..n as u64).map(|i| if i % 97 == 0 { i / 2 } else { i }).collect();
+        let nearly: Vec<u64> = (0..n as u64)
+            .map(|i| if i % 97 == 0 { i / 2 } else { i })
+            .collect();
         for keys in [perm(n), nearly] {
             let (high, input) = disk_space(Algorithm::UpDownMergeSort, cfg, &keys);
             let slack = 2 * n.div_ceil(m).div_ceil(cfg.num_disks);
-            assert!(high <= 3 * input + slack, "{high} levels for a {input}-level input");
+            assert!(
+                high <= 3 * input + slack,
+                "{high} levels for a {input}-level input"
+            );
         }
         // A run carried unmerged keeps its region: 4 runs at fan-in 3 merge
         // three and carry one, and the last level does not fit in the
         // three runs' levels, so it takes new ones.
         let (high, input) = disk_space(Algorithm::MergeSort, cfg, &perm(4 * m));
-        assert_eq!(4 * high, 15 * input, "input, runs, 3/4 of a merged level, output");
+        assert_eq!(
+            4 * high,
+            15 * input,
+            "input, runs, 3/4 of a merged level, output"
+        );
     }
 
     #[test]
@@ -711,7 +774,11 @@ mod tests {
     fn duplicates_sorted_and_tagged_inputs() {
         for algo in BOTH {
             sort_and_check(algo, PdmConfig::new(2, 8, 64), &[7u64; 1000]);
-            sort_and_check(algo, PdmConfig::new(2, 8, 64), &(0..1000u64).collect::<Vec<_>>());
+            sort_and_check(
+                algo,
+                PdmConfig::new(2, 8, 64),
+                &(0..1000u64).collect::<Vec<_>>(),
+            );
             let mut pdm: Pdm<Tagged> = Pdm::new(PdmConfig::square(2, 16)).unwrap();
             let keys: Vec<Tagged> = (0..6000u64)
                 .map(|i| Tagged::new((i.wrapping_mul(0x9E3779B9) >> 9) % 100, i))
@@ -721,7 +788,11 @@ mod tests {
             let rep = algo.run(&mut pdm, &input, keys.len(), 2.0).unwrap();
             let mut want = keys.clone();
             want.sort_unstable();
-            assert_eq!(pdm.inspect_prefix(&rep.output, keys.len()).unwrap(), want, "{algo}");
+            assert_eq!(
+                pdm.inspect_prefix(&rep.output, keys.len()).unwrap(),
+                want,
+                "{algo}"
+            );
         }
     }
 
@@ -730,8 +801,16 @@ mod tests {
         let mut data: Vec<u64> = (0..256).collect();
         SplitMix64::seed_from_u64(112).shuffle(&mut data);
         let rep = sort_and_check(Algorithm::MergeSort, PdmConfig::new(2, 16, 256), &data);
-        assert!((rep.read_passes - 1.0).abs() < 1e-9, "read passes {}", rep.read_passes);
-        assert!((rep.write_passes - 1.0).abs() < 1e-9, "write passes {}", rep.write_passes);
+        assert!(
+            (rep.read_passes - 1.0).abs() < 1e-9,
+            "read passes {}",
+            rep.read_passes
+        );
+        assert!(
+            (rep.write_passes - 1.0).abs() < 1e-9,
+            "write passes {}",
+            rep.write_passes
+        );
     }
 
     #[test]
@@ -770,7 +849,11 @@ mod tests {
         let rep = sort_and_check(Algorithm::MergeSort, PdmConfig::new(2, 16, 256), &data);
         // f = 7, 16 runs → 2 merge levels → 3 passes: comparable here; the
         // gap appears at N = M² (see E13) — assert sane bounds only.
-        assert!(rep.read_passes >= 2.0 && rep.read_passes <= 4.0, "{}", rep.read_passes);
+        assert!(
+            rep.read_passes >= 2.0 && rep.read_passes <= 4.0,
+            "{}",
+            rep.read_passes
+        );
     }
 
     #[test]
@@ -788,10 +871,17 @@ mod tests {
             }
         });
         for _ in BOTH {
-            let (algo, past, empty) =
-                rx.recv_timeout(std::time::Duration::from_secs(10)).expect("sort hung");
+            let (algo, past, empty) = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("sort hung");
             assert!(
-                matches!(past, Err(PdmError::RegionOutOfBounds { index: 1009, len: 1008 })),
+                matches!(
+                    past,
+                    Err(PdmError::RegionOutOfBounds {
+                        index: 1009,
+                        len: 1008
+                    })
+                ),
                 "{algo}: {past:?}"
             );
             assert!(empty.is_err(), "{algo} accepted an empty input");
@@ -825,7 +915,11 @@ mod tests {
         assert!(runs[0].0.windows(2).all(|w| w[0] <= w[1]));
         assert!(runs[1].0.windows(2).all(|w| w[0] >= w[1]));
         let rep = sort_and_check(Algorithm::UpDownMergeSort, PdmConfig::square(4, 16), &keys);
-        assert!(rep.read_passes <= 2.5, "read passes {} should be ≈2", rep.read_passes);
+        assert!(
+            rep.read_passes <= 2.5,
+            "read passes {} should be ≈2",
+            rep.read_passes
+        );
     }
 
     #[test]
@@ -861,22 +955,42 @@ mod tests {
     fn duplicate_heavy_and_nearly_sorted_inputs_collapse() {
         // Ties keep the boundary key eligible in both directions, so runs
         // outlast the buffer (the classic ≈2M behavior).
-        let dups: Vec<u64> =
-            (0..20_000u64).map(|i| (i.wrapping_mul(0x2545F491) >> 7) % 8).collect();
+        let dups: Vec<u64> = (0..20_000u64)
+            .map(|i| (i.wrapping_mul(0x2545F491) >> 7) % 8)
+            .collect();
         let runs = up_down(PdmConfig::square(2, 32), &dups);
-        assert!(runs.len() < 20, "got {} runs, load-sort-store cuts 20", runs.len());
+        assert!(
+            runs.len() < 20,
+            "got {} runs, load-sort-store cuts 20",
+            runs.len()
+        );
         assert!(20_000 / runs.len() > 1024, "average run should exceed M");
         let rep = sort_and_check(Algorithm::UpDownMergeSort, PdmConfig::square(2, 32), &dups);
-        assert!(rep.read_passes <= 3.5, "got {} read passes", rep.read_passes);
+        assert!(
+            rep.read_passes <= 3.5,
+            "got {} read passes",
+            rep.read_passes
+        );
 
         let mut nearly: Vec<u64> = (0..16384).collect();
         let mut rng = SplitMix64::seed_from_u64(0x1234_5678);
         for _ in 0..160 {
-            let (i, j) = (rng.gen_range(0..nearly.len()), rng.gen_range(0..nearly.len()));
+            let (i, j) = (
+                rng.gen_range(0..nearly.len()),
+                rng.gen_range(0..nearly.len()),
+            );
             nearly.swap(i, j);
         }
-        let rep = sort_and_check(Algorithm::UpDownMergeSort, PdmConfig::square(4, 16), &nearly);
-        assert!(rep.read_passes <= 3.0, "got {} read passes", rep.read_passes);
+        let rep = sort_and_check(
+            Algorithm::UpDownMergeSort,
+            PdmConfig::square(4, 16),
+            &nearly,
+        );
+        assert!(
+            rep.read_passes <= 3.0,
+            "got {} read passes",
+            rep.read_passes
+        );
     }
 
     /// Sort `keys` with `algo` on threaded disks, overlap on at a `window`
@@ -941,8 +1055,14 @@ mod tests {
                     assert_eq!(got.write_steps, base.write_steps, "{label}");
                     assert_eq!(got.per_disk_reads, base.per_disk_reads, "{label}");
                     assert_eq!(got.per_disk_writes, base.per_disk_writes, "{label}");
-                    assert!(got.overlap.prefetch_batches > 0, "{label}: no overlapped read");
-                    assert!(got.overlap.flush_batches > 0, "{label}: no overlapped write");
+                    assert!(
+                        got.overlap.prefetch_batches > 0,
+                        "{label}: no overlapped read"
+                    );
+                    assert!(
+                        got.overlap.flush_batches > 0,
+                        "{label}: no overlapped write"
+                    );
                     assert!(boundaries.len() >= 4, "{label}: phases {boundaries:?}");
                     assert!(
                         boundaries.iter().all(|&n| n == 0),
@@ -972,8 +1092,15 @@ mod tests {
                 .collect()
         };
         let lens = gauges("rungen.run_len");
-        assert_eq!(lens.iter().sum::<i64>(), keys.len() as i64, "gauges cover every key");
-        assert!(lens.iter().all(|&l| l >= 256), "every run ≥ M keys: {lens:?}");
+        assert_eq!(
+            lens.iter().sum::<i64>(),
+            keys.len() as i64,
+            "gauges cover every key"
+        );
+        assert!(
+            lens.iter().all(|&l| l >= 256),
+            "every run ≥ M keys: {lens:?}"
+        );
         assert_eq!(gauges("rungen.runs"), vec![2]);
         assert_eq!(gauges("rungen.merge_levels"), vec![1]);
     }

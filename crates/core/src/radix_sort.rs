@@ -270,8 +270,7 @@ mod tests {
         let input2 = pdm2.alloc_region_for_keys(n).unwrap();
         pdm2.ingest(&input2, &data).unwrap();
         pdm2.reset_stats();
-        let rep2 =
-            radix_sort_with(&mut pdm2, &input2, n, 32, FlushMode::Packed).unwrap();
+        let rep2 = radix_sort_with(&mut pdm2, &input2, n, 32, FlushMode::Packed).unwrap();
         check_sorted(&mut pdm2, &rep2, &data);
         assert!(
             rep2.report.read_passes < rep.report.read_passes,
@@ -331,7 +330,10 @@ mod tests {
         let rep = radix_sort(&mut pdm, &input, data.len(), 32).unwrap();
         let mut want = data.clone();
         want.sort_unstable();
-        assert_eq!(pdm.inspect_prefix(&rep.report.output, data.len()).unwrap(), want);
+        assert_eq!(
+            pdm.inspect_prefix(&rep.report.output, data.len()).unwrap(),
+            want
+        );
 
         let mut pdm: Pdm<Tagged> = Pdm::new(PdmConfig::square(2, 8)).unwrap();
         let data: Vec<Tagged> = (0..1024)

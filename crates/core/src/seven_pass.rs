@@ -44,7 +44,6 @@ pub fn capacity_six(m: usize, alpha: f64) -> usize {
     b * run
 }
 
-
 /// How outer runs are formed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RunFormer {
@@ -181,7 +180,13 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
     algorithm: Algorithm,
 ) -> Result<SortReport> {
     let p = outer_plan(pdm, n, run_len)?;
-    let OuterPlan { b, m, l, run_len, m_prime } = p;
+    let OuterPlan {
+        b,
+        m,
+        l,
+        run_len,
+        m_prime,
+    } = p;
     let part_blocks = run_len / (b * b); // blocks per L_i^j = m'·... = run_len/b keys
     debug_assert_eq!(part_blocks * b * b, run_len);
 
@@ -215,9 +220,7 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
         } else {
             input.sub(0, 0)?
         };
-        let seg_n = n
-            .saturating_sub(seg_start * b)
-            .min(run_len);
+        let seg_n = n.saturating_sub(seg_start * b).min(run_len);
         let mut emitter = UnshuffleEmitter::new(pdm, run_parts)?;
         // The run former must always emit exactly run_len keys so every
         // part block gets written — plan it for run_len, not seg_n; short
@@ -236,8 +239,7 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
             pdm.begin_phase("6P: E2P runs");
             pass1_runs_shuffled(pdm, &seg, seg_n.max(1), &rp, &windows)?;
             pdm.begin_phase("6P: E2P stream");
-            let (_, clean) =
-                pass2_stream(pdm, &rp, &windows, &mut |pd, ks| emitter.emit(pd, ks))?;
+            let (_, clean) = pass2_stream(pdm, &rp, &windows, &mut |pd, ks| emitter.emit(pd, ks))?;
             emitter.drain(pdm)?; // settle part writes before the boundary
             pdm.end_phase();
             if !clean {
@@ -292,8 +294,7 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
                     }
                 }
             }
-            let targets: Vec<(Region, usize)> =
-                (0..m_prime).map(|u| (sub[u], i)).collect();
+            let targets: Vec<(Region, usize)> = (0..m_prime).map(|u| (sub[u], i)).collect();
             wb.write_multi(pdm, &targets, &wbuf)?;
         }
     }
@@ -372,9 +373,7 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
     // disjoint, so prefetching across a j boundary is safe.
     let iw = &inner_win;
     let steps: Vec<Vec<(Region, usize)>> = (0..b)
-        .flat_map(|j| {
-            (0..l).map(move |t| (0..m_prime).map(|u| (iw[j][t], u)).collect())
-        })
+        .flat_map(|j| (0..l).map(move |t| (0..m_prime).map(|u| (iw[j][t], u)).collect()))
         .collect();
     let mut ra = ReadAhead::new(pdm, steps)?;
     let mut wb = WriteBehind::new(pdm);
@@ -390,9 +389,8 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
             let mut c0 = 0usize;
             while c0 < chunks {
                 let c1 = (c0 + d).min(chunks);
-                let targets: Vec<(Region, usize)> = (c0..c1)
-                    .map(|c| (wins[next_chunk + c], j))
-                    .collect();
+                let targets: Vec<(Region, usize)> =
+                    (c0..c1).map(|c| (wins[next_chunk + c], j)).collect();
                 wbr.write_multi(pd, &targets, &ks[c0 * b..c1 * b])?;
                 c0 = c1;
             }
@@ -451,7 +449,14 @@ pub fn seven_pass<K: PdmKey, S: Storage<K>>(
 ) -> Result<SortReport> {
     let b = require_square_cfg(pdm.cfg())?;
     let m = pdm.cfg().mem_capacity;
-    outer_merge_sort(pdm, input, n, m * b, RunFormer::ThreePass, Algorithm::SevenPass)
+    outer_merge_sort(
+        pdm,
+        input,
+        n,
+        m * b,
+        RunFormer::ThreePass,
+        Algorithm::SevenPass,
+    )
 }
 
 /// Sort `n ≤ capacity_six(M, α)` keys in an expected six passes
@@ -652,11 +657,20 @@ mod tests {
             assert_eq!(pdm.pending_io(), 0, "phases must drain all overlap I/O");
             let got = pdm.inspect_prefix(&rep.output, n).unwrap();
             let s = pdm.stats();
-            (got, s.blocks_read, s.blocks_written, s.read_steps, s.write_steps)
+            (
+                got,
+                s.blocks_read,
+                s.blocks_written,
+                s.read_steps,
+                s.write_steps,
+            )
         };
         let on = run(true);
         let off = run(false);
-        assert_eq!(on, off, "overlap must be invisible to output and accounting");
+        assert_eq!(
+            on, off,
+            "overlap must be invisible to output and accounting"
+        );
     }
 
     #[test]
@@ -675,11 +689,21 @@ mod tests {
             assert_eq!(pdm.pending_io(), 0, "phases must drain all overlap I/O");
             let got = pdm.inspect_prefix(&rep.output, n).unwrap();
             let s = pdm.stats();
-            (got, rep.fell_back, s.blocks_read, s.blocks_written, s.read_steps, s.write_steps)
+            (
+                got,
+                rep.fell_back,
+                s.blocks_read,
+                s.blocks_written,
+                s.read_steps,
+                s.write_steps,
+            )
         };
         let on = run(true);
         let off = run(false);
-        assert_eq!(on, off, "overlap must be invisible to output and accounting");
+        assert_eq!(
+            on, off,
+            "overlap must be invisible to output and accounting"
+        );
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! `ExpTwoPassMesh` (§3.2) is this algorithm minus pass 1 — see
 //! [`crate::exp_two_pass_mesh`].
 
-use crate::common::{alloc_staggered, require_square_cfg, Algorithm, Cleaner, RegionEmitter, SortReport};
+use crate::common::{
+    alloc_staggered, require_square_cfg, Algorithm, Cleaner, RegionEmitter, SortReport,
+};
 use pdm_mesh::{layout_sorted_rows, Direction};
 use pdm_model::prelude::*;
 
@@ -184,7 +186,13 @@ pub fn three_pass1_with<K: PdmKey, S: Storage<K>>(
             "ThreePass1 cleanup detected an inversion — dirty band exceeded one submesh".into(),
         ));
     }
-    Ok(SortReport::from_stats(pdm, out, n, Algorithm::ThreePass1, false))
+    Ok(SortReport::from_stats(
+        pdm,
+        out,
+        n,
+        Algorithm::ThreePass1,
+        false,
+    ))
 }
 
 /// Measure the dirty band (in rows) of a 0-1 input after pass 2 — the
@@ -303,8 +311,16 @@ mod tests {
         rng.shuffle(&mut data);
         let rep = run_sort(&mut pdm, &data);
         check_sorted(&mut pdm, &rep, &data);
-        assert!((rep.read_passes - 3.0).abs() < 1e-9, "read {}", rep.read_passes);
-        assert!((rep.write_passes - 3.0).abs() < 1e-9, "write {}", rep.write_passes);
+        assert!(
+            (rep.read_passes - 3.0).abs() < 1e-9,
+            "read {}",
+            rep.read_passes
+        );
+        assert!(
+            (rep.write_passes - 3.0).abs() < 1e-9,
+            "write {}",
+            rep.write_passes
+        );
         assert!(rep.peak_mem <= 2 * 256, "peak {}", rep.peak_mem);
         assert!(pdm.stats().read_parallel_efficiency(4) > 0.99);
     }
@@ -414,11 +430,20 @@ mod tests {
             assert_eq!(pdm.pending_io(), 0, "phases must drain all overlap I/O");
             let got = pdm.inspect_prefix(&rep.output, data.len()).unwrap();
             let s = pdm.stats();
-            (got, s.blocks_read, s.blocks_written, s.read_steps, s.write_steps)
+            (
+                got,
+                s.blocks_read,
+                s.blocks_written,
+                s.read_steps,
+                s.write_steps,
+            )
         };
         let on = run(true);
         let off = run(false);
-        assert_eq!(on, off, "overlap must be invisible to output and accounting");
+        assert_eq!(
+            on, off,
+            "overlap must be invisible to output and accounting"
+        );
     }
 
     #[test]

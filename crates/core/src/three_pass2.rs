@@ -228,8 +228,9 @@ pub fn three_pass2<K: PdmKey, S: Storage<K>>(
     let out = pdm.alloc_region_for_keys(p.l * p.m)?;
     let mut emitter = RegionEmitter::new(out);
     let mut wb = WriteBehind::new(pdm);
-    let (emitted, clean) =
-        pass3_cleanup(pdm, &p, &windows, &mut |pd, ks| emitter.emit_behind(pd, &mut wb, ks))?;
+    let (emitted, clean) = pass3_cleanup(pdm, &p, &windows, &mut |pd, ks| {
+        emitter.emit_behind(pd, &mut wb, ks)
+    })?;
     wb.finish(pdm)?;
     pdm.end_phase();
 
@@ -239,7 +240,13 @@ pub fn three_pass2<K: PdmKey, S: Storage<K>>(
             "ThreePass2 cleanup detected an inversion — (l,m)-merge invariant violated".into(),
         ));
     }
-    Ok(SortReport::from_stats(pdm, out, n, Algorithm::ThreePass2, false))
+    Ok(SortReport::from_stats(
+        pdm,
+        out,
+        n,
+        Algorithm::ThreePass2,
+        false,
+    ))
 }
 
 #[cfg(test)]
@@ -397,7 +404,11 @@ mod tests {
         let names: Vec<&str> = pdm.stats().phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(
             names,
-            vec!["3P2: runs+unshuffle", "3P2: column merges", "3P2: shuffle+cleanup"]
+            vec![
+                "3P2: runs+unshuffle",
+                "3P2: column merges",
+                "3P2: shuffle+cleanup"
+            ]
         );
         // each phase reads the data once
         for ph in &pdm.stats().phases {
@@ -419,11 +430,20 @@ mod tests {
             assert_eq!(pdm.pending_io(), 0, "phases must drain all overlap I/O");
             let got = pdm.inspect_prefix(&rep.output, data.len()).unwrap();
             let s = pdm.stats();
-            (got, s.blocks_read, s.blocks_written, s.read_steps, s.write_steps)
+            (
+                got,
+                s.blocks_read,
+                s.blocks_written,
+                s.read_steps,
+                s.write_steps,
+            )
         };
         let on = run(true);
         let off = run(false);
-        assert_eq!(on, off, "overlap must be invisible to output and accounting");
+        assert_eq!(
+            on, off,
+            "overlap must be invisible to output and accounting"
+        );
     }
 
     #[test]

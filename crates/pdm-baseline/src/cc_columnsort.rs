@@ -182,7 +182,15 @@ pub(crate) fn pass2_untranspose<K: PdmKey, S: Storage<K>>(
     let chunk_blocks = d.chunk / b;
     for (c, tc) in src_cols.iter().enumerate() {
         let mut buf = pdm.alloc_buf(d.m)?;
-        load_sorted_col(pdm, tc, src_n.min(d.s * d.m), 0, d.col_blocks, d.m, &mut buf)?;
+        load_sorted_col(
+            pdm,
+            tc,
+            src_n.min(d.s * d.m),
+            0,
+            d.col_blocks,
+            d.m,
+            &mut buf,
+        )?;
         let _ = c;
         let mut targets = Vec::with_capacity(d.col_blocks);
         for (jj, oc) in ocols.iter().enumerate() {
@@ -227,11 +235,11 @@ pub(crate) fn pass3_shift_merge_window<K: PdmKey, S: Storage<K>>(
     let mut last_max: Option<K> = None;
     let mut clean = true;
     let emit = |pdm: &mut Pdm<K, S>,
-                    carry: &mut TrackedBuf<K>,
-                    count: usize,
-                    next_block: &mut usize,
-                    last_max: &mut Option<K>,
-                    clean: &mut bool|
+                carry: &mut TrackedBuf<K>,
+                count: usize,
+                next_block: &mut usize,
+                last_max: &mut Option<K>,
+                clean: &mut bool|
      -> Result<()> {
         if count == 0 {
             return Ok(());
@@ -259,27 +267,48 @@ pub(crate) fn pass3_shift_merge_window<K: PdmKey, S: Storage<K>>(
             pdm.read_blocks(oc, &idx, carry.as_vec_mut())?;
             carry.sort_unstable();
             if carry.len() > w {
-                emit(pdm, &mut carry, w, &mut next_block, &mut last_max, &mut clean)?;
+                emit(
+                    pdm,
+                    &mut carry,
+                    w,
+                    &mut next_block,
+                    &mut last_max,
+                    &mut clean,
+                )?;
             }
         } else {
             let mut buf = pdm.alloc_buf(d.m)?;
             let idx: Vec<usize> = (0..d.col_blocks).collect();
             pdm.read_blocks(oc, &idx, buf.as_vec_mut())?;
             buf.sort_unstable(); // step 5
-            // feed windows: sorting carry+window = the step-7 sort of a
-            // shifted column (tail of col j−1 + head of col j)
+                                 // feed windows: sorting carry+window = the step-7 sort of a
+                                 // shifted column (tail of col j−1 + head of col j)
             for piece in buf.chunks(w) {
                 carry.extend_from_slice(piece);
                 carry.sort_unstable();
                 if carry.len() > w {
-                    emit(pdm, &mut carry, w, &mut next_block, &mut last_max, &mut clean)?;
+                    emit(
+                        pdm,
+                        &mut carry,
+                        w,
+                        &mut next_block,
+                        &mut last_max,
+                        &mut clean,
+                    )?;
                 }
             }
         }
     }
     let rest = carry.len();
     carry.sort_unstable();
-    emit(pdm, &mut carry, rest, &mut next_block, &mut last_max, &mut clean)?;
+    emit(
+        pdm,
+        &mut carry,
+        rest,
+        &mut next_block,
+        &mut last_max,
+        &mut clean,
+    )?;
     Ok(clean)
 }
 
@@ -445,22 +474,22 @@ mod tests {
         let mut data: Vec<u64> = (0..n as u64).collect();
         rng.shuffle(&mut data);
         let rep = sort_and_check(&mut pdm, &data);
-        assert!((rep.read_passes - 3.0).abs() < 1e-9, "read {}", rep.read_passes);
+        assert!(
+            (rep.read_passes - 3.0).abs() < 1e-9,
+            "read {}",
+            rep.read_passes
+        );
         assert!((rep.write_passes - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn sorts_adversarial_and_binary_inputs() {
         let mut rng = SplitMix64::seed_from_u64(122);
-        for data in [
-            (0..4096u64).rev().collect::<Vec<_>>(),
-            vec![3u64; 4096],
-            {
-                let mut v: Vec<u64> = (0..4096).map(|i| u64::from(i >= 1234)).collect();
-                rng.shuffle(&mut v);
-                v
-            },
-        ] {
+        for data in [(0..4096u64).rev().collect::<Vec<_>>(), vec![3u64; 4096], {
+            let mut v: Vec<u64> = (0..4096).map(|i| u64::from(i >= 1234)).collect();
+            rng.shuffle(&mut v);
+            v
+        }] {
             let mut pdm = machine(2, 8);
             sort_and_check(&mut pdm, &data);
         }
@@ -500,7 +529,11 @@ mod tests {
         want.sort_unstable();
         assert_eq!(pdm.inspect_prefix(&rep.output, data.len()).unwrap(), want);
         if !rep.fell_back {
-            assert!((rep.read_passes - 2.0).abs() < 1e-9, "read {}", rep.read_passes);
+            assert!(
+                (rep.read_passes - 2.0).abs() < 1e-9,
+                "read {}",
+                rep.read_passes
+            );
         }
     }
 

@@ -57,7 +57,8 @@ struct RunState {
 
 impl RunState {
     fn exhausted_disk(&self) -> bool {
-        self.next_block * self.region.block_size() >= self.len.next_multiple_of(self.region.block_size())
+        self.next_block * self.region.block_size()
+            >= self.len.next_multiple_of(self.region.block_size())
             || self.next_block >= self.region.len_blocks()
     }
 
@@ -115,8 +116,7 @@ pub fn srm_merge_sort<S: Storage<u64>>(
         level += 1;
         pdm.begin_phase(format!("SRM: merge level {level}"));
         let mut next: Vec<(Region, usize)> = Vec::new();
-        let groups: Vec<Vec<(Region, usize)>> =
-            runs.chunks(fanin).map(|c| c.to_vec()).collect();
+        let groups: Vec<Vec<(Region, usize)>> = runs.chunks(fanin).map(|c| c.to_vec()).collect();
         for group in groups {
             if group.len() == 1 {
                 next.push(group[0]);

@@ -199,7 +199,7 @@ mod tests {
         let rt = (s as f64).sqrt() as usize;
         assert_eq!(rt * rt, s);
         assert!(4 * s * rt <= 4096); // r ≥ 4 s^{3/2}
-        // and it exceeds plain columnsort's legal range
+                                     // and it exceeds plain columnsort's legal range
         assert!(2 * (s - 1) * (s - 1) > 4096);
     }
 
@@ -219,7 +219,11 @@ mod tests {
         let mut data: Vec<u64> = (0..n as u64).collect();
         rng.shuffle(&mut data);
         let rep = sort_and_check(&mut pdm, &data);
-        assert!((rep.read_passes - 4.0).abs() < 1e-9, "read {}", rep.read_passes);
+        assert!(
+            (rep.read_passes - 4.0).abs() < 1e-9,
+            "read {}",
+            rep.read_passes
+        );
         assert!((rep.write_passes - 4.0).abs() < 1e-9);
     }
 
@@ -280,20 +284,46 @@ mod diag {
         let n = 4096 * 64;
         let mut data: Vec<u64> = (0..n as u64).collect();
         rng.shuffle(&mut data);
-        let proj: Vec<u64> = data.iter().map(|&x| u64::from((x as usize) >= 14336)).collect();
+        let proj: Vec<u64> = data
+            .iter()
+            .map(|&x| u64::from((x as usize) >= 14336))
+            .collect();
         let mut pdm: Pdm<u64> = Pdm::new(PdmConfig::new(4, 16, 4096)).unwrap();
         let input = pdm.alloc_region_for_keys(n).unwrap();
         pdm.ingest(&input, &proj).unwrap();
 
         let (m, b, s, rt) = (4096usize, 16usize, 64usize, 8usize);
-        let d = crate::cc_columnsort::Dims { s, m, col_blocks: m / b, chunk: m / s };
-        let tcols: Vec<Region> = (0..s).map(|i| pdm.alloc_region_at(d.col_blocks, i % 4).unwrap()).collect();
-        let ccols: Vec<Region> = (0..s).map(|i| pdm.alloc_region_at(d.col_blocks, i % 4).unwrap()).collect();
-        let ocols: Vec<Region> = (0..s).map(|i| pdm.alloc_region_at(d.col_blocks, i % 4).unwrap()).collect();
+        let d = crate::cc_columnsort::Dims {
+            s,
+            m,
+            col_blocks: m / b,
+            chunk: m / s,
+        };
+        let tcols: Vec<Region> = (0..s)
+            .map(|i| pdm.alloc_region_at(d.col_blocks, i % 4).unwrap())
+            .collect();
+        let ccols: Vec<Region> = (0..s)
+            .map(|i| pdm.alloc_region_at(d.col_blocks, i % 4).unwrap())
+            .collect();
+        let ocols: Vec<Region> = (0..s)
+            .map(|i| pdm.alloc_region_at(d.col_blocks, i % 4).unwrap())
+            .collect();
 
         pass1_transpose(&mut pdm, &input, n, &d, &tcols).unwrap();
-        let z: Vec<usize> = (0..s).map(|c| pdm.inspect(&tcols[c]).unwrap().iter().filter(|&&x| x == 0).count()).collect();
-        println!("tcol zeros: min {} max {}", z.iter().min().unwrap(), z.iter().max().unwrap());
+        let z: Vec<usize> = (0..s)
+            .map(|c| {
+                pdm.inspect(&tcols[c])
+                    .unwrap()
+                    .iter()
+                    .filter(|&&x| x == 0)
+                    .count()
+            })
+            .collect();
+        println!(
+            "tcol zeros: min {} max {}",
+            z.iter().min().unwrap(),
+            z.iter().max().unwrap()
+        );
 
         // pass 2: subblock
         let mut tails: Vec<Vec<u64>> = vec![Vec::with_capacity(b); s];
@@ -308,17 +338,38 @@ mod diag {
                 let tc = ((i / rt) + cc0 * rt) % s;
                 tails[tc].push(k);
                 if tails[tc].len() == b {
-                    pdm.write_blocks(&ccols[tc], &[next_block[tc]], &tails[tc]).unwrap();
+                    pdm.write_blocks(&ccols[tc], &[next_block[tc]], &tails[tc])
+                        .unwrap();
                     next_block[tc] += 1;
                     tails[tc].clear();
                 }
             }
         }
-        let z2: Vec<usize> = (0..s).map(|c| pdm.inspect(&ccols[c]).unwrap().iter().filter(|&&x| x == 0).count()).collect();
-        println!("ccol zeros: min {} max {}", z2.iter().min().unwrap(), z2.iter().max().unwrap());
+        let z2: Vec<usize> = (0..s)
+            .map(|c| {
+                pdm.inspect(&ccols[c])
+                    .unwrap()
+                    .iter()
+                    .filter(|&&x| x == 0)
+                    .count()
+            })
+            .collect();
+        println!(
+            "ccol zeros: min {} max {}",
+            z2.iter().min().unwrap(),
+            z2.iter().max().unwrap()
+        );
 
         pass2_untranspose(&mut pdm, &ccols, s * m, &d, &ocols).unwrap();
-        let z3: Vec<usize> = (0..s).map(|c| pdm.inspect(&ocols[c]).unwrap().iter().filter(|&&x| x == 0).count()).collect();
+        let z3: Vec<usize> = (0..s)
+            .map(|c| {
+                pdm.inspect(&ocols[c])
+                    .unwrap()
+                    .iter()
+                    .filter(|&&x| x == 0)
+                    .count()
+            })
+            .collect();
         println!("ocol zeros: {:?}", z3);
     }
 }

@@ -104,8 +104,7 @@ impl KeyKind {
 impl std::str::FromStr for KeyKind {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, String> {
-        KeyKind::from_name(s)
-            .ok_or_else(|| format!("unknown key kind '{s}' (u64|tagged|str24)"))
+        KeyKind::from_name(s).ok_or_else(|| format!("unknown key kind '{s}' (u64|tagged|str24)"))
     }
 }
 
@@ -131,7 +130,10 @@ impl std::str::FromStr for Algo {
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "auto" => Ok(Algo::Auto),
-            _ => match s.parse::<Algorithm>().map_err(|e| format!("{e}, or auto"))? {
+            _ => match s
+                .parse::<Algorithm>()
+                .map_err(|e| format!("{e}, or auto"))?
+            {
                 Algorithm::RadixSort => Ok(Algo::Radix),
                 Algorithm::IntegerSort => {
                     Err("integer-sort needs keys bounded by M/B; it has no CLI entry point".into())
@@ -416,11 +418,7 @@ Performance:
                          pass counts, or the probe events that --stats
                          writes.";
 
-fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    i: &mut usize,
-    name: &str,
-) -> Result<T, String>
+fn parse_flag<T: std::str::FromStr>(args: &[String], i: &mut usize, name: &str) -> Result<T, String>
 where
     T::Err: fmt::Display,
 {
@@ -491,9 +489,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--b" => geo.b = parse_flag(args, &mut i, "--b")?,
                     "--algo" => algo = parse_flag(args, &mut i, "--algo")?,
                     "--storage" => storage = parse_flag(args, &mut i, "--storage")?,
-                    "--scratch" => {
-                        scratch = Some(parse_flag::<String>(args, &mut i, "--scratch")?)
-                    }
+                    "--scratch" => scratch = Some(parse_flag::<String>(args, &mut i, "--scratch")?),
                     "--stats" => stats = Some(parse_flag::<String>(args, &mut i, "--stats")?),
                     "--trace-out" => {
                         trace_out = Some(parse_flag::<String>(args, &mut i, "--trace-out")?)
@@ -529,9 +525,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 return Err("--resume needs --checkpoint-dir".into());
             }
             if resume && scratch.is_none() {
-                return Err(
-                    "--resume needs --scratch (the interrupted run's disk files)".into(),
-                );
+                return Err("--resume needs --scratch (the interrupted run's disk files)".into());
             }
             if !storage.is_file_backed() && (scratch.is_some() || resume) {
                 return Err(format!(
@@ -646,7 +640,10 @@ mod tests {
 
     #[test]
     fn parses_gen() {
-        let c = parse(&v(&["gen", "1000", "x.keys", "--dist", "zipf", "--seed", "7"])).unwrap();
+        let c = parse(&v(&[
+            "gen", "1000", "x.keys", "--dist", "zipf", "--seed", "7",
+        ]))
+        .unwrap();
         assert_eq!(
             c,
             Command::Gen {
@@ -662,18 +659,42 @@ mod tests {
     #[test]
     fn parses_key_kind_flags() {
         let c = parse(&v(&["gen", "10", "x.keys", "--key", "tagged"])).unwrap();
-        assert!(matches!(c, Command::Gen { key: KeyKind::Tagged, .. }));
-        let c = parse(&v(&["gen", "10", "x.keys", "--key", "str24", "--dist", "nearly-sorted"]))
-            .unwrap();
         assert!(matches!(
             c,
-            Command::Gen { key: KeyKind::Str24, dist: Dist::NearlySorted, .. }
+            Command::Gen {
+                key: KeyKind::Tagged,
+                ..
+            }
+        ));
+        let c = parse(&v(&[
+            "gen",
+            "10",
+            "x.keys",
+            "--key",
+            "str24",
+            "--dist",
+            "nearly-sorted",
+        ]))
+        .unwrap();
+        assert!(matches!(
+            c,
+            Command::Gen {
+                key: KeyKind::Str24,
+                dist: Dist::NearlySorted,
+                ..
+            }
         ));
         // sort defaults to trusting the file header; --key asserts a shape
         let c = parse(&v(&["sort", "a", "b"])).unwrap();
         assert!(matches!(c, Command::Sort { key: None, .. }));
         let c = parse(&v(&["sort", "a", "b", "--key", "str24"])).unwrap();
-        assert!(matches!(c, Command::Sort { key: Some(KeyKind::Str24), .. }));
+        assert!(matches!(
+            c,
+            Command::Sort {
+                key: Some(KeyKind::Str24),
+                ..
+            }
+        ));
         assert!(parse(&v(&["gen", "10", "x", "--key", "utf8"])).is_err());
         assert!(parse(&v(&["sort", "a", "b", "--key"])).is_err());
         for s in ["u64", "tagged", "str24"] {
@@ -688,11 +709,15 @@ mod tests {
 
     #[test]
     fn merge_sorts_are_table_sorters() {
-        for (name, a) in
-            [("mergesort", Algorithm::MergeSort), ("updown-mergesort", Algorithm::UpDownMergeSort)]
-        {
+        for (name, a) in [
+            ("mergesort", Algorithm::MergeSort),
+            ("updown-mergesort", Algorithm::UpDownMergeSort),
+        ] {
             let c = parse(&v(&["sort", "a", "b", "--algo", name])).unwrap();
-            assert!(matches!(c, Command::Sort { algo: Algo::Sorter(x), .. } if x == a), "{name}");
+            assert!(
+                matches!(c, Command::Sort { algo: Algo::Sorter(x), .. } if x == a),
+                "{name}"
+            );
         }
         // up/down run formation is its own table entry, not an option
         assert!(parse(&v(&["sort", "a", "b", "--run-gen", "updown"])).is_err());
@@ -702,7 +727,14 @@ mod tests {
     fn parses_sort_with_defaults_and_flags() {
         let c = parse(&v(&["sort", "a", "b"])).unwrap();
         match c {
-            Command::Sort { geo, algo, scratch, stats, threads, .. } => {
+            Command::Sort {
+                geo,
+                algo,
+                scratch,
+                stats,
+                threads,
+                ..
+            } => {
                 assert_eq!(geo, Geometry::default());
                 assert_eq!(algo, Algo::Auto);
                 assert!(scratch.is_none());
@@ -712,12 +744,29 @@ mod tests {
             _ => panic!(),
         }
         let c = parse(&v(&[
-            "sort", "a", "b", "--disks", "8", "--b", "32", "--algo", "seven-pass", "--scratch",
-            "/tmp/x", "--stats", "s.jsonl",
+            "sort",
+            "a",
+            "b",
+            "--disks",
+            "8",
+            "--b",
+            "32",
+            "--algo",
+            "seven-pass",
+            "--scratch",
+            "/tmp/x",
+            "--stats",
+            "s.jsonl",
         ]))
         .unwrap();
         match c {
-            Command::Sort { geo, algo, scratch, stats, .. } => {
+            Command::Sort {
+                geo,
+                algo,
+                scratch,
+                stats,
+                ..
+            } => {
                 assert_eq!(geo, Geometry { disks: 8, b: 32 });
                 assert_eq!(algo, Algo::Sorter(Algorithm::SevenPass));
                 assert_eq!(scratch.as_deref(), Some("/tmp/x"));
@@ -730,12 +779,31 @@ mod tests {
     #[test]
     fn parses_fault_tolerance_flags() {
         let c = parse(&v(&[
-            "sort", "a", "b", "--checkpoint-dir", "/tmp/ck", "--scratch", "/tmp/sc", "--resume",
-            "--inject", "transient:42:10000", "--retry", "5", "--backoff", "3",
+            "sort",
+            "a",
+            "b",
+            "--checkpoint-dir",
+            "/tmp/ck",
+            "--scratch",
+            "/tmp/sc",
+            "--resume",
+            "--inject",
+            "transient:42:10000",
+            "--retry",
+            "5",
+            "--backoff",
+            "3",
         ]))
         .unwrap();
         match c {
-            Command::Sort { checkpoint_dir, resume, inject, retry, backoff, .. } => {
+            Command::Sort {
+                checkpoint_dir,
+                resume,
+                inject,
+                retry,
+                backoff,
+                ..
+            } => {
                 assert_eq!(checkpoint_dir.as_deref(), Some("/tmp/ck"));
                 assert!(resume);
                 assert_eq!(inject.as_deref(), Some("transient:42:10000"));
@@ -747,9 +815,15 @@ mod tests {
         // --resume without its prerequisites is rejected up front
         assert!(parse(&v(&["sort", "a", "b", "--resume"])).is_err());
         assert!(parse(&v(&["sort", "a", "b", "--resume", "--scratch", "/tmp/x"])).is_err());
-        assert!(
-            parse(&v(&["sort", "a", "b", "--resume", "--checkpoint-dir", "/tmp/ck"])).is_err()
-        );
+        assert!(parse(&v(&[
+            "sort",
+            "a",
+            "b",
+            "--resume",
+            "--checkpoint-dir",
+            "/tmp/ck"
+        ]))
+        .is_err());
     }
 
     #[test]
@@ -767,11 +841,29 @@ mod tests {
     #[test]
     fn parses_overlap_flag() {
         let c = parse(&v(&["sort", "a", "b"])).unwrap();
-        assert!(matches!(c, Command::Sort { overlap: Overlap::Auto, .. }));
+        assert!(matches!(
+            c,
+            Command::Sort {
+                overlap: Overlap::Auto,
+                ..
+            }
+        ));
         let c = parse(&v(&["sort", "a", "b", "--overlap", "on"])).unwrap();
-        assert!(matches!(c, Command::Sort { overlap: Overlap::On, .. }));
+        assert!(matches!(
+            c,
+            Command::Sort {
+                overlap: Overlap::On,
+                ..
+            }
+        ));
         let c = parse(&v(&["sort", "a", "b", "--overlap", "off"])).unwrap();
-        assert!(matches!(c, Command::Sort { overlap: Overlap::Off, .. }));
+        assert!(matches!(
+            c,
+            Command::Sort {
+                overlap: Overlap::Off,
+                ..
+            }
+        ));
         assert!(parse(&v(&["sort", "a", "b", "--overlap", "maybe"])).is_err());
         assert!(parse(&v(&["sort", "a", "b", "--overlap"])).is_err());
         for s in ["auto", "on", "off"] {
@@ -797,21 +889,39 @@ mod tests {
         let c = parse(&v(&["sort", "a", "b", "--overlap-window", "96"])).unwrap();
         assert!(matches!(
             c,
-            Command::Sort { overlap_window: OverlapWindow::Blocks(96), .. }
+            Command::Sort {
+                overlap_window: OverlapWindow::Blocks(96),
+                ..
+            }
         ));
         // 0 blocks clamps to the 1-block minimum instead of erroring.
         let c = parse(&v(&["sort", "a", "b", "--overlap-window", "0"])).unwrap();
         assert!(matches!(
             c,
-            Command::Sort { overlap_window: OverlapWindow::Blocks(1), .. }
+            Command::Sort {
+                overlap_window: OverlapWindow::Blocks(1),
+                ..
+            }
         ));
         assert!(parse(&v(&["sort", "a", "b", "--overlap-window", "wide"])).is_err());
         assert!(parse(&v(&["sort", "a", "b", "--overlap-window"])).is_err());
         let c = parse(&v(&[
-            "sort", "a", "b", "--storage", "async-file", "--queue-depth", "64",
+            "sort",
+            "a",
+            "b",
+            "--storage",
+            "async-file",
+            "--queue-depth",
+            "64",
         ]))
         .unwrap();
-        assert!(matches!(c, Command::Sort { queue_depth: Some(64), .. }));
+        assert!(matches!(
+            c,
+            Command::Sort {
+                queue_depth: Some(64),
+                ..
+            }
+        ));
         assert!(parse(&v(&["sort", "a", "b", "--queue-depth", "0"])).is_err());
         assert!(parse(&v(&["sort", "a", "b", "--queue-depth"])).is_err());
         for s in ["default", "17"] {
@@ -823,7 +933,13 @@ mod tests {
     #[test]
     fn parses_storage_flag() {
         let c = parse(&v(&["sort", "a", "b"])).unwrap();
-        assert!(matches!(c, Command::Sort { storage: BackendKind::File, .. }));
+        assert!(matches!(
+            c,
+            Command::Sort {
+                storage: BackendKind::File,
+                ..
+            }
+        ));
         for (s, kind) in [
             ("mem", BackendKind::Mem),
             ("file", BackendKind::File),
@@ -839,15 +955,38 @@ mod tests {
         assert!(parse(&v(&["sort", "a", "b", "--storage", "floppy"])).is_err());
         assert!(parse(&v(&["sort", "a", "b", "--storage"])).is_err());
         // RAM backends cannot take a scratch dir or resume
-        assert!(parse(&v(&["sort", "a", "b", "--storage", "mem", "--scratch", "/tmp/x"])).is_err());
         assert!(parse(&v(&[
-            "sort", "a", "b", "--storage", "threaded", "--checkpoint-dir", "/tmp/ck",
-            "--scratch", "/tmp/x", "--resume",
+            "sort",
+            "a",
+            "b",
+            "--storage",
+            "mem",
+            "--scratch",
+            "/tmp/x"
+        ]))
+        .is_err());
+        assert!(parse(&v(&[
+            "sort",
+            "a",
+            "b",
+            "--storage",
+            "threaded",
+            "--checkpoint-dir",
+            "/tmp/ck",
+            "--scratch",
+            "/tmp/x",
+            "--resume",
         ]))
         .is_err());
         // ...but the file-backed ones can
         assert!(parse(&v(&[
-            "sort", "a", "b", "--storage", "async-file", "--scratch", "/tmp/x",
+            "sort",
+            "a",
+            "b",
+            "--storage",
+            "async-file",
+            "--scratch",
+            "/tmp/x",
         ]))
         .is_ok());
     }
@@ -871,7 +1010,9 @@ mod tests {
     fn parses_report() {
         assert_eq!(
             parse(&v(&["report", "s.json"])).unwrap(),
-            Command::Report { stats: "s.json".into() }
+            Command::Report {
+                stats: "s.json".into()
+            }
         );
         assert!(parse(&v(&["report"])).is_err());
     }
@@ -880,15 +1021,24 @@ mod tests {
     fn parses_verify_info_help() {
         assert_eq!(
             parse(&v(&["verify", "f"])).unwrap(),
-            Command::Verify { file: "f".into(), input: None }
+            Command::Verify {
+                file: "f".into(),
+                input: None
+            }
         );
         assert_eq!(
             parse(&v(&["verify", "f", "--input", "in"])).unwrap(),
-            Command::Verify { file: "f".into(), input: Some("in".into()) }
+            Command::Verify {
+                file: "f".into(),
+                input: Some("in".into())
+            }
         );
         assert!(parse(&v(&["verify", "f", "g"])).is_err());
         assert!(parse(&v(&["verify", "f", "--input"])).is_err());
-        assert!(matches!(parse(&v(&["info"])).unwrap(), Command::Info { .. }));
+        assert!(matches!(
+            parse(&v(&["info"])).unwrap(),
+            Command::Info { .. }
+        ));
         assert!(matches!(
             parse(&v(&["compare", "f", "--b", "16"])).unwrap(),
             Command::Compare { .. }
@@ -912,13 +1062,20 @@ mod tests {
     fn unknown_flags_are_named_not_taken_as_positionals() {
         for (args, flag) in [
             (&["gen", "10", "x.keys", "--sed", "7"][..], "--sed"),
-            (&["sort", "in.keys", "out.keys", "--events", "e.jsonl"], "--events"),
+            (
+                &["sort", "in.keys", "out.keys", "--events", "e.jsonl"],
+                "--events",
+            ),
             (&["sort", "in.keys", "--events", "out.keys"], "--events"),
             (&["compare", "in.keys", "--events", "e.jsonl"], "--events"),
             (&["verify", "out.keys", "--inputs", "in.keys"], "--inputs"),
             (&["info", "--events"], "--events"),
         ] {
-            assert_eq!(parse(&v(args)), Err(format!("unknown flag {flag}")), "{args:?}");
+            assert_eq!(
+                parse(&v(args)),
+                Err(format!("unknown flag {flag}")),
+                "{args:?}"
+            );
         }
     }
 
@@ -955,10 +1112,16 @@ mod tests {
         // the ranked bounded-integer sort has no CLI entry point
         assert!("integer-sort".parse::<Algo>().is_err());
         // ...and every forceable table name is documented
-        for a in Algorithm::ALL.into_iter().filter(|&a| a != Algorithm::IntegerSort) {
+        for a in Algorithm::ALL
+            .into_iter()
+            .filter(|&a| a != Algorithm::IntegerSort)
+        {
             assert!(USAGE.contains(a.name()), "USAGE misses {}", a.name());
         }
         let err = "bogosort".parse::<Algo>().unwrap_err();
-        assert!(err.contains("seven-pass") && err.contains("mergesort"), "{err}");
+        assert!(
+            err.contains("seven-pass") && err.contains("mergesort"),
+            "{err}"
+        );
     }
 }

@@ -79,7 +79,10 @@ pub fn scan_file(path: impl AsRef<Path>) -> io::Result<(u64, Fingerprint, usize)
         if filled % meta.width != 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("trailing partial record (expected {}-byte records)", meta.width),
+                format!(
+                    "trailing partial record (expected {}-byte records)",
+                    meta.width
+                ),
             ));
         }
         digest = fnv1a(digest, &buf[..filled]);
@@ -147,7 +150,11 @@ mod tests {
         let (digest, scanned, n) = scan_file(&p).unwrap();
         assert_eq!((scanned, n), (fp(&recs), 300));
         let raw = std::fs::read(&p).unwrap();
-        assert_eq!(digest, fnv1a(FNV_OFFSET, &raw), "digest covers the header too");
+        assert_eq!(
+            digest,
+            fnv1a(FNV_OFFSET, &raw),
+            "digest covers the header too"
+        );
         std::fs::remove_file(&p).ok();
     }
 }

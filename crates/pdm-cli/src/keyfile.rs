@@ -44,7 +44,11 @@ pub struct KeyFileMeta {
 
 impl KeyFileMeta {
     fn bare() -> Self {
-        Self { kind: "u64".into(), width: 8, header_len: 0 }
+        Self {
+            kind: "u64".into(),
+            width: 8,
+            header_len: 0,
+        }
     }
 }
 
@@ -65,7 +69,10 @@ pub fn read_meta(path: impl AsRef<Path>) -> io::Result<KeyFileMeta> {
     }
     let width = u32::from_le_bytes(head[12..16].try_into().unwrap()) as usize;
     let name_bytes = &head[16..28];
-    let end = name_bytes.iter().position(|&b| b == 0).unwrap_or(name_bytes.len());
+    let end = name_bytes
+        .iter()
+        .position(|&b| b == 0)
+        .unwrap_or(name_bytes.len());
     let kind = String::from_utf8_lossy(&name_bytes[..end]).into_owned();
     if width == 0 || kind.is_empty() {
         return Err(io::Error::new(
@@ -73,7 +80,11 @@ pub fn read_meta(path: impl AsRef<Path>) -> io::Result<KeyFileMeta> {
             "malformed pdm-keys-v1 header (zero width or empty kind)",
         ));
     }
-    Ok(KeyFileMeta { kind, width, header_len: HEADER_LEN })
+    Ok(KeyFileMeta {
+        kind,
+        width,
+        header_len: HEADER_LEN,
+    })
 }
 
 /// Validate that the file's records match `K`; returns the metadata.
@@ -86,7 +97,9 @@ fn expect_width<K: PdmKey>(path: impl AsRef<Path>) -> io::Result<KeyFileMeta> {
             format!(
                 "key file holds {}-byte '{}' records, expected {}-byte records \
                  (pass the matching --key, or regenerate the file)",
-                meta.width, meta.kind, K::WIDTH
+                meta.width,
+                meta.kind,
+                K::WIDTH
             ),
         ));
     }
@@ -187,7 +200,12 @@ impl<K: PdmKey> KeyFileWriter<K> {
             head[16..16 + name.len()].copy_from_slice(name);
             w.write_all(&head)?;
         }
-        Ok(Self { w, written: 0, buf: [0u8; 64], _k: PhantomData })
+        Ok(Self {
+            w,
+            written: 0,
+            buf: [0u8; 64],
+            _k: PhantomData,
+        })
     }
 
     /// Append keys.
@@ -209,9 +227,7 @@ impl<K: PdmKey> KeyFileWriter<K> {
 
 /// Whether the file's keys are non-decreasing; returns
 /// `(sorted, key_count, first_violation_index)`.
-pub fn check_sorted<K: PdmKey>(
-    path: impl AsRef<Path>,
-) -> io::Result<(bool, usize, Option<usize>)> {
+pub fn check_sorted<K: PdmKey>(path: impl AsRef<Path>) -> io::Result<(bool, usize, Option<usize>)> {
     let mut prev: Option<K> = None;
     let mut idx = 0usize;
     let mut violation = None;
@@ -270,7 +286,14 @@ mod tests {
         assert_eq!(bytes.len(), 16);
         assert_eq!(&bytes[..8], &7u64.to_le_bytes());
         let meta = read_meta(&p).unwrap();
-        assert_eq!(meta, KeyFileMeta { kind: "u64".into(), width: 8, header_len: 0 });
+        assert_eq!(
+            meta,
+            KeyFileMeta {
+                kind: "u64".into(),
+                width: 8,
+                header_len: 0
+            }
+        );
         std::fs::remove_file(&p).ok();
     }
 
@@ -302,8 +325,10 @@ mod tests {
     fn strn_files_round_trip_and_sort_check() {
         type S = StrN<24>;
         let p = tmp("strn");
-        let data: Vec<S> =
-            ["apple", "banana", "cherry"].iter().map(|s| S::from_str_padded(s)).collect();
+        let data: Vec<S> = ["apple", "banana", "cherry"]
+            .iter()
+            .map(|s| S::from_str_padded(s))
+            .collect();
         let mut w = KeyFileWriter::<S>::create(&p, "str24").unwrap();
         w.write_keys(&data).unwrap();
         w.finish().unwrap();
@@ -396,7 +421,8 @@ mod tests {
         // A headered file whose payload is cut mid-record.
         let p = tmp("cut");
         let mut w = KeyFileWriter::<Tagged>::create(&p, "tagged").unwrap();
-        w.write_keys(&[Tagged::new(1, 1), Tagged::new(2, 2)]).unwrap();
+        w.write_keys(&[Tagged::new(1, 1), Tagged::new(2, 2)])
+            .unwrap();
         w.finish().unwrap();
         let full = std::fs::read(&p).unwrap();
         std::fs::write(&p, &full[..full.len() - 5]).unwrap();

@@ -82,7 +82,10 @@ pub fn render_report(art: &StatsArtifact, out: &mut dyn Write) -> std::io::Resul
         )?;
     }
     if art.fell_back {
-        writeln!(out, "note: expected-case check failed; deterministic fallback ran")?;
+        writeln!(
+            out,
+            "note: expected-case check failed; deterministic fallback ran"
+        )?;
     }
     let rt = &s.retry;
     if rt.total_retries() > 0 || rt.exhausted > 0 {
@@ -93,14 +96,19 @@ pub fn render_report(art: &StatsArtifact, out: &mut dyn Write) -> std::io::Resul
              retry budgets, {} simulated backoff steps (charged beside the \
              pass counters)",
             rt.reads_retried.saturating_add(rt.completion_reads_retried),
-            rt.writes_retried.saturating_add(rt.completion_writes_retried),
+            rt.writes_retried
+                .saturating_add(rt.completion_writes_retried),
             rt.issue_retries(),
             rt.completion_retries(),
             rt.exhausted,
             rt.backoff_steps,
         )?;
     }
-    let verified = s.wall.disks.iter().fold(0u64, |t, dw| t.saturating_add(dw.checksums_verified));
+    let verified = s
+        .wall
+        .disks
+        .iter()
+        .fold(0u64, |t, dw| t.saturating_add(dw.checksums_verified));
     if verified > 0 {
         let per_disk: Vec<String> = s
             .wall
@@ -214,7 +222,10 @@ pub fn render_report(art: &StatsArtifact, out: &mut dyn Write) -> std::io::Resul
     // threaded runs); step-clocked artifacts skip it entirely.
     let wall = &s.wall;
     if wall.has_samples() || wall.total_stall_nanos() > 0 {
-        writeln!(out, "\nwall-clock latency per disk (one sample per kernel round):")?;
+        writeln!(
+            out,
+            "\nwall-clock latency per disk (one sample per kernel round):"
+        )?;
         writeln!(
             out,
             "  {:<5} {:<5} {:>7} {:>9} {:>9} {:>9} {:>9} {:>7}",
@@ -283,14 +294,24 @@ pub fn render_report(art: &StatsArtifact, out: &mut dyn Write) -> std::io::Resul
                 )?;
             }
         } else if wall.run_nanos > 0 {
-            writeln!(out, "  stalls: none — compute never waited on in-flight I/O")?;
+            writeln!(
+                out,
+                "  stalls: none — compute never waited on in-flight I/O"
+            )?;
         }
     }
 
     // --- stripe efficiency sparkline -----------------------------------
-    let batches = art.events.iter().filter(|ev| matches!(ev, ProbeEvent::Io { .. })).count();
+    let batches = art
+        .events
+        .iter()
+        .filter(|ev| matches!(ev, ProbeEvent::Io { .. }))
+        .count();
     if batches > 0 {
-        writeln!(out, "\nstripe efficiency over time ({batches} I/O batches):")?;
+        writeln!(
+            out,
+            "\nstripe efficiency over time ({batches} I/O batches):"
+        )?;
         writeln!(out, "  {}", sparkline(&art.events, d, 60))?;
     }
     if art.events_dropped > 0 {
@@ -302,7 +323,10 @@ pub fn render_report(art: &StatsArtifact, out: &mut dyn Write) -> std::io::Resul
     }
 
     // --- pass-budget waterfall -----------------------------------------
-    writeln!(out, "\npass-budget waterfall (read+write passes per phase):")?;
+    writeln!(
+        out,
+        "\npass-budget waterfall (read+write passes per phase):"
+    )?;
     let total_passes = (s.read_steps as f64 + s.write_steps as f64) / pass_steps;
     let mut cum = 0.0;
     for p in &s.phases {
@@ -471,8 +495,17 @@ mod tests {
             ("IntegerSort", 2048, false, None),
         ];
         for (label, n, fell_back, want) in cases {
-            let art = StatsArtifact { algorithm: label.into(), n, fell_back, ..sample_artifact() };
-            assert_eq!(pass_budget(&art), want, "{label} at N = {n}, fell back = {fell_back}");
+            let art = StatsArtifact {
+                algorithm: label.into(),
+                n,
+                fell_back,
+                ..sample_artifact()
+            };
+            assert_eq!(
+                pass_budget(&art),
+                want,
+                "{label} at N = {n}, fell back = {fell_back}"
+            );
         }
     }
 
@@ -538,7 +571,10 @@ mod tests {
         let txt = String::from_utf8(buf).unwrap();
         assert!(txt.contains("no I/O"), "{txt}");
         assert!(txt.contains("no phases recorded"), "{txt}");
-        assert!(txt.contains("imbalance (max/mean): reads 0.000, writes 0.000"), "{txt}");
+        assert!(
+            txt.contains("imbalance (max/mean): reads 0.000, writes 0.000"),
+            "{txt}"
+        );
         assert!(!txt.contains("NaN") && !txt.contains("inf"), "{txt}");
     }
 
@@ -553,7 +589,10 @@ mod tests {
         let mut buf = Vec::new();
         render_report(&art, &mut buf).unwrap();
         let txt = String::from_utf8(buf).unwrap();
-        assert!(txt.contains("overlap: prefetch 8 batches (6 hits / 2 stalls)"), "{txt}");
+        assert!(
+            txt.contains("overlap: prefetch 8 batches (6 hits / 2 stalls)"),
+            "{txt}"
+        );
         assert!(
             txt.contains("overlap efficiency: 75% of prefetches and 100% of flushes"),
             "{txt}"
@@ -679,7 +718,11 @@ mod tests {
     fn bars_and_sparklines_are_bounded() {
         assert_eq!(bar(0.0, 10.0, 20), "");
         assert_eq!(bar(10.0, 10.0, 20).chars().count(), 20);
-        assert_eq!(bar(0.001, 10.0, 20).chars().count(), 1, "nonzero shows a cell");
+        assert_eq!(
+            bar(0.001, 10.0, 20).chars().count(),
+            1,
+            "nonzero shows a cell"
+        );
         assert_eq!(imbalance(&[2, 2, 2, 2]), 1.0);
         assert_eq!(imbalance(&[]), 0.0);
         assert_eq!(truncate("abcdef", 4), "abc…");

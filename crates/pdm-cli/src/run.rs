@@ -114,10 +114,9 @@ fn resolve_kind(
     })?;
     if let Some(want) = expect {
         if want != kind {
-            return Err(format!(
-                "{path} holds '{kind}' records, but --key {want} was requested"
-            )
-            .into());
+            return Err(
+                format!("{path} holds '{kind}' records, but --key {want} was requested").into(),
+            );
         }
     }
     Ok(kind)
@@ -134,18 +133,31 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> i32 {
     }
 }
 
-fn dispatch(cmd: Command, out: &mut dyn Write) -> std::result::Result<i32, Box<dyn std::error::Error>> {
+fn dispatch(
+    cmd: Command,
+    out: &mut dyn Write,
+) -> std::result::Result<i32, Box<dyn std::error::Error>> {
     match cmd {
         Command::Help => {
             writeln!(out, "{}", crate::args::USAGE)?;
             Ok(0)
         }
-        Command::Gen { n, out: path, dist, seed, key } => {
+        Command::Gen {
+            n,
+            out: path,
+            dist,
+            seed,
+            key,
+        } => {
             with_key_kind!(key, K, gen_typed::<K>(n, &path, dist, seed))?;
             writeln!(out, "wrote {n} {key} keys to {path}")?;
             Ok(0)
         }
-        Command::Compare { input, geo, threads } => {
+        Command::Compare {
+            input,
+            geo,
+            threads,
+        } => {
             pdm_sort::kernels::configure_threads(threads)?;
             let kind = resolve_kind(&input, None)?;
             with_key_kind!(kind, K, compare::<K>(&input, geo, out))?;
@@ -153,8 +165,7 @@ fn dispatch(cmd: Command, out: &mut dyn Write) -> std::result::Result<i32, Box<d
         }
         Command::Verify { file, input } => {
             let kind = resolve_kind(&file, None)?;
-            let (ok, n, violation) =
-                with_key_kind!(kind, K, keyfile::check_sorted::<K>(&file))?;
+            let (ok, n, violation) = with_key_kind!(kind, K, keyfile::check_sorted::<K>(&file))?;
             if !ok {
                 writeln!(
                     out,
@@ -391,14 +402,19 @@ fn info(geo: Geometry, out: &mut dyn Write) -> std::result::Result<(), Box<dyn s
     )?;
     let sizes = [("M√M", m * geo.b), ("M²", m * m)];
     let header = ("sorter", "capacity", "passes at M√M", "at M²");
-    writeln!(out, "  {:<21} {:>12} {:>14} {:>14}", header.0, header.1, header.2, header.3)?;
+    writeln!(
+        out,
+        "  {:<21} {:>12} {:>14} {:>14}",
+        header.0, header.1, header.2, header.3
+    )?;
     for a in Algorithm::CANDIDATES {
         let cap = match a.capacity(&cfg, DEFAULT_ALPHA) {
             usize::MAX => "any".to_string(),
             cap => cap.to_string(),
         };
         let [p1, p2] = sizes.map(|(_, n)| {
-            a.pass_bound(&cfg, n, DEFAULT_ALPHA).map_or("-".to_string(), |p| p.to_string())
+            a.pass_bound(&cfg, n, DEFAULT_ALPHA)
+                .map_or("-".to_string(), |p| p.to_string())
         });
         writeln!(out, "  {:<21} {cap:>12} {p1:>14} {p2:>14}", a.name())?;
     }
@@ -493,7 +509,13 @@ fn sort<K: CliKey>(
     job: SortJob<'_>,
     out: &mut dyn Write,
 ) -> std::result::Result<(), Box<dyn std::error::Error>> {
-    let SortJob { input, output, geo, algo, .. } = job;
+    let SortJob {
+        input,
+        output,
+        geo,
+        algo,
+        ..
+    } = job;
     let n = keyfile::count_keys::<K>(input)?;
     if n == 0 {
         if job.stats_path.is_some() {
@@ -589,9 +611,11 @@ fn sort<K: CliKey>(
     // output.
     let torn = matches!(inject, Some(InjectSpec::File(FileFaultMode::TornWrite(_))));
     if torn && !built.caps.checksums {
-        return Err("--inject torn-write needs block checksums to detect the torn block; \
+        return Err(
+            "--inject torn-write needs block checksums to detect the torn block; \
                     build with the block-checksums feature"
-            .into());
+                .into(),
+        );
     }
     let retry_counters = built.retry_counters;
 
@@ -624,7 +648,9 @@ fn sort<K: CliKey>(
     // Wall-clock trace: the sink outlives the machine (spans live in the
     // Arc), so the trace file can be written after the sort regardless of
     // whether the stats artifact consumes the machine.
-    let span_sink = job.trace_path.map(|_| std::sync::Arc::new(SpanSink::new(1 << 20)));
+    let span_sink = job
+        .trace_path
+        .map(|_| std::sync::Arc::new(SpanSink::new(1 << 20)));
     if let Some(sink) = &span_sink {
         pdm.attach_span_sink(std::sync::Arc::clone(sink));
     }
@@ -819,7 +845,8 @@ fn stage<K: PdmKey, S: Storage<K>>(
             let sub = region
                 .sub(off_blocks, full / b)
                 .map_err(std::io::Error::other)?;
-            pdm.ingest(&sub, &pending[..full]).map_err(std::io::Error::other)?;
+            pdm.ingest(&sub, &pending[..full])
+                .map_err(std::io::Error::other)?;
             off_blocks += full / b;
             pending.drain(..full);
         }
@@ -936,7 +963,10 @@ fn summarize<K: PdmKey, S: Storage<K>>(
         pdm.next_slot() as f64 / input_slots as f64
     )?;
     if rep.fell_back {
-        writeln!(out, "note: online check detected a bad input; deterministic fallback ran")?;
+        writeln!(
+            out,
+            "note: online check detected a bad input; deterministic fallback ran"
+        )?;
     }
     Ok((
         rep.output,
@@ -992,10 +1022,17 @@ mod tests {
         let (c, _) = run_args(&["gen", "4096", &inp, "--dist", "random", "--seed", "9"]);
         assert_eq!(c, 0);
         let mut outputs = Vec::new();
-        for algo in ["three-pass1", "three-pass2", "seven-pass", "radix", "mergesort"] {
+        for algo in [
+            "three-pass1",
+            "three-pass2",
+            "seven-pass",
+            "radix",
+            "mergesort",
+        ] {
             let outp = tmp(&format!("out-{algo}.keys"));
-            let (c, log) =
-                run_args(&["sort", &inp, &outp, "--disks", "2", "--b", "16", "--algo", algo]);
+            let (c, log) = run_args(&[
+                "sort", &inp, &outp, "--disks", "2", "--b", "16", "--algo", algo,
+            ]);
             assert_eq!(c, 0, "{algo}: {log}");
             outputs.push(std::fs::read(&outp).unwrap());
             std::fs::remove_file(&outp).ok();
@@ -1015,7 +1052,15 @@ mod tests {
         for backend in ["file", "mem", "threaded", "async-file"] {
             let outp = tmp(&format!("st-out-{backend}.keys"));
             let (c, log) = run_args(&[
-                "sort", &inp, &outp, "--disks", "2", "--b", "16", "--storage", backend,
+                "sort",
+                &inp,
+                &outp,
+                "--disks",
+                "2",
+                "--b",
+                "16",
+                "--storage",
+                backend,
             ]);
             assert_eq!(c, 0, "{backend}: {log}");
             outputs.push(std::fs::read(&outp).unwrap());
@@ -1084,26 +1129,54 @@ mod tests {
         let (c, log) = run_args(&[&["sort", &inp, &clean][..], &geo].concat());
         assert_eq!(c, 0, "{log}");
         assert!(log.contains("MergeSort (auto"), "{log}");
-        assert!(log.contains("disk space:   1875 slots per disk (3.00× the input)"), "{log}");
+        assert!(
+            log.contains("disk space:   1875 slots per disk (3.00× the input)"),
+            "{log}"
+        );
         let ck = ["--scratch", &scratch, "--checkpoint-dir", &ckdir];
         let (c, log) = run_args(
-            &[&["sort", &inp, &resumed][..], &geo, &ck, &["--inject", "disk-after:1:9000"]].concat(),
+            &[
+                &["sort", &inp, &resumed][..],
+                &geo,
+                &ck,
+                &["--inject", "disk-after:1:9000"],
+            ]
+            .concat(),
         );
         assert_eq!(c, 1, "the injected crash must fail the run: {log}");
-        let (c, log) = run_args(&[&["sort", &inp, &resumed][..], &geo, &ck, &["--resume"]].concat());
+        let (c, log) =
+            run_args(&[&["sort", &inp, &resumed][..], &geo, &ck, &["--resume"]].concat());
         assert_eq!(c, 0, "{log}");
         assert!(log.contains("resuming: 3 pass(es)"), "{log}");
-        assert_eq!(std::fs::read(&resumed).unwrap(), std::fs::read(&clean).unwrap());
+        assert_eq!(
+            std::fs::read(&resumed).unwrap(),
+            std::fs::read(&clean).unwrap()
+        );
         // A sorter that cannot resume is refused before anything runs.
-        let (c, log) = run_args(&[
-            &["sort", &inp, &resumed][..],
-            &geo,
-            &["--algo", "updown-mergesort", "--scratch", &scratch, "--checkpoint-dir", &refused],
-        ]
-        .concat());
+        let (c, log) = run_args(
+            &[
+                &["sort", &inp, &resumed][..],
+                &geo,
+                &[
+                    "--algo",
+                    "updown-mergesort",
+                    "--scratch",
+                    &scratch,
+                    "--checkpoint-dir",
+                    &refused,
+                ],
+            ]
+            .concat(),
+        );
         assert_eq!(c, 1, "{log}");
-        assert!(log.contains("deterministic") && log.contains("updown-mergesort"), "{log}");
-        assert!(!std::path::Path::new(&refused).exists(), "the refused run made {refused}");
+        assert!(
+            log.contains("deterministic") && log.contains("updown-mergesort"),
+            "{log}"
+        );
+        assert!(
+            !std::path::Path::new(&refused).exists(),
+            "the refused run made {refused}"
+        );
         for f in [&inp, &clean, &resumed] {
             std::fs::remove_file(f).ok();
         }
@@ -1128,7 +1201,10 @@ mod tests {
         ]);
         assert_eq!(c, 0, "{log}");
         let txt = std::fs::read_to_string(&statsp).unwrap();
-        assert!(txt.starts_with(r#"{"rec":"run","format":"pdm-run-v1","#), "{txt}");
+        assert!(
+            txt.starts_with(r#"{"rec":"run","format":"pdm-run-v1","#),
+            "{txt}"
+        );
         let art = artifact(&statsp);
         assert_eq!(art.n, 2000);
         assert!(art.stats.blocks_read > 0);
@@ -1148,7 +1224,10 @@ mod tests {
             "sort", &inp, &outp, "--disks", "4", "--b", "16", "--stats", &statsp,
         ]);
         assert_eq!(c, 0, "{log}");
-        assert!(log.contains("probe events, 0 dropped past the cap"), "{log}");
+        assert!(
+            log.contains("probe events, 0 dropped past the cap"),
+            "{log}"
+        );
 
         // the artifact's own events replay to its own exact counters
         let art = artifact(&statsp);
@@ -1170,7 +1249,13 @@ mod tests {
     fn report_renders_tables_for_every_forced_algorithm() {
         let inp = tmp("rp-in.keys");
         run_args(&["gen", "4096", &inp, "--dist", "random", "--seed", "5"]);
-        for algo in ["three-pass1", "three-pass2", "seven-pass", "radix", "mergesort"] {
+        for algo in [
+            "three-pass1",
+            "three-pass2",
+            "seven-pass",
+            "radix",
+            "mergesort",
+        ] {
             let outp = tmp(&format!("rp-out-{algo}.keys"));
             let statsp = tmp(&format!("rp-{algo}.jsonl"));
             let (c, log) = run_args(&[
@@ -1182,10 +1267,19 @@ mod tests {
             assert_eq!(c, 0, "{algo}: {rendered}");
             assert!(rendered.contains("pdmsort report"), "{algo}: {rendered}");
             assert!(rendered.contains("per-disk I/O"), "{algo}: {rendered}");
-            assert!(rendered.contains("stripe efficiency over time"), "{algo}: {rendered}");
-            assert!(rendered.contains("pass-budget waterfall"), "{algo}: {rendered}");
+            assert!(
+                rendered.contains("stripe efficiency over time"),
+                "{algo}: {rendered}"
+            );
+            assert!(
+                rendered.contains("pass-budget waterfall"),
+                "{algo}: {rendered}"
+            );
             if algo != "mergesort" {
-                assert!(rendered.contains("per-phase breakdown"), "{algo}: {rendered}");
+                assert!(
+                    rendered.contains("per-phase breakdown"),
+                    "{algo}: {rendered}"
+                );
             }
             std::fs::remove_file(&outp).ok();
             std::fs::remove_file(&statsp).ok();
@@ -1225,8 +1319,19 @@ mod tests {
             for algo in ["auto", "seven-pass"] {
                 let (outp, statsp) = (tmp("sb-out.keys"), tmp("sb.jsonl"));
                 let (c, log) = run_args(&[
-                    "sort", &inp, &outp, "--disks", "2", "--b", "16", "--storage", backend,
-                    "--algo", algo, "--stats", &statsp,
+                    "sort",
+                    &inp,
+                    &outp,
+                    "--disks",
+                    "2",
+                    "--b",
+                    "16",
+                    "--storage",
+                    backend,
+                    "--algo",
+                    algo,
+                    "--stats",
+                    &statsp,
                 ]);
                 assert_eq!(c, 0, "{backend}/{algo}: {log}");
                 let (c, rendered) = run_args(&["report", &statsp]);
@@ -1248,8 +1353,19 @@ mod tests {
         let (inp, outp, statsp) = (tmp("gold-in.keys"), tmp("gold-out.keys"), tmp("gold.jsonl"));
         run_args(&["gen", "4096", &inp, "--dist", "reversed"]);
         let (c, log) = run_args(&[
-            "sort", &inp, &outp, "--disks", "4", "--b", "16", "--storage", "mem", "--algo",
-            "three-pass2", "--stats", &statsp,
+            "sort",
+            &inp,
+            &outp,
+            "--disks",
+            "4",
+            "--b",
+            "16",
+            "--storage",
+            "mem",
+            "--algo",
+            "three-pass2",
+            "--stats",
+            &statsp,
         ]);
         assert_eq!(c, 0, "{log}");
         let (c, rendered) = run_args(&["report", &statsp]);
@@ -1290,7 +1406,11 @@ pass-budget waterfall (read+write passes per phase):
     #[test]
     fn report_refuses_a_stats_file_from_an_older_build() {
         let legacy = tmp("legacy.json");
-        std::fs::write(&legacy, "{\n  \"algorithm\": \"ThreePass2\",\n  \"n\": 8\n}\n").unwrap();
+        std::fs::write(
+            &legacy,
+            "{\n  \"algorithm\": \"ThreePass2\",\n  \"n\": 8\n}\n",
+        )
+        .unwrap();
         let (c, log) = run_args(&["report", &legacy]);
         assert_eq!(c, 1, "{log}");
         assert!(log.contains("line 1: not a pdm-run-v1 artifact"), "{log}");
@@ -1315,7 +1435,10 @@ pass-budget waterfall (read+write passes per phase):
         );
         assert_eq!(
             parse_inject("transient:42:10000").unwrap(),
-            Logical(FailMode::TransientRate { seed: 42, rate_ppm: 10_000 })
+            Logical(FailMode::TransientRate {
+                seed: 42,
+                rate_ppm: 10_000
+            })
         );
         assert_eq!(
             parse_inject("every-nth:7").unwrap(),
@@ -1324,7 +1447,10 @@ pass-budget waterfall (read+write passes per phase):
         assert_eq!(parse_inject("never").unwrap(), Logical(FailMode::Never));
         assert_eq!(
             parse_inject("file-transient:9:5000").unwrap(),
-            File(FileFaultMode::ShortRate { seed: 9, rate_ppm: 5_000 })
+            File(FileFaultMode::ShortRate {
+                seed: 9,
+                rate_ppm: 5_000
+            })
         );
         assert_eq!(
             parse_inject("file-eio:12").unwrap(),
@@ -1339,8 +1465,15 @@ pass-budget waterfall (read+write passes per phase):
             File(FileFaultMode::FsyncFail(0))
         );
         for bad in [
-            "", "disk", "disk:x", "transient:1", "nth-read:1:2", "bogus:3", "file-eio",
-            "torn-write:x", "file-transient:1",
+            "",
+            "disk",
+            "disk:x",
+            "transient:1",
+            "nth-read:1:2",
+            "bogus:3",
+            "file-eio",
+            "torn-write:x",
+            "file-transient:1",
         ] {
             assert!(parse_inject(bad).is_err(), "{bad} should be rejected");
         }
@@ -1352,13 +1485,33 @@ pass-budget waterfall (read+write passes per phase):
         let clean = tmp("ff-clean.keys");
         let faulty = tmp("ff-faulty.keys");
         run_args(&["gen", "4096", &inp, "--dist", "random", "--seed", "29"]);
-        let (c, log) =
-            run_args(&["sort", &inp, &clean, "--disks", "2", "--b", "16", "--algo", "three-pass2"]);
+        let (c, log) = run_args(&[
+            "sort",
+            &inp,
+            &clean,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "three-pass2",
+        ]);
         assert_eq!(c, 0, "{log}");
         // Real-file short transfers at 1 %, healed by the retry layer.
         let (c, log) = run_args(&[
-            "sort", &inp, &faulty, "--disks", "2", "--b", "16", "--algo", "three-pass2",
-            "--inject", "file-transient:42:10000", "--retry", "8",
+            "sort",
+            &inp,
+            &faulty,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "three-pass2",
+            "--inject",
+            "file-transient:42:10000",
+            "--retry",
+            "8",
         ]);
         assert_eq!(c, 0, "{log}");
         assert_eq!(
@@ -1368,8 +1521,17 @@ pass-budget waterfall (read+write passes per phase):
         );
         // File faults need a file-backed base: mem is rejected cleanly.
         let (c, log) = run_args(&[
-            "sort", &inp, &faulty, "--disks", "2", "--b", "16", "--storage", "mem",
-            "--inject", "file-eio:0",
+            "sort",
+            &inp,
+            &faulty,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--storage",
+            "mem",
+            "--inject",
+            "file-eio:0",
         ]);
         assert_eq!(c, 1, "{log}");
         assert!(log.contains("not file-backed"), "{log}");
@@ -1419,13 +1581,33 @@ pass-budget waterfall (read+write passes per phase):
         let clean = tmp("rt-clean.keys");
         let faulty = tmp("rt-faulty.keys");
         run_args(&["gen", "4096", &inp, "--dist", "random", "--seed", "11"]);
-        let (c, log) =
-            run_args(&["sort", &inp, &clean, "--disks", "2", "--b", "16", "--algo", "three-pass2"]);
+        let (c, log) = run_args(&[
+            "sort",
+            &inp,
+            &clean,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "three-pass2",
+        ]);
         assert_eq!(c, 0, "{log}");
         // 1 % transient fault rate, healed by up to 4 attempts per block op.
         let (c, log) = run_args(&[
-            "sort", &inp, &faulty, "--disks", "2", "--b", "16", "--algo", "three-pass2",
-            "--inject", "transient:42:10000", "--retry", "4",
+            "sort",
+            &inp,
+            &faulty,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "three-pass2",
+            "--inject",
+            "transient:42:10000",
+            "--retry",
+            "4",
         ]);
         assert_eq!(c, 0, "{log}");
         assert!(log.contains("retries:"), "retry summary missing: {log}");
@@ -1436,8 +1618,17 @@ pass-budget waterfall (read+write passes per phase):
         );
         // Without --retry the same schedule is fatal — but clean, not a panic.
         let (c, log) = run_args(&[
-            "sort", &inp, &faulty, "--disks", "2", "--b", "16", "--algo", "three-pass2",
-            "--inject", "transient:42:10000",
+            "sort",
+            &inp,
+            &faulty,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "three-pass2",
+            "--inject",
+            "transient:42:10000",
         ]);
         assert_eq!(c, 1, "{log}");
         assert!(log.contains("error"), "{log}");
@@ -1455,8 +1646,19 @@ pass-budget waterfall (read+write passes per phase):
         let ckdir = tmp("ck-manifests");
         run_args(&["gen", "4096", &inp, "--dist", "permutation", "--seed", "13"]);
         let (c, log) = run_args(&[
-            "sort", &inp, &out1, "--disks", "2", "--b", "16", "--algo", "three-pass1",
-            "--scratch", &scratch, "--checkpoint-dir", &ckdir,
+            "sort",
+            &inp,
+            &out1,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "three-pass1",
+            "--scratch",
+            &scratch,
+            "--checkpoint-dir",
+            &ckdir,
         ]);
         assert_eq!(c, 0, "{log}");
         assert!(log.contains("checkpoint:"), "{log}");
@@ -1464,8 +1666,20 @@ pass-budget waterfall (read+write passes per phase):
         // Resume against the completed run: every pass replays, and the
         // output is rebuilt byte-identically from the settled disks.
         let (c, log) = run_args(&[
-            "sort", &inp, &out2, "--disks", "2", "--b", "16", "--algo", "three-pass1",
-            "--scratch", &scratch, "--checkpoint-dir", &ckdir, "--resume",
+            "sort",
+            &inp,
+            &out2,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "three-pass1",
+            "--scratch",
+            &scratch,
+            "--checkpoint-dir",
+            &ckdir,
+            "--resume",
         ]);
         assert_eq!(c, 0, "{log}");
         assert!(log.contains("resuming:"), "{log}");
@@ -1473,14 +1687,38 @@ pass-budget waterfall (read+write passes per phase):
         assert_eq!(std::fs::read(&out1).unwrap(), std::fs::read(&out2).unwrap());
         // Resume under a different algorithm or input is refused.
         let (c, log) = run_args(&[
-            "sort", &inp, &out2, "--disks", "2", "--b", "16", "--algo", "three-pass2",
-            "--scratch", &scratch, "--checkpoint-dir", &ckdir, "--resume",
+            "sort",
+            &inp,
+            &out2,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "three-pass2",
+            "--scratch",
+            &scratch,
+            "--checkpoint-dir",
+            &ckdir,
+            "--resume",
         ]);
         assert_eq!(c, 1);
         assert!(log.contains("algorithm"), "{log}");
         let (c, log) = run_args(&[
-            "sort", &inp, &out2, "--disks", "2", "--b", "16", "--algo", "radix",
-            "--scratch", &scratch, "--checkpoint-dir", &ckdir, "--resume",
+            "sort",
+            &inp,
+            &out2,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "radix",
+            "--scratch",
+            &scratch,
+            "--checkpoint-dir",
+            &ckdir,
+            "--resume",
         ]);
         assert_eq!(c, 1);
         assert!(log.contains("deterministic"), "{log}");
@@ -1501,8 +1739,19 @@ pass-budget waterfall (read+write passes per phase):
         run_args(&["gen", "65536", &inp, "--dist", "permutation", "--seed", "7"]);
         let sort = |out: &str, extra: &[&str]| {
             let mut args = vec![
-                "sort", &inp, out, "--disks", "4", "--b", "64", "--algo", "three-pass1",
-                "--scratch", &scratch, "--checkpoint-dir", &ckdir,
+                "sort",
+                &inp,
+                out,
+                "--disks",
+                "4",
+                "--b",
+                "64",
+                "--algo",
+                "three-pass1",
+                "--scratch",
+                &scratch,
+                "--checkpoint-dir",
+                &ckdir,
             ];
             args.extend_from_slice(extra);
             run_args(&args)
@@ -1529,13 +1778,32 @@ pass-budget waterfall (read+write passes per phase):
         let (scratch, ckdir) = (tmp("bi-scratch"), tmp("bi-manifests"));
         run_args(&["gen", "65536", &inp, "--dist", "permutation", "--seed", "7"]);
         let (c, log) = run_args(&[
-            "sort", &inp, &clean, "--disks", "4", "--b", "64", "--algo", "three-pass1",
+            "sort",
+            &inp,
+            &clean,
+            "--disks",
+            "4",
+            "--b",
+            "64",
+            "--algo",
+            "three-pass1",
         ]);
         assert_eq!(c, 0, "{log}");
         let sort = |extra: &[&str]| {
             let mut args = vec![
-                "sort", &inp, &resumed, "--disks", "4", "--b", "64", "--algo", "three-pass1",
-                "--scratch", &scratch, "--checkpoint-dir", &ckdir,
+                "sort",
+                &inp,
+                &resumed,
+                "--disks",
+                "4",
+                "--b",
+                "64",
+                "--algo",
+                "three-pass1",
+                "--scratch",
+                &scratch,
+                "--checkpoint-dir",
+                &ckdir,
             ];
             args.extend_from_slice(extra);
             run_args(&args)
@@ -1550,7 +1818,10 @@ pass-budget waterfall (read+write passes per phase):
         assert!(latest.exists(), "a refused run cleared the manifests");
         let (c, log) = sort(&["--resume"]);
         assert_eq!(c, 0, "{log}");
-        assert_eq!(std::fs::read(&resumed).unwrap(), std::fs::read(&clean).unwrap());
+        assert_eq!(
+            std::fs::read(&resumed).unwrap(),
+            std::fs::read(&clean).unwrap()
+        );
         for f in [&inp, &clean, &resumed] {
             std::fs::remove_file(f).ok();
         }
@@ -1563,8 +1834,17 @@ pass-budget waterfall (read+write passes per phase):
         let (inp, outp) = (tmp("tw-in.keys"), tmp("tw-out.keys"));
         run_args(&["gen", "4096", &inp, "--dist", "permutation", "--seed", "7"]);
         let (c, log) = run_args(&[
-            "sort", &inp, &outp, "--disks", "2", "--b", "16", "--algo", "three-pass1",
-            "--inject", "torn-write:70",
+            "sort",
+            &inp,
+            &outp,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "three-pass1",
+            "--inject",
+            "torn-write:70",
         ]);
         if cfg!(feature = "block-checksums") {
             // accepted: the checksums turn the torn block into an error
@@ -1572,7 +1852,10 @@ pass-budget waterfall (read+write passes per phase):
             assert!(log.contains("corrupt block"), "{log}");
         } else {
             assert_eq!(c, 1, "{log}");
-            assert!(log.contains("build with the block-checksums feature"), "{log}");
+            assert!(
+                log.contains("build with the block-checksums feature"),
+                "{log}"
+            );
         }
         for f in [&inp, &outp] {
             std::fs::remove_file(f).ok();
@@ -1590,20 +1873,40 @@ pass-budget waterfall (read+write passes per phase):
                 .map(|l| l.to_string())
                 .collect()
         };
-        for algo in ["three-pass1", "three-pass2", "expected-two-pass", "seven-pass"] {
+        for algo in [
+            "three-pass1",
+            "three-pass2",
+            "expected-two-pass",
+            "seven-pass",
+        ] {
             let mut legs = Vec::new();
             for mode in ["off", "on", "auto"] {
                 let outp = tmp(&format!("ov-out-{algo}-{mode}.keys"));
                 let (c, log) = run_args(&[
-                    "sort", &inp, &outp, "--disks", "2", "--b", "16", "--algo", algo,
-                    "--overlap", mode,
+                    "sort",
+                    &inp,
+                    &outp,
+                    "--disks",
+                    "2",
+                    "--b",
+                    "16",
+                    "--algo",
+                    algo,
+                    "--overlap",
+                    mode,
                 ]);
                 assert_eq!(c, 0, "{algo}/{mode}: {log}");
                 legs.push((std::fs::read(&outp).unwrap(), passes(&log)));
                 std::fs::remove_file(&outp).ok();
             }
-            assert_eq!(legs[0], legs[1], "{algo}: --overlap on changed output or passes");
-            assert_eq!(legs[0], legs[2], "{algo}: --overlap auto changed output or passes");
+            assert_eq!(
+                legs[0], legs[1],
+                "{algo}: --overlap on changed output or passes"
+            );
+            assert_eq!(
+                legs[0], legs[2],
+                "{algo}: --overlap auto changed output or passes"
+            );
         }
         std::fs::remove_file(&inp).ok();
     }
@@ -1614,8 +1917,19 @@ pass-budget waterfall (read+write passes per phase):
         run_args(&["gen", "4096", &inp, "--dist", "random", "--seed", "31"]);
         let base = tmp("ow-base.keys");
         let (c, log) = run_args(&[
-            "sort", &inp, &base, "--disks", "2", "--b", "16", "--algo", "seven-pass",
-            "--storage", "async-file", "--overlap", "on",
+            "sort",
+            &inp,
+            &base,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "seven-pass",
+            "--storage",
+            "async-file",
+            "--overlap",
+            "on",
         ]);
         assert_eq!(c, 0, "{log}");
         let baseline = std::fs::read(&base).unwrap();
@@ -1629,8 +1943,19 @@ pass-budget waterfall (read+write passes per phase):
         for extra in legs {
             let outp = tmp("ow-leg.keys");
             let mut args = vec![
-                "sort", &inp, &outp, "--disks", "2", "--b", "16", "--algo", "seven-pass",
-                "--storage", "async-file", "--overlap", "on",
+                "sort",
+                &inp,
+                &outp,
+                "--disks",
+                "2",
+                "--b",
+                "16",
+                "--algo",
+                "seven-pass",
+                "--storage",
+                "async-file",
+                "--overlap",
+                "on",
             ];
             args.extend_from_slice(&extra);
             let (c, log) = run_args(&args);
@@ -1658,14 +1983,41 @@ pass-budget waterfall (read+write passes per phase):
         let ckdir = tmp("ovck-manifests");
         run_args(&["gen", "4096", &inp, "--dist", "permutation", "--seed", "19"]);
         let (c, log) = run_args(&[
-            "sort", &inp, &out1, "--disks", "2", "--b", "16", "--algo", "seven-pass",
-            "--scratch", &scratch, "--checkpoint-dir", &ckdir, "--overlap", "on",
+            "sort",
+            &inp,
+            &out1,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "seven-pass",
+            "--scratch",
+            &scratch,
+            "--checkpoint-dir",
+            &ckdir,
+            "--overlap",
+            "on",
         ]);
         assert_eq!(c, 0, "{log}");
         assert!(log.contains("checkpoint:"), "{log}");
         let (c, log) = run_args(&[
-            "sort", &inp, &out2, "--disks", "2", "--b", "16", "--algo", "seven-pass",
-            "--scratch", &scratch, "--checkpoint-dir", &ckdir, "--resume", "--overlap", "on",
+            "sort",
+            &inp,
+            &out2,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "seven-pass",
+            "--scratch",
+            &scratch,
+            "--checkpoint-dir",
+            &ckdir,
+            "--resume",
+            "--overlap",
+            "on",
         ]);
         assert_eq!(c, 0, "{log}");
         assert!(log.contains("0 executed live"), "{log}");
@@ -1685,12 +2037,31 @@ pass-budget waterfall (read+write passes per phase):
         let tracep = tmp("tr-trace.json");
         run_args(&["gen", "4096", &inp, "--dist", "random", "--seed", "23"]);
         let (c, log) = run_args(&[
-            "sort", &inp, &plain, "--disks", "2", "--b", "16", "--storage", "threaded",
+            "sort",
+            &inp,
+            &plain,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--storage",
+            "threaded",
         ]);
         assert_eq!(c, 0, "{log}");
         let (c, log) = run_args(&[
-            "sort", &inp, &traced, "--disks", "2", "--b", "16", "--storage", "threaded",
-            "--overlap", "on", "--trace-out", &tracep,
+            "sort",
+            &inp,
+            &traced,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--storage",
+            "threaded",
+            "--overlap",
+            "on",
+            "--trace-out",
+            &tracep,
         ]);
         assert_eq!(c, 0, "{log}");
         assert!(log.contains("trace spans written"), "{log}");
@@ -1705,7 +2076,11 @@ pass-budget waterfall (read+write passes per phase):
         assert!(txt.contains("disk0 read") && txt.contains("disk1 write"));
         let begins = txt.matches("\"ph\":\"B\"").count();
         assert!(begins > 0, "no spans recorded");
-        assert_eq!(begins, txt.matches("\"ph\":\"E\"").count(), "unbalanced B/E");
+        assert_eq!(
+            begins,
+            txt.matches("\"ph\":\"E\"").count(),
+            "unbalanced B/E"
+        );
         for f in [&inp, &plain, &traced, &tracep] {
             std::fs::remove_file(f).ok();
         }
@@ -1742,13 +2117,20 @@ pass-budget waterfall (read+write passes per phase):
                     cap => cap.to_string(),
                 };
                 let cells = [m * 64, m * m].map(|n| {
-                    a.pass_bound(&cfg, n, DEFAULT_ALPHA).map_or("-".to_string(), |p| p.to_string())
+                    a.pass_bound(&cfg, n, DEFAULT_ALPHA)
+                        .map_or("-".to_string(), |p| p.to_string())
                 });
                 let want = format!("{} {cap} {} {}", a.name(), cells[0], cells[1]);
                 assert_eq!(row.split_whitespace().collect::<Vec<_>>().join(" "), want);
             }
-            assert!(log.contains(&format!("auto at N = M√M = {}: {at_m15}", m * 64)), "{log}");
-            assert!(log.contains(&format!("auto at N = M² = {}: {at_m2}", m * m)), "{log}");
+            assert!(
+                log.contains(&format!("auto at N = M√M = {}: {at_m15}", m * 64)),
+                "{log}"
+            );
+            assert!(
+                log.contains(&format!("auto at N = M² = {}: {at_m2}", m * m)),
+                "{log}"
+            );
         }
         // machines every sorter refuses are refused here too
         let (c, log) = run_args(&["info", "--disks", "0", "--b", "64"]);
@@ -1767,7 +2149,10 @@ pass-budget waterfall (read+write passes per phase):
         run_args(&["gen", "4097", &inp, "--dist", "permutation"]);
         let (c, log) = run_args(&["sort", &inp, &outp, "--disks", "2", "--b", "8"]);
         assert_eq!(c, 0, "{log}");
-        assert!(log.contains("algorithm: MergeSort (auto; predicted 5 passes)\n"), "{log}");
+        assert!(
+            log.contains("algorithm: MergeSort (auto; predicted 5 passes)\n"),
+            "{log}"
+        );
         let (c, log) = run_args(&["verify", &outp]);
         assert_eq!(c, 0, "{log}");
         assert!(log.contains("4097 u64 keys, sorted"), "{log}");
@@ -1820,7 +2205,10 @@ pass-budget waterfall (read+write passes per phase):
 
     /// The pass counters logged by `sort` ("read passes: X").
     fn logged_passes(log: &str) -> Vec<String> {
-        log.lines().filter(|l| l.contains("passes")).map(|l| l.to_string()).collect()
+        log.lines()
+            .filter(|l| l.contains("passes"))
+            .map(|l| l.to_string())
+            .collect()
     }
 
     fn read_passes_of(log: &str) -> f64 {
@@ -1849,7 +2237,15 @@ pass-budget waterfall (read+write passes per phase):
             for backend in ["mem", "file", "async-file"] {
                 let outp = tmp(&format!("kk-out-{key}-{backend}.keys"));
                 let (c, log) = run_args(&[
-                    "sort", &inp, &outp, "--disks", "2", "--b", "16", "--storage", backend,
+                    "sort",
+                    &inp,
+                    &outp,
+                    "--disks",
+                    "2",
+                    "--b",
+                    "16",
+                    "--storage",
+                    backend,
                 ]);
                 assert_eq!(c, 0, "{key}/{backend}: {log}");
                 legs.push((std::fs::read(&outp).unwrap(), logged_passes(&log)));
@@ -1877,12 +2273,14 @@ pass-budget waterfall (read+write passes per phase):
         assert_eq!(c, 1);
         assert!(log.contains("holds 'tagged'"), "{log}");
         // right assertion (and no assertion) both work
-        let (c, log) =
-            run_args(&["sort", &inp, &outp, "--disks", "2", "--b", "16", "--key", "tagged"]);
+        let (c, log) = run_args(&[
+            "sort", &inp, &outp, "--disks", "2", "--b", "16", "--key", "tagged",
+        ]);
         assert_eq!(c, 0, "{log}");
         // rank-based sorts reject comparison-only shapes up front
-        let (c, log) =
-            run_args(&["sort", &inp, &outp, "--disks", "2", "--b", "16", "--algo", "radix"]);
+        let (c, log) = run_args(&[
+            "sort", &inp, &outp, "--disks", "2", "--b", "16", "--algo", "radix",
+        ]);
         assert_eq!(c, 1);
         assert!(log.contains("radix"), "{log}");
         std::fs::remove_file(&inp).ok();
@@ -1906,15 +2304,26 @@ pass-budget waterfall (read+write passes per phase):
         }
         let mut x = 11u64;
         while data.len() < 1000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             data.push(Tagged::new(x >> 1, x & 0xffff));
         }
         let mut w = keyfile::KeyFileWriter::<Tagged>::create(&inp, "tagged").unwrap();
         w.write_keys(&data).unwrap();
         w.finish().unwrap();
 
-        let (c, log) =
-            run_args(&["sort", &inp, &outp, "--disks", "2", "--b", "16", "--algo", "seven-pass"]);
+        let (c, log) = run_args(&[
+            "sort",
+            &inp,
+            &outp,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "seven-pass",
+        ]);
         assert_eq!(c, 0, "{log}");
 
         let mut got: Vec<Tagged> = Vec::new();
@@ -1924,7 +2333,10 @@ pass-budget waterfall (read+write passes per phase):
         })
         .unwrap();
         data.sort();
-        assert_eq!(got, data, "sentinel-valued records were dropped or duplicated");
+        assert_eq!(
+            got, data,
+            "sentinel-valued records were dropped or duplicated"
+        );
 
         // Byte-level: the output is exactly the header plus the sorted
         // records' encodings — no pad records leaked into the file.
@@ -1932,7 +2344,10 @@ pass-budget waterfall (read+write passes per phase):
         let mut w = keyfile::KeyFileWriter::<Tagged>::create(&expect, "tagged").unwrap();
         w.write_keys(&data).unwrap();
         w.finish().unwrap();
-        assert_eq!(std::fs::read(&outp).unwrap(), std::fs::read(&expect).unwrap());
+        assert_eq!(
+            std::fs::read(&outp).unwrap(),
+            std::fs::read(&expect).unwrap()
+        );
         for f in [&inp, &outp, &expect] {
             std::fs::remove_file(f).ok();
         }
@@ -1943,12 +2358,37 @@ pass-budget waterfall (read+write passes per phase):
         let inp = tmp("ud-in.keys");
         let outg = tmp("ud-greedy.keys");
         let outu = tmp("ud-updown.keys");
-        run_args(&["gen", "8192", &inp, "--dist", "nearly-sorted", "--seed", "7"]);
-        let (c, log_g) =
-            run_args(&["sort", &inp, &outg, "--disks", "2", "--b", "16", "--algo", "seven-pass"]);
+        run_args(&[
+            "gen",
+            "8192",
+            &inp,
+            "--dist",
+            "nearly-sorted",
+            "--seed",
+            "7",
+        ]);
+        let (c, log_g) = run_args(&[
+            "sort",
+            &inp,
+            &outg,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "seven-pass",
+        ]);
         assert_eq!(c, 0, "{log_g}");
         let (c, log_u) = run_args(&[
-            "sort", &inp, &outu, "--disks", "2", "--b", "16", "--algo", "updown-mergesort",
+            "sort",
+            &inp,
+            &outu,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "updown-mergesort",
         ]);
         assert_eq!(c, 0, "{log_u}");
         assert!(log_u.contains("UpDownMergeSort: 8192 keys"), "{log_u}");
@@ -1973,12 +2413,31 @@ pass-budget waterfall (read+write passes per phase):
         let inp = tmp("uda-in.keys");
         let out1 = tmp("uda-out1.keys");
         let out2 = tmp("uda-out2.keys");
-        run_args(&["gen", "4096", &inp, "--dist", "dup-heavy", "--seed", "5", "--key", "tagged"]);
+        run_args(&[
+            "gen",
+            "4096",
+            &inp,
+            "--dist",
+            "dup-heavy",
+            "--seed",
+            "5",
+            "--key",
+            "tagged",
+        ]);
         let (c, log) = run_args(&["sort", &inp, &out1, "--disks", "2", "--b", "16"]);
         assert_eq!(c, 0, "{log}");
         let (c, log) = run_args(&[
-            "sort", &inp, &out2, "--disks", "2", "--b", "16", "--algo", "updown-mergesort",
-            "--storage", "async-file",
+            "sort",
+            &inp,
+            &out2,
+            "--disks",
+            "2",
+            "--b",
+            "16",
+            "--algo",
+            "updown-mergesort",
+            "--storage",
+            "async-file",
         ]);
         assert_eq!(c, 0, "{log}");
         assert_eq!(std::fs::read(&out1).unwrap(), std::fs::read(&out2).unwrap());
@@ -2014,14 +2473,24 @@ pass-budget waterfall (read+write passes per phase):
         );
         // a row's cells after its name: predicted, read passes, …
         let cells = |name: &str| -> Vec<String> {
-            let row = log.lines().find_map(|l| l.strip_prefix(&format!("{name} "))).unwrap();
+            let row = log
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("{name} ")))
+                .unwrap();
             row.split_whitespace().map(String::from).collect()
         };
         let merge = cells("mergesort");
         let (predicted, read): (f64, f64) = (merge[0].parse().unwrap(), merge[1].parse().unwrap());
         assert_eq!(predicted, 3.0, "{log}");
-        assert!(read <= predicted, "measured {read} > predicted {predicted}: {log}");
-        assert_eq!(cells("expected-two-pass")[0], "-", "2048 keys are past its capacity");
+        assert!(
+            read <= predicted,
+            "measured {read} > predicted {predicted}: {log}"
+        );
+        assert_eq!(
+            cells("expected-two-pass")[0],
+            "-",
+            "2048 keys are past its capacity"
+        );
         assert_eq!(cells("radix (64-bit)")[0], "-", "{log}");
         std::fs::remove_file(&inp).ok();
     }
@@ -2033,8 +2502,11 @@ pass-budget waterfall (read+write passes per phase):
         let (c, log) = run_args(&["compare", &inp, "--disks", "2", "--b", "16"]);
         assert_eq!(c, 0, "{log}");
         assert!(log.contains("auto would pick: three-pass2"), "{log}");
-        let rows: Vec<&str> =
-            log.lines().skip_while(|l| !l.starts_with("algorithm")).skip(1).collect();
+        let rows: Vec<&str> = log
+            .lines()
+            .skip_while(|l| !l.starts_with("algorithm"))
+            .skip(1)
+            .collect();
         let mut want: Vec<String> = Algorithm::ALL
             .into_iter()
             .filter(|a| !a.ranked())
@@ -2043,7 +2515,10 @@ pass-budget waterfall (read+write passes per phase):
         want.push("radix (64-bit)".into());
         assert_eq!(rows.len(), want.len(), "{log}");
         for (row, name) in rows.iter().zip(&want) {
-            assert!(row.starts_with(&format!("{name} ")), "{row} should be {name}");
+            assert!(
+                row.starts_with(&format!("{name} ")),
+                "{row} should be {name}"
+            );
         }
         // the u64 radix row actually runs
         assert!(!rows[want.len() - 1].contains("not applicable"), "{log}");

@@ -114,8 +114,18 @@ mod tests {
         sink.register_track(1, "disk0 write");
         let t0 = Instant::now();
         sink.record(0, "read", t0, t0 + Duration::from_micros(10));
-        sink.record(1, "write", t0 + Duration::from_micros(2), t0 + Duration::from_micros(5));
-        sink.record(0, "read", t0 + Duration::from_micros(12), t0 + Duration::from_micros(15));
+        sink.record(
+            1,
+            "write",
+            t0 + Duration::from_micros(2),
+            t0 + Duration::from_micros(5),
+        );
+        sink.record(
+            0,
+            "read",
+            t0 + Duration::from_micros(12),
+            t0 + Duration::from_micros(15),
+        );
         let path = tmp("basic.json");
         let n = write_chrome_trace(&path, &sink).unwrap();
         assert_eq!(n, 3);

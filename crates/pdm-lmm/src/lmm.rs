@@ -149,10 +149,7 @@ pub fn lmm_sort<K: Ord + Copy>(xs: &[K], l: usize, m: usize, base: usize) -> Vec
         return v;
     }
     let run = xs.len().div_ceil(l);
-    let parts: Vec<Vec<K>> = xs
-        .chunks(run)
-        .map(|c| lmm_sort(c, l, m, base))
-        .collect();
+    let parts: Vec<Vec<K>> = xs.chunks(run).map(|c| lmm_sort(c, l, m, base)).collect();
     lmm_merge(&parts, m, base)
 }
 
@@ -210,7 +207,12 @@ mod tests {
     #[test]
     fn lmm_merge_equals_direct_merge() {
         let mut rng = SplitMix64::seed_from_u64(5);
-        for (l, m, part_len) in [(4usize, 4usize, 64usize), (8, 4, 32), (2, 2, 128), (16, 16, 256)] {
+        for (l, m, part_len) in [
+            (4usize, 4usize, 64usize),
+            (8, 4, 32),
+            (2, 2, 128),
+            (16, 16, 256),
+        ] {
             let mut parts = Vec::new();
             for _ in 0..l {
                 let mut p: Vec<u64> = (0..part_len).map(|_| rng.gen_range(0..10_000)).collect();

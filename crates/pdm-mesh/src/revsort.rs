@@ -27,7 +27,11 @@ pub fn bit_reverse(i: usize, bits: u32) -> usize {
 pub fn rev_rotate_rows<K: Ord + Copy>(mesh: &mut Mesh<K>) {
     let s = mesh.cols();
     let r = mesh.rows();
-    let bits = if r <= 1 { 0 } else { usize::BITS - (r - 1).leading_zeros() };
+    let bits = if r <= 1 {
+        0
+    } else {
+        usize::BITS - (r - 1).leading_zeros()
+    };
     for i in 0..r {
         let shift = bit_reverse(i, bits) % s;
         mesh.row_mut(i).rotate_left(shift);
@@ -115,16 +119,25 @@ mod tests {
         let (r, s) = (64usize, 8usize);
         let mut worst_after = 0usize;
         for seed in 1..=10u64 {
-            let data: Vec<u8> = rng_vec(r * s, seed).iter().map(|&x| (x & 1) as u8).collect();
+            let data: Vec<u8> = rng_vec(r * s, seed)
+                .iter()
+                .map(|&x| (x & 1) as u8)
+                .collect();
             let mut m = Mesh::from_vec(r, s, data);
             m.sort_columns();
             let before = dirty_row_count(&m, 0, 1);
             spread_step(&mut m);
             let after = dirty_row_count(&m, 0, 1);
             worst_after = worst_after.max(after);
-            assert!(after <= before.max(1), "dirty rows grew: {before} -> {after}");
+            assert!(
+                after <= before.max(1),
+                "dirty rows grew: {before} -> {after}"
+            );
         }
         // contraction target: ~ s + small constant, far below r
-        assert!(worst_after <= 2 * s, "dirty rows after spread: {worst_after}");
+        assert!(
+            worst_after <= 2 * s,
+            "dirty rows after spread: {worst_after}"
+        );
     }
 }

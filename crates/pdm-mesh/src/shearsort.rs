@@ -104,7 +104,10 @@ mod tests {
         for seed in 1..20u64 {
             let r = 16;
             let c = 16;
-            let data: Vec<u8> = rng_vec(r * c, seed).iter().map(|&x| (x & 1) as u8).collect();
+            let data: Vec<u8> = rng_vec(r * c, seed)
+                .iter()
+                .map(|&x| (x & 1) as u8)
+                .collect();
             let mut m = Mesh::from_vec(r, c, data);
             // establish a baseline dirtiness after one column sort
             m.sort_columns();

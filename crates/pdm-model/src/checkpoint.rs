@@ -120,8 +120,11 @@ impl Manifest {
         s.push_str(&format!("digest = {:016x}\n", self.digest));
         s.push_str(&format!("completed = {}\n", self.completed));
         s.push_str(&format!("frontier = {}\n", self.frontier));
-        let free: Vec<String> =
-            self.free.iter().map(|r| format!("{}..{}", r.start, r.end)).collect();
+        let free: Vec<String> = self
+            .free
+            .iter()
+            .map(|r| format!("{}..{}", r.start, r.end))
+            .collect();
         s.push_str(&format!("free = {}\n", free.join(" ")));
         for p in &self.phases {
             s.push_str(&format!("phase = {p}\n"));
@@ -172,9 +175,7 @@ impl Manifest {
                     free = Some(ranges.ok_or_else(|| bad("free list not ranges a..b"))?);
                 }
                 "digest" => {
-                    digest = Some(
-                        u64::from_str_radix(v, 16).map_err(|_| bad("digest not hex"))?,
-                    );
+                    digest = Some(u64::from_str_radix(v, 16).map_err(|_| bad("digest not hex"))?);
                 }
                 _ => {
                     let i = KEYS
@@ -306,7 +307,9 @@ impl CheckpointStore {
         for entry in fs::read_dir(&self.dir)? {
             let name = entry?.file_name();
             let name = name.to_string_lossy();
-            let pass = name.strip_prefix("pass-").and_then(|k| k.strip_suffix(".ckpt"));
+            let pass = name
+                .strip_prefix("pass-")
+                .and_then(|k| k.strip_suffix(".ckpt"));
             if name == "latest.ckpt" || pass.is_some_and(|k| k.parse::<usize>().is_ok()) {
                 fs::remove_file(self.dir.join(&*name))?;
             }
@@ -383,7 +386,11 @@ mod tests {
         assert_eq!(back, m);
         assert!(m.to_text().contains("free = 16..64 80..96\n"));
         let fresh = Manifest::new("x", &PdmConfig::new(2, 8, 64), 1, 2);
-        assert_eq!(Manifest::from_text(&fresh.to_text()).unwrap(), fresh, "empty free list");
+        assert_eq!(
+            Manifest::from_text(&fresh.to_text()).unwrap(),
+            fresh,
+            "empty free list"
+        );
     }
 
     #[test]
@@ -393,7 +400,10 @@ mod tests {
             .replace(MAGIC, MAGIC_V1)
             .replace("free = 16..64 80..96\n", "");
         let e = Manifest::from_text(&v1).unwrap_err().to_string();
-        assert!(e.contains("pdm-checkpoint-v1") && e.contains("pdm-checkpoint-v2"), "{e}");
+        assert!(
+            e.contains("pdm-checkpoint-v1") && e.contains("pdm-checkpoint-v2"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -421,12 +431,18 @@ mod tests {
     fn compatibility_check_catches_each_mismatch() {
         let m = manifest();
         let cfg = PdmConfig::new(4, 16, 256);
-        assert!(m.check_compatible("threepass2", &cfg, 4096, m.digest).is_ok());
-        assert!(m.check_compatible("sevenpass", &cfg, 4096, m.digest).is_err());
+        assert!(m
+            .check_compatible("threepass2", &cfg, 4096, m.digest)
+            .is_ok());
+        assert!(m
+            .check_compatible("sevenpass", &cfg, 4096, m.digest)
+            .is_err());
         assert!(m
             .check_compatible("threepass2", &PdmConfig::new(2, 16, 256), 4096, m.digest)
             .is_err());
-        assert!(m.check_compatible("threepass2", &cfg, 4097, m.digest).is_err());
+        assert!(m
+            .check_compatible("threepass2", &cfg, 4097, m.digest)
+            .is_err());
         assert!(m.check_compatible("threepass2", &cfg, 4096, 1).is_err());
     }
 

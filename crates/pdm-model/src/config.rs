@@ -107,7 +107,9 @@ impl PdmConfig {
             return Err(PdmError::BadConfig("M must be positive".into()));
         }
         if self.workspace_factor == 0 {
-            return Err(PdmError::BadConfig("workspace_factor must be positive".into()));
+            return Err(PdmError::BadConfig(
+                "workspace_factor must be positive".into(),
+            ));
         }
         if self.block_size > self.mem_capacity {
             return Err(PdmError::BadConfig(format!(

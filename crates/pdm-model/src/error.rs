@@ -136,7 +136,10 @@ impl fmt::Display for PdmError {
                 write!(f, "block buffer length {got}, expected B = {expected}")
             }
             PdmError::RegionOutOfBounds { index, len } => {
-                write!(f, "logical block {index} out of region bounds ({len} blocks)")
+                write!(
+                    f,
+                    "logical block {index} out of region bounds ({len} blocks)"
+                )
             }
             PdmError::BadConfig(msg) => write!(f, "bad PDM configuration: {msg}"),
             PdmError::UnsupportedInput(msg) => write!(f, "unsupported input: {msg}"),
@@ -191,10 +194,16 @@ mod tests {
         assert!(e.to_string().contains("100"));
         assert!(e.to_string().contains("64"));
 
-        let e = PdmError::BadDisk { disk: 9, num_disks: 4 };
+        let e = PdmError::BadDisk {
+            disk: 9,
+            num_disks: 4,
+        };
         assert!(e.to_string().contains("9"));
 
-        let e = PdmError::BadBlockLen { got: 3, expected: 8 };
+        let e = PdmError::BadBlockLen {
+            got: 3,
+            expected: 8,
+        };
         assert!(e.to_string().contains("B = 8"));
     }
 
@@ -221,14 +230,16 @@ mod tests {
             "interrupted",
         ));
         assert!(transient.is_transient());
-        let timeout =
-            PdmError::Io(std::io::Error::new(std::io::ErrorKind::TimedOut, "timeout"));
+        let timeout = PdmError::Io(std::io::Error::new(std::io::ErrorKind::TimedOut, "timeout"));
         assert!(timeout.is_transient());
 
         let permanent = PdmError::Io(std::io::Error::other("device gone"));
         assert!(!permanent.is_transient());
         let pending = PdmError::PendingIo { pending: 2 };
-        assert!(!pending.is_transient(), "pending I/O is a logic error, not transient");
+        assert!(
+            !pending.is_transient(),
+            "pending I/O is a logic error, not transient"
+        );
         assert!(pending.to_string().contains("2 overlap"));
         assert!(!PdmError::BadConfig("x".into()).is_transient());
         let corrupt = PdmError::Corrupt {

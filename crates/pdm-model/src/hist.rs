@@ -157,8 +157,12 @@ impl HistSnapshot {
     /// Fold another snapshot into this one (e.g. merging per-disk
     /// histograms into a device-wide view).
     pub fn merge(&mut self, other: &HistSnapshot) {
-        let mut merged: Vec<(u32, u64)> = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (self.buckets.iter().peekable(), other.buckets.iter().peekable());
+        let mut merged: Vec<(u32, u64)> =
+            Vec::with_capacity(self.buckets.len() + other.buckets.len());
+        let (mut a, mut b) = (
+            self.buckets.iter().peekable(),
+            other.buckets.iter().peekable(),
+        );
         loop {
             match (a.peek(), b.peek()) {
                 (Some(&&(ia, na)), Some(&&(ib, nb))) => {
@@ -282,7 +286,10 @@ mod tests {
         let tol = 1.0 + 1.0 / SUB_COUNT as f64;
         for (q, want) in [(0.5, 500_000.0), (0.95, 950_000.0), (0.99, 990_000.0)] {
             let got = s.value_at_quantile(q) as f64;
-            assert!(got >= want && got <= want * tol, "q{q}: got {got}, want ~{want}");
+            assert!(
+                got >= want && got <= want * tol,
+                "q{q}: got {got}, want ~{want}"
+            );
         }
         assert_eq!(s.value_at_quantile(1.0), 1_000_000);
         assert!(s.p50() <= s.p95() && s.p95() <= s.p99() && s.p99() <= s.max);

@@ -191,7 +191,11 @@ pub trait RankedKey: PdmKey {
         if bits == 0 {
             return 0;
         }
-        let mask = if bits >= 64 { u64::MAX } else { (1u64 << bits) - 1 };
+        let mask = if bits >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        };
         (self.rank() >> shift) & mask
     }
     /// Total number of significant bits in the key domain.

@@ -86,6 +86,10 @@ pub mod prelude {
     pub use crate::layout::{BlockAddr, Region};
     pub use crate::machine::Pdm;
     pub use crate::mem::{MemGuard, MemTracker, TrackedBuf};
+    pub use crate::overlap::{
+        PendingRead, PendingWrite, ReadAhead, TrackedRead, TrackedWrite, WriteBehind,
+        DEFAULT_QUEUE_DEPTH,
+    };
     pub use crate::pool::{BlockPool, PoolStats};
     pub use crate::probe::{replay, sparkline, Probe, ProbeEvent, ReplayedPhase, ReplayedStats};
     pub use crate::stats::{
@@ -99,10 +103,6 @@ pub mod prelude {
     pub use crate::storage_flaky::{FailMode, FlakyStorage};
     pub use crate::storage_retry::{RetryCounters, RetryPolicy, RetryingStorage};
     pub use crate::storage_threaded::ThreadedStorage;
-    pub use crate::overlap::{
-        PendingRead, PendingWrite, ReadAhead, TrackedRead, TrackedWrite, WriteBehind,
-        DEFAULT_QUEUE_DEPTH,
-    };
     pub use crate::stream::{RunReader, RunWriter};
 }
 

@@ -190,7 +190,8 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
                     self.stats
                         .probe_gauge("retry.completion", snap.completion_retries() as i64);
                 }
-                self.stats.probe_gauge("retry.exhausted", snap.exhausted as i64);
+                self.stats
+                    .probe_gauge("retry.exhausted", snap.exhausted as i64);
                 self.stats
                     .probe_gauge("retry.backoff_steps", snap.backoff_steps as i64);
                 for (d, &n) in snap.per_disk_retries.iter().enumerate() {
@@ -360,7 +361,9 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     /// starts from an earlier manifest and re-runs phases that read those
     /// levels, so they stay unused for the rest of the run.
     fn write_checkpoint(&mut self) {
-        let Some(c) = self.ckpt.as_deref() else { return };
+        let Some(c) = self.ckpt.as_deref() else {
+            return;
+        };
         let total = c.skip_phases + self.stats.phases.len();
         if total <= c.completed_names.len() {
             return; // end_phase without a newly closed phase
@@ -389,7 +392,10 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
             insert_range(&mut free, r.clone());
         }
         let phases = &self.stats.phases;
-        let c = self.ckpt.as_deref_mut().expect("checked by write_checkpoint");
+        let c = self
+            .ckpt
+            .as_deref_mut()
+            .expect("checked by write_checkpoint");
         for p in &phases[(c.completed_names.len() - c.skip_phases)..] {
             c.completed_names.push(p.name.clone());
         }
@@ -468,7 +474,11 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
             )));
         }
         self.levels.live.remove(&base);
-        let list = if self.ckpt.is_some() { &mut self.levels.held } else { &mut self.levels.free };
+        let list = if self.ckpt.is_some() {
+            &mut self.levels.held
+        } else {
+            &mut self.levels.free
+        };
         insert_range(list, base..region.max_slot() + 1);
         Ok(())
     }
@@ -503,7 +513,12 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     /// Read the given logical blocks of `region`, appending `B` keys per
     /// block to `out` in request order. Accounted: the batch costs
     /// `max(per-disk block count)` parallel read steps.
-    pub fn read_blocks(&mut self, region: &Region, indices: &[usize], out: &mut Vec<K>) -> Result<()> {
+    pub fn read_blocks(
+        &mut self,
+        region: &Region,
+        indices: &[usize],
+        out: &mut Vec<K>,
+    ) -> Result<()> {
         if self.replaying() {
             // Checkpoint replay: the phase already ran; hand back `K::MAX`
             // filler (monotone, so downstream sortedness checks stay
@@ -777,7 +792,10 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     ) -> Result<TrackedRead<K>> {
         let expected = indices.len() * self.cfg.block_size;
         if self.replaying() {
-            return Ok(TrackedRead::replay(expected, PendingGuard::new(&self.pending_io)));
+            return Ok(TrackedRead::replay(
+                expected,
+                PendingGuard::new(&self.pending_io),
+            ));
         }
         self.gather_addrs(region, indices.iter().copied())?;
         self.issue_read(expected)
@@ -792,7 +810,10 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     ) -> Result<TrackedRead<K>> {
         let expected = sources.len() * self.cfg.block_size;
         if self.replaying() {
-            return Ok(TrackedRead::replay(expected, PendingGuard::new(&self.pending_io)));
+            return Ok(TrackedRead::replay(
+                expected,
+                PendingGuard::new(&self.pending_io),
+            ));
         }
         self.gather_addrs_multi(sources)?;
         self.issue_read(expected)
@@ -832,7 +853,10 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         let total_blocks: usize = steps.iter().map(|s| s.len()).sum();
         let expected = total_blocks * self.cfg.block_size;
         if self.replaying() {
-            return Ok(TrackedRead::replay(expected, PendingGuard::new(&self.pending_io)));
+            return Ok(TrackedRead::replay(
+                expected,
+                PendingGuard::new(&self.pending_io),
+            ));
         }
         let mut addrs = Vec::with_capacity(total_blocks);
         for step in steps {
@@ -866,7 +890,10 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     ) -> Result<TrackedRead<K>> {
         let expected = sources.len() * self.cfg.block_size;
         if self.replaying() {
-            return Ok(TrackedRead::replay(expected, PendingGuard::new(&self.pending_io)));
+            return Ok(TrackedRead::replay(
+                expected,
+                PendingGuard::new(&self.pending_io),
+            ));
         }
         self.gather_addrs_multi(sources)?;
         let pending = self.storage.start_read_batch(&self.addr_buf)?;
@@ -959,7 +986,11 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         let pending = self.storage.start_write_batch(&self.addr_buf, data)?;
         self.stats.record_write_batch(&self.disk_counts);
         let id = self.stats.overlap_issue(true, self.addr_buf.len() as u64);
-        Ok(TrackedWrite::live(pending, id, PendingGuard::new(&self.pending_io)))
+        Ok(TrackedWrite::live(
+            pending,
+            id,
+            PendingGuard::new(&self.pending_io),
+        ))
     }
 
     /// Write-side twin of [`Pdm::start_read_blocks_group`]: `data` is the
@@ -993,7 +1024,11 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         }
         let pending = self.storage.start_write_batch(&addrs, data)?;
         let id = self.stats.overlap_issue(true, total_blocks as u64);
-        Ok(TrackedWrite::live(pending, id, PendingGuard::new(&self.pending_io)))
+        Ok(TrackedWrite::live(
+            pending,
+            id,
+            PendingGuard::new(&self.pending_io),
+        ))
     }
 
     /// Retire an overlapped write (see [`Pdm::finish_read_blocks`]).
@@ -1148,9 +1183,7 @@ impl<K: PdmKey, S: Storage<K>> Checkpoint for Pdm<K, S> {
     }
 
     fn completed_phases(&self) -> usize {
-        self.ckpt
-            .as_deref()
-            .map_or(0, |c| c.completed_names.len())
+        self.ckpt.as_deref().map_or(0, |c| c.completed_names.len())
     }
 
     fn skipped_phases(&self) -> usize {
@@ -1227,7 +1260,8 @@ mod tests {
     fn write_region_pads_with_max() {
         let mut pdm = machine();
         let r = pdm.alloc_region_for_keys(10).unwrap(); // 2 blocks = 16 keys
-        pdm.write_region(&r, &(0..10).collect::<Vec<u64>>()).unwrap();
+        pdm.write_region(&r, &(0..10).collect::<Vec<u64>>())
+            .unwrap();
         let all = pdm.inspect(&r).unwrap();
         assert_eq!(&all[..10], &(0..10).collect::<Vec<u64>>()[..]);
         assert!(all[10..].iter().all(|&k| k == u64::MAX));
@@ -1293,11 +1327,17 @@ mod tests {
         let r = pdm.alloc_region(8).unwrap();
         for sub in [r.sub(0, 4).unwrap(), r.sub(4, 4).unwrap()] {
             let e = pdm.release_region(&sub).unwrap_err();
-            assert!(e.to_string().contains("not a whole allocated region"), "{e}");
+            assert!(
+                e.to_string().contains("not a whole allocated region"),
+                "{e}"
+            );
         }
         pdm.release_region(&r).unwrap();
         let e = pdm.release_region(&r).unwrap_err();
-        assert!(e.to_string().contains("not a whole allocated region"), "{e}");
+        assert!(
+            e.to_string().contains("not a whole allocated region"),
+            "{e}"
+        );
         // A region that was never allocated is refused the same way.
         assert!(pdm.release_region(&Region::new(7, 0, 4, 4, 8)).is_err());
     }
@@ -1334,14 +1374,22 @@ mod tests {
         pdm.begin_phase("p3");
         assert!(pdm.take_checkpoint_error().is_none());
         assert_eq!(store.load_latest().unwrap().unwrap().free, vec![0..1]);
-        assert_eq!(pdm.alloc_region(4).unwrap().base_slot(), 0, "recorded, so reused");
+        assert_eq!(
+            pdm.alloc_region(4).unwrap().base_slot(),
+            0,
+            "recorded, so reused"
+        );
         // A manifest that fails to save strands what was released since
         // the last durable one: its resume would re-run phases that read it.
         pdm.release_region(&r2).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         pdm.begin_phase("p4");
         assert!(pdm.take_checkpoint_error().is_some(), "the save failed");
-        assert_eq!(pdm.alloc_region(4).unwrap().base_slot(), 3, "r2's level is not reused");
+        assert_eq!(
+            pdm.alloc_region(4).unwrap().base_slot(),
+            3,
+            "r2's level is not reused"
+        );
         std::fs::create_dir_all(&dir).unwrap();
         pdm.end_phase();
         assert!(pdm.take_checkpoint_error().is_none());
@@ -1356,18 +1404,27 @@ mod tests {
     fn three_phase_with_release(pdm: &mut Pdm<u64>) -> Region {
         pdm.begin_phase("p1");
         let r1 = pdm.alloc_region(4).unwrap();
-        pdm.write_region(&r1, &(0..32).collect::<Vec<u64>>()).unwrap();
+        pdm.write_region(&r1, &(0..32).collect::<Vec<u64>>())
+            .unwrap();
         pdm.begin_phase("p2");
         let r2 = pdm.alloc_region(4).unwrap();
         let mut buf = Vec::new();
         pdm.read_region(&r1, &mut buf).unwrap();
-        pdm.write_region(&r2, &buf.iter().map(|k| k.wrapping_add(1)).collect::<Vec<_>>()).unwrap();
+        pdm.write_region(
+            &r2,
+            &buf.iter().map(|k| k.wrapping_add(1)).collect::<Vec<_>>(),
+        )
+        .unwrap();
         pdm.release_region(&r1).unwrap();
         pdm.begin_phase("p3");
         let r3 = pdm.alloc_region(4).unwrap();
         buf.clear();
         pdm.read_region(&r2, &mut buf).unwrap();
-        pdm.write_region(&r3, &buf.iter().map(|k| k.wrapping_mul(2)).collect::<Vec<_>>()).unwrap();
+        pdm.write_region(
+            &r3,
+            &buf.iter().map(|k| k.wrapping_mul(2)).collect::<Vec<_>>(),
+        )
+        .unwrap();
         pdm.end_phase();
         r3
     }
@@ -1388,7 +1445,10 @@ mod tests {
         // Resume from p2's manifest: the replay must rebuild p1's release.
         let text = std::fs::read_to_string(dir.join("pass-2.ckpt")).unwrap();
         let mut m = Manifest::from_text(&text).unwrap();
-        assert_eq!((m.completed, m.frontier, m.free.clone()), (2, 2, vec![0..1]));
+        assert_eq!(
+            (m.completed, m.frontier, m.free.clone()),
+            (2, 2, vec![0..1])
+        );
         let p2 = m.clone();
         let mut pdm = Pdm::with_storage(PdmConfig::new(4, 8, 64), storage).unwrap();
         pdm.attach_checkpoint(store.clone(), p2);
@@ -1402,7 +1462,9 @@ mod tests {
         let mut pdm = machine();
         pdm.attach_checkpoint(store, m);
         let _ = three_phase_with_release(&mut pdm);
-        let e = pdm.take_checkpoint_error().expect("free-list drift must be flagged");
+        let e = pdm
+            .take_checkpoint_error()
+            .expect("free-list drift must be flagged");
         assert!(e.to_string().contains("free list mismatch"), "{e}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1421,9 +1483,7 @@ mod tests {
         let mut pdm = machine();
         // four regions staggered across the four disks; block 0 of each
         // lands on a distinct disk → one parallel step for the batch
-        let regions: Vec<_> = (0..4)
-            .map(|i| pdm.alloc_region_at(2, i).unwrap())
-            .collect();
+        let regions: Vec<_> = (0..4).map(|i| pdm.alloc_region_at(2, i).unwrap()).collect();
         let data: Vec<u64> = (0..32).collect();
         let targets: Vec<_> = regions.iter().map(|r| (*r, 0usize)).collect();
         pdm.write_blocks_multi(&targets, &data).unwrap();
@@ -1524,7 +1584,10 @@ mod tests {
         pdm.read_region(&r, &mut out).unwrap();
         pdm.reset_stats();
         assert_eq!(pdm.stats().blocks_read, 0);
-        assert_eq!(pdm.stats().probe().map(|p| (p.events().len(), p.cap())), Some((0, 256)));
+        assert_eq!(
+            pdm.stats().probe().map(|p| (p.events().len(), p.cap())),
+            Some((0, 256))
+        );
         out.clear();
         pdm.read_region(&r, &mut out).unwrap();
         assert_eq!(pdm.stats().probe().unwrap().events().len(), 1);
@@ -1536,7 +1599,8 @@ mod tests {
         pdm.enable_probe(1 << 12);
         let r = pdm.alloc_region(8).unwrap();
         pdm.begin_phase("write");
-        pdm.write_region(&r, &(0..64u64).collect::<Vec<_>>()).unwrap();
+        pdm.write_region(&r, &(0..64u64).collect::<Vec<_>>())
+            .unwrap();
         pdm.begin_phase("grouped");
         let block = vec![1u64; 8];
         pdm.begin_io_group();
@@ -1551,7 +1615,10 @@ mod tests {
         assert_eq!(replayed.blocks_written, pdm.stats().blocks_written);
         assert_eq!(replayed.per_disk_writes, pdm.stats().per_disk_writes);
         assert_eq!(replayed.phases.len(), 2);
-        assert_eq!(replayed.phases[1].write_steps, 1, "grouped stripe is one step");
+        assert_eq!(
+            replayed.phases[1].write_steps, 1,
+            "grouped stripe is one step"
+        );
     }
 
     #[test]
@@ -1563,9 +1630,13 @@ mod tests {
         pdm.attach_span_sink(Arc::clone(&sink));
         let r = pdm.alloc_region(4).unwrap();
         pdm.begin_phase("p");
-        pdm.write_region(&r, &(0..32u64).collect::<Vec<_>>()).unwrap();
+        pdm.write_region(&r, &(0..32u64).collect::<Vec<_>>())
+            .unwrap();
         pdm.end_phase();
-        assert!(pdm.stats().wall.has_samples(), "end_phase harvests the backend");
+        assert!(
+            pdm.stats().wall.has_samples(),
+            "end_phase harvests the backend"
+        );
         let (_s, stats) = pdm.into_parts();
         assert_eq!(stats.wall.disks.len(), 2);
         // the 4-block region goes out as one batch: one round per disk
@@ -1574,7 +1645,10 @@ mod tests {
         // span per disk per batch
         let spans = sink.spans();
         assert_eq!(
-            spans.iter().filter(|s| s.tid == SpanSink::PHASE_TRACK).count(),
+            spans
+                .iter()
+                .filter(|s| s.tid == SpanSink::PHASE_TRACK)
+                .count(),
             1
         );
         assert_eq!(spans.iter().filter(|s| s.name == "write").count(), 2);
@@ -1585,10 +1659,7 @@ mod tests {
     }
 
     fn ckpt_dir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "pdm-machine-ckpt-{}-{tag}",
-            std::process::id()
-        ));
+        let d = std::env::temp_dir().join(format!("pdm-machine-ckpt-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
     }
@@ -1625,8 +1696,14 @@ mod tests {
         assert_eq!(pdm.skipped_phases(), 0);
         let latest = store.load_latest().unwrap().unwrap();
         assert_eq!(latest.completed, 2);
-        assert_eq!(latest.phases, vec!["pass-1".to_string(), "pass-2".to_string()]);
-        assert_eq!(latest.frontier, 2, "two 4-block regions, one slot level each");
+        assert_eq!(
+            latest.phases,
+            vec!["pass-1".to_string(), "pass-2".to_string()]
+        );
+        assert_eq!(
+            latest.frontier, 2,
+            "two 4-block regions, one slot level each"
+        );
         assert!(dir.join("pass-1.ckpt").is_file(), "per-pass history kept");
         assert!(dir.join("pass-2.ckpt").is_file());
         let mut check = Vec::new();
@@ -1712,14 +1789,22 @@ mod tests {
         let mut buf = Vec::new();
         pdm.read_blocks_multi(&[(a, 0), (b, 0)], &mut buf).unwrap();
         assert_eq!(buf.len(), 16, "replay reads still size their buffers");
-        assert!(buf.iter().all(|&k| k == u64::MAX), "replay reads return MAX filler");
-        pdm.write_blocks_multi(&[(a, 1), (b, 1)], &[0u64; 16]).unwrap();
+        assert!(
+            buf.iter().all(|&k| k == u64::MAX),
+            "replay reads return MAX filler"
+        );
+        pdm.write_blocks_multi(&[(a, 1), (b, 1)], &[0u64; 16])
+            .unwrap();
         pdm.end_io_group();
         pdm.end_phase();
         assert_eq!(pdm.stats().blocks_read, 0);
         assert_eq!(pdm.stats().blocks_written, 0);
         assert_eq!(pdm.stats().read_steps, 0);
-        assert_eq!(pdm.stats().phases.len(), 0, "replayed phase opens no stats phase");
+        assert_eq!(
+            pdm.stats().phases.len(),
+            0,
+            "replayed phase opens no stats phase"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

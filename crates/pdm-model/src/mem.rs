@@ -185,7 +185,13 @@ mod tests {
         let t = MemTracker::new(10);
         let _g = t.acquire(8).unwrap();
         let e = t.acquire(3).unwrap_err();
-        assert!(matches!(e, PdmError::MemoryExceeded { requested: 11, limit: 10 }));
+        assert!(matches!(
+            e,
+            PdmError::MemoryExceeded {
+                requested: 11,
+                limit: 10
+            }
+        ));
         // the failed acquire must not leak residency
         assert_eq!(t.current(), 8);
         let _g2 = t.acquire(2).unwrap();

@@ -418,7 +418,11 @@ impl<K: PdmKey> ReadAhead<K> {
     fn top_up<S: Storage<K>>(&mut self, pdm: &mut Pdm<K, S>) -> Result<()> {
         // Coalescing grain: half the window, so at least two groups stay
         // alive. Speculative schedules submit step by step (see above).
-        let group_cap = if self.speculative { 0 } else { self.budget_blocks / 2 };
+        let group_cap = if self.speculative {
+            0
+        } else {
+            self.budget_blocks / 2
+        };
         while self.next < self.steps.len() {
             let blocks = self.steps[self.next].len();
             if !self.inflight.is_empty() && self.inflight_blocks + blocks > self.budget_blocks {
@@ -439,8 +443,10 @@ impl<K: PdmKey> ReadAhead<K> {
             }
             let (pending, step_keys) = {
                 let group = &self.steps[start..self.next];
-                let step_keys: Vec<usize> =
-                    group.iter().map(|s| s.len() * pdm.cfg().block_size).collect();
+                let step_keys: Vec<usize> = group
+                    .iter()
+                    .map(|s| s.len() * pdm.cfg().block_size)
+                    .collect();
                 let pending = if self.speculative {
                     pdm.start_read_blocks_multi_speculative(&group[0])?
                 } else if group.len() == 1 {
@@ -725,7 +731,11 @@ mod tests {
     fn batch_steps(r: Region, batch: usize) -> Vec<Vec<(Region, usize)>> {
         (0..r.len_blocks())
             .step_by(batch)
-            .map(|s| (s..(s + batch).min(r.len_blocks())).map(|i| (r, i)).collect())
+            .map(|s| {
+                (s..(s + batch).min(r.len_blocks()))
+                    .map(|i| (r, i))
+                    .collect()
+            })
             .collect()
     }
 
@@ -867,7 +877,9 @@ mod tests {
 
     #[test]
     fn eager_pending_checks_length() {
-        let p = Box::new(EagerPending { data: vec![1u64, 2] });
+        let p = Box::new(EagerPending {
+            data: vec![1u64, 2],
+        });
         let mut small = [0u64; 1];
         assert!(p.wait(&mut small).is_err());
     }
@@ -899,7 +911,11 @@ mod tests {
         wb.finish(&mut pdm).unwrap();
         let ov = pdm.stats().overlap;
         assert_eq!(ov.flush_batches, 16);
-        assert_eq!(ov.flush_hits + ov.flush_stalls, 16, "every issued batch retires");
+        assert_eq!(
+            ov.flush_hits + ov.flush_stalls,
+            16,
+            "every issued batch retires"
+        );
         assert_eq!(ov.flush_stalls, 0, "eager backend never stalls");
     }
 
@@ -975,7 +991,10 @@ mod tests {
         let (on, pdm_on) = run(true);
         let (off, pdm_off) = run(false);
         assert_eq!(on, off);
-        assert_eq!(pdm_on.stats().blocks_written, pdm_off.stats().blocks_written);
+        assert_eq!(
+            pdm_on.stats().blocks_written,
+            pdm_off.stats().blocks_written
+        );
         assert_eq!(pdm_on.stats().write_steps, pdm_off.stats().write_steps);
         // the 8 four-block batches coalesce into one 32-block submission
         // under the 128-block default window (group grain = budget / 2)

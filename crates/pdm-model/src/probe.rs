@@ -231,7 +231,10 @@ impl Probe {
         let id = self.next_group;
         self.next_group += 1;
         self.open_group = Some(id);
-        let ev = ProbeEvent::GroupBegin { step: self.step, id };
+        let ev = ProbeEvent::GroupBegin {
+            step: self.step,
+            id,
+        };
         self.push(ev);
     }
 
@@ -435,7 +438,9 @@ pub fn sparkline(events: &[ProbeEvent], num_disks: usize, width: usize) -> Strin
     let eff: Vec<f64> = events
         .iter()
         .filter_map(|ev| match ev {
-            ProbeEvent::Io { blocks, per_disk, .. } => {
+            ProbeEvent::Io {
+                blocks, per_disk, ..
+            } => {
                 let steps = per_disk.iter().copied().max().unwrap_or(0);
                 Some(if steps == 0 {
                     1.0
@@ -531,7 +536,10 @@ mod tests {
         p.on_batch(true, 1, 0, &[1, 0]);
         p.on_group_settle(0, 1, true); // phase boundary forces settlement
         assert!(matches!(p.events()[2], ProbeEvent::GroupEnd { id: 0, .. }));
-        assert!(matches!(p.events()[3], ProbeEvent::GroupBegin { id: 1, .. }));
+        assert!(matches!(
+            p.events()[3],
+            ProbeEvent::GroupBegin { id: 1, .. }
+        ));
         p.on_group_settle(0, 0, false);
         assert!(matches!(p.events()[4], ProbeEvent::GroupEnd { id: 1, .. }));
     }

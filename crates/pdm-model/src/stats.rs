@@ -109,7 +109,9 @@ pub struct WallStats {
 impl WallStats {
     /// Whether any disk recorded at least one latency sample.
     pub fn has_samples(&self) -> bool {
-        self.disks.iter().any(|d| !d.read.is_empty() || !d.write.is_empty())
+        self.disks
+            .iter()
+            .any(|d| !d.read.is_empty() || !d.write.is_empty())
     }
 
     /// Total wall nanoseconds blocked in overlap waits (read + write).
@@ -303,7 +305,12 @@ impl SpanSink {
         let dur_ns = end.saturating_duration_since(start).as_nanos() as u64;
         let mut s = self.spans.lock().unwrap();
         if s.len() < self.cap {
-            s.push(Span { tid, name: name.to_string(), start_ns, dur_ns });
+            s.push(Span {
+                tid,
+                name: name.to_string(),
+                start_ns,
+                dur_ns,
+            });
         } else {
             drop(s);
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -383,12 +390,14 @@ impl RetrySnapshot {
     /// Total reissued operations (reads + writes, issue- and
     /// completion-time).
     pub fn total_retries(&self) -> u64 {
-        self.issue_retries().saturating_add(self.completion_retries())
+        self.issue_retries()
+            .saturating_add(self.completion_retries())
     }
 
     /// Reissued operations classified at completion time (async path).
     pub fn completion_retries(&self) -> u64 {
-        self.completion_reads_retried.saturating_add(self.completion_writes_retried)
+        self.completion_reads_retried
+            .saturating_add(self.completion_writes_retried)
     }
 
     /// Reissued operations classified at issue time (blocking path).
@@ -667,7 +676,12 @@ impl IoStats {
     /// [`IoStats::begin_phase`] with memory gauges sampled by the caller:
     /// `mem_current`/`mem_peak` are tracked residency and high-water (keys)
     /// at the boundary, typically from [`crate::mem::MemTracker`].
-    pub fn begin_phase_gauged(&mut self, name: impl Into<String>, mem_current: usize, mem_peak: usize) {
+    pub fn begin_phase_gauged(
+        &mut self,
+        name: impl Into<String>,
+        mem_current: usize,
+        mem_peak: usize,
+    ) {
         self.end_phase_gauged(mem_current, mem_peak);
         let name = name.into();
         if let Some(p) = &mut self.probe {
@@ -902,7 +916,10 @@ mod tests {
         s.end_group();
         s.end_phase();
         assert_eq!(s.phases[0].name, "early");
-        assert_eq!(s.phases[0].write_steps, 1, "early phase keeps its grouped step");
+        assert_eq!(
+            s.phases[0].write_steps, 1,
+            "early phase keeps its grouped step"
+        );
         assert_eq!(s.phases[1].name, "late");
         assert_eq!(s.phases[1].write_steps, 1);
         assert_eq!(s.write_steps, 2);
@@ -1049,7 +1066,10 @@ mod tests {
         assert_eq!(sink.dropped(), 1);
         assert_eq!(
             sink.tracks(),
-            vec![(0, "disk0.read".to_string()), (SpanSink::PHASE_TRACK, "phases".to_string())]
+            vec![
+                (0, "disk0.read".to_string()),
+                (SpanSink::PHASE_TRACK, "phases".to_string())
+            ]
         );
     }
 }

@@ -310,7 +310,14 @@ mod tests {
         assert_eq!(out, [1, 2, 3, 4], "untouched block still verifies");
         let err = s.read_block(0, 1, &mut out).unwrap_err();
         assert!(
-            matches!(err, PdmError::Corrupt { disk: 0, slot: 1, .. }),
+            matches!(
+                err,
+                PdmError::Corrupt {
+                    disk: 0,
+                    slot: 1,
+                    ..
+                }
+            ),
             "got: {err}"
         );
         assert!(!err.is_transient(), "corruption must not be retried");
@@ -388,7 +395,14 @@ mod tests {
         let mut out = [0u64; 4];
         let err = s.read_block(0, 0, &mut out).unwrap_err();
         assert!(
-            matches!(err, PdmError::Corrupt { disk: 0, slot: 0, .. }),
+            matches!(
+                err,
+                PdmError::Corrupt {
+                    disk: 0,
+                    slot: 0,
+                    ..
+                }
+            ),
             "got: {err}"
         );
         // Rewriting (no fault scheduled at this index) heals the slot.

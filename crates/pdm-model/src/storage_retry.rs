@@ -305,7 +305,10 @@ mod tests {
     use crate::storage::MemStorage;
     use crate::storage_flaky::{FailMode, FlakyStorage};
 
-    fn store(mode: FailMode, policy: RetryPolicy) -> RetryingStorage<FlakyStorage<MemStorage<u64>>> {
+    fn store(
+        mode: FailMode,
+        policy: RetryPolicy,
+    ) -> RetryingStorage<FlakyStorage<MemStorage<u64>>> {
         let mut inner = MemStorage::new(1, 4);
         inner.ensure_capacity(0, 8).unwrap();
         RetryingStorage::new(FlakyStorage::new(inner, mode), policy)
@@ -323,7 +326,10 @@ mod tests {
         let snap = s.counters().snapshot();
         assert!(snap.reads_retried >= 1);
         assert_eq!(snap.exhausted, 0);
-        assert_eq!(snap.backoff_steps, snap.reads_retried, "first retries cost 1 step each");
+        assert_eq!(
+            snap.backoff_steps, snap.reads_retried,
+            "first retries cost 1 step each"
+        );
     }
 
     #[test]
@@ -333,7 +339,10 @@ mod tests {
         assert!(s.read_block(0, 0, &mut out).is_err());
         let snap = s.counters().snapshot();
         assert_eq!(snap.total_retries(), 0);
-        assert_eq!(snap.exhausted, 0, "permanent failure is not an exhausted retry");
+        assert_eq!(
+            snap.exhausted, 0,
+            "permanent failure is not an exhausted retry"
+        );
         // the schedule fired once; the very next attempt (op 1) succeeds
         assert!(s.read_block(0, 0, &mut out).is_ok());
     }

@@ -164,7 +164,13 @@ impl<T> Reply<T> {
     /// A reply and the sender its worker answers through.
     fn new() -> (Sender<T>, Self) {
         let (tx, rx) = channel();
-        (tx, Reply { rx, got: OnceCell::new() })
+        (
+            tx,
+            Reply {
+                rx,
+                got: OnceCell::new(),
+            },
+        )
     }
 
     /// Whether the message has arrived.

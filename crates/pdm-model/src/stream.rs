@@ -40,7 +40,11 @@ pub struct RunWriter<K: PdmKey> {
 impl<K: PdmKey> RunWriter<K> {
     /// Writer over `region` staging `batch_blocks` blocks (default: pass
     /// `pdm.cfg().num_disks` for one-stripe batches).
-    pub fn new<S: Storage<K>>(pdm: &Pdm<K, S>, region: Region, batch_blocks: usize) -> Result<Self> {
+    pub fn new<S: Storage<K>>(
+        pdm: &Pdm<K, S>,
+        region: Region,
+        batch_blocks: usize,
+    ) -> Result<Self> {
         let b = pdm.cfg().block_size;
         let batch_keys = batch_blocks.max(1) * b;
         Ok(Self {
@@ -76,7 +80,8 @@ impl<K: PdmKey> RunWriter<K> {
             return Ok(());
         }
         let idx: Vec<usize> = (self.next_block..self.next_block + full).collect();
-        self.behind.write(pdm, &self.region, &idx, &self.buf[..full * b])?;
+        self.behind
+            .write(pdm, &self.region, &idx, &self.buf[..full * b])?;
         self.next_block += full;
         // move the ragged tail to the front
         let rem = self.buf.len() - full * b;
@@ -244,7 +249,11 @@ impl<K: PdmKey> RunReader<K> {
     pub fn install(&mut self, data: &[K]) {
         debug_assert!(self.pos >= self.buf.len(), "install over unconsumed keys");
         let (_, take) = self.next_blocks();
-        assert_eq!(data.len(), take * self.region.block_size(), "not the batch next_step names");
+        assert_eq!(
+            data.len(),
+            take * self.region.block_size(),
+            "not the batch next_step names"
+        );
         self.buf.clear();
         self.pos = 0;
         self.buf.extend_from_slice(data);
@@ -320,7 +329,9 @@ impl<K: PdmKey> RunReader<K> {
                     break;
                 }
             }
-            let avail = (self.buf.len() - self.pos).min(n - taken).min(self.remaining);
+            let avail = (self.buf.len() - self.pos)
+                .min(n - taken)
+                .min(self.remaining);
             out.extend_from_slice(&self.buf[self.pos..self.pos + avail]);
             self.pos += avail;
             self.remaining -= avail;
@@ -439,7 +450,10 @@ mod tests {
         assert_eq!(got, (0..21).collect::<Vec<u64>>());
         // two refills: blocks [1, 2] then block [0]
         assert_eq!(pdm.stats().read_steps, 2);
-        assert!(RunReader::backward(&pdm, r, 25, 2).is_err(), "past the region");
+        assert!(
+            RunReader::backward(&pdm, r, 25, 2).is_err(),
+            "past the region"
+        );
     }
 
     #[test]
@@ -447,7 +461,8 @@ mod tests {
         let mut pdm = machine();
         // 21 keys in 3 blocks of 8, read 2 blocks at a time
         let r = pdm.alloc_region_for_keys(21).unwrap();
-        pdm.ingest(&r, &(0..21).rev().collect::<Vec<u64>>()).unwrap();
+        pdm.ingest(&r, &(0..21).rev().collect::<Vec<u64>>())
+            .unwrap();
         for backward in [false, true] {
             let open = |pdm: &Pdm<u64>| {
                 if backward {
@@ -522,7 +537,8 @@ mod tests {
         let mut pdm = machine();
         let n = 256;
         let r = pdm.alloc_region_for_keys(n).unwrap();
-        pdm.ingest(&r, &(0..n as u64).collect::<Vec<u64>>()).unwrap();
+        pdm.ingest(&r, &(0..n as u64).collect::<Vec<u64>>())
+            .unwrap();
         let mut rd = RunReader::striped(&pdm, r).unwrap();
         let mut out = Vec::new();
         rd.take_into(&mut pdm, n, &mut out).unwrap();

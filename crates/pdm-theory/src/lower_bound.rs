@@ -174,7 +174,10 @@ mod tests {
             let general = min_io_ops(n, m, b);
             let closed = paper_closed_form_io(m);
             let rel = (general - closed).abs() / closed;
-            assert!(rel < 0.05, "M=2^{log_m}: general {general}, closed {closed}");
+            assert!(
+                rel < 0.05,
+                "M=2^{log_m}: general {general}, closed {closed}"
+            );
         }
     }
 

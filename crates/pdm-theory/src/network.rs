@@ -35,7 +35,10 @@ pub struct Network {
 impl Network {
     /// An empty network over `n` wires.
     pub fn new(n: usize) -> Self {
-        Self { n, comps: Vec::new() }
+        Self {
+            n,
+            comps: Vec::new(),
+        }
     }
 
     /// Number of wires.
@@ -55,7 +58,10 @@ impl Network {
 
     /// Append a comparator `(lo, hi)`; wires must be distinct and in range.
     pub fn push(&mut self, lo: usize, hi: usize) {
-        assert!(lo < self.n && hi < self.n && lo != hi, "bad comparator ({lo}, {hi})");
+        assert!(
+            lo < self.n && hi < self.n && lo != hi,
+            "bad comparator ({lo}, {hi})"
+        );
         self.comps.push(Comparator { lo, hi });
     }
 
@@ -96,7 +102,11 @@ impl Network {
     /// Exhaustively verify the classic 0-1 principle hypothesis: the network
     /// sorts all `2^n` binary inputs. Practical for `n ≤ 24`.
     pub fn sorts_all_binary(&self) -> bool {
-        assert!(self.n <= 24, "exhaustive check infeasible for n = {}", self.n);
+        assert!(
+            self.n <= 24,
+            "exhaustive check infeasible for n = {}",
+            self.n
+        );
         let mut buf = vec![0u8; self.n];
         for mask in 0u64..(1u64 << self.n) {
             for (i, b) in buf.iter_mut().enumerate() {

@@ -54,7 +54,10 @@ pub fn shuffle_parts<K: Copy>(parts: &[Vec<K>]) -> Vec<K> {
 /// Inverse of [`shuffle_parts`]: unshuffle a sequence into `m` parts, part
 /// `i` receiving positions `i, i+m, i+2m, …`.
 pub fn unshuffle<K: Copy>(xs: &[K], m: usize) -> Vec<Vec<K>> {
-    assert!(m > 0 && xs.len() % m == 0, "length must divide into m parts");
+    assert!(
+        m > 0 && xs.len() % m == 0,
+        "length must divide into m parts"
+    );
     let q = xs.len() / m;
     let mut parts = vec![Vec::with_capacity(q); m];
     for (j, &x) in xs.iter().enumerate() {
@@ -124,7 +127,13 @@ pub struct ShuffleTrials {
 /// assert_eq!(r.violations, 0); // Lemma 4.2 holds
 /// assert!((r.worst as f64) <= r.bound);
 /// ```
-pub fn run_trials(n: usize, q: usize, alpha: f64, trials: usize, rng: &mut SplitMix64) -> ShuffleTrials {
+pub fn run_trials(
+    n: usize,
+    q: usize,
+    alpha: f64,
+    trials: usize,
+    rng: &mut SplitMix64,
+) -> ShuffleTrials {
     let bound = displacement_bound(n, q, alpha);
     let mut worst = 0usize;
     let mut sum = 0f64;

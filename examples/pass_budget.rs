@@ -19,9 +19,7 @@ fn main() -> Result<()> {
     let cap = pdm_sort::expected_two_pass::capacity(m, 2.0);
     let n = (cap / m) * m;
     println!("M = {m}, Theorem 5.1 capacity(α=2) = {cap}; using N = {n}");
-    println!(
-        "paper: expected passes = 2(1−M^−α) + 5·M^−α (for M = 10^8: 2 + 3·10^−16)\n"
-    );
+    println!("paper: expected passes = 2(1−M^−α) + 5·M^−α (for M = 10^8: 2 + 3·10^−16)\n");
 
     // (a) random inputs
     let trials = 25;

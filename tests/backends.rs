@@ -80,13 +80,31 @@ fn async_file_backend_matches_mem_on_both_overlap_legs() {
         let peak = pdm.mem().peak();
         let (_, stats) = pdm.into_parts();
 
-        assert_eq!(out, out_mem, "async-file output differs (overlap={overlap})");
-        assert_eq!(stats.blocks_read, stats_mem.blocks_read, "overlap={overlap}");
-        assert_eq!(stats.blocks_written, stats_mem.blocks_written, "overlap={overlap}");
+        assert_eq!(
+            out, out_mem,
+            "async-file output differs (overlap={overlap})"
+        );
+        assert_eq!(
+            stats.blocks_read, stats_mem.blocks_read,
+            "overlap={overlap}"
+        );
+        assert_eq!(
+            stats.blocks_written, stats_mem.blocks_written,
+            "overlap={overlap}"
+        );
         assert_eq!(stats.read_steps, stats_mem.read_steps, "overlap={overlap}");
-        assert_eq!(stats.write_steps, stats_mem.write_steps, "overlap={overlap}");
-        assert_eq!(stats.per_disk_reads, stats_mem.per_disk_reads, "overlap={overlap}");
-        assert_eq!(stats.per_disk_writes, stats_mem.per_disk_writes, "overlap={overlap}");
+        assert_eq!(
+            stats.write_steps, stats_mem.write_steps,
+            "overlap={overlap}"
+        );
+        assert_eq!(
+            stats.per_disk_reads, stats_mem.per_disk_reads,
+            "overlap={overlap}"
+        );
+        assert_eq!(
+            stats.per_disk_writes, stats_mem.per_disk_writes,
+            "overlap={overlap}"
+        );
         assert_eq!(peak, peak_mem, "overlap={overlap}");
         if overlap {
             assert!(
@@ -125,7 +143,10 @@ fn probe_event_streams_are_identical_across_backends_and_replay_exactly() {
     // identical — event for event — on every backend.
     assert_eq!(probe_mem.dropped, 0, "cap should be ample for this run");
     assert_eq!(probe_mem, probe_file, "file backend event stream differs");
-    assert_eq!(probe_mem, probe_thr, "threaded backend event stream differs");
+    assert_eq!(
+        probe_mem, probe_thr,
+        "threaded backend event stream differs"
+    );
 
     // Replaying the stream reconstructs the aggregate counters exactly.
     let rep = replay(probe_mem.events(), 4);
@@ -143,7 +164,11 @@ fn probe_event_streams_are_identical_across_backends_and_replay_exactly() {
         assert_eq!(got.read_steps, want.read_steps, "phase {}", want.name);
         assert_eq!(got.write_steps, want.write_steps, "phase {}", want.name);
         assert_eq!(got.blocks_read, want.blocks_read, "phase {}", want.name);
-        assert_eq!(got.blocks_written, want.blocks_written, "phase {}", want.name);
+        assert_eq!(
+            got.blocks_written, want.blocks_written,
+            "phase {}",
+            want.name
+        );
     }
 
     // Overlap counters: batch counts are deterministic everywhere; the
@@ -197,18 +222,33 @@ fn telemetry_never_perturbs_the_event_stream_or_counters() {
     let (base_stats, base_probe) = run_probed_telemetry(MemStorage::new(4, b), &data, b, false);
 
     let (mem_on, p_mem_on) = run_probed_telemetry(MemStorage::new(4, b), &data, b, true);
-    assert_eq!(base_probe, p_mem_on, "telemetry changed the mem event stream");
+    assert_eq!(
+        base_probe, p_mem_on,
+        "telemetry changed the mem event stream"
+    );
     assert_eq!(base_stats, mem_on, "telemetry changed the mem counters");
-    assert!(!mem_on.wall.has_samples(), "step-clocked mem backend records no wall samples");
+    assert!(
+        !mem_on.wall.has_samples(),
+        "step-clocked mem backend records no wall samples"
+    );
 
     let (thr_off, p_thr_off) =
         run_probed_telemetry(ThreadedStorage::<u64>::new(4, b), &data, b, false);
     let (thr_on, p_thr_on) =
         run_probed_telemetry(ThreadedStorage::<u64>::new(4, b), &data, b, true);
-    assert_eq!(p_thr_off, p_thr_on, "telemetry changed the threaded event stream");
+    assert_eq!(
+        p_thr_off, p_thr_on,
+        "telemetry changed the threaded event stream"
+    );
     assert_eq!(thr_off, thr_on, "telemetry changed the threaded counters");
-    assert_eq!(base_probe, p_thr_on, "threaded event stream differs from mem");
-    assert!(thr_on.wall.has_samples(), "threaded backend should record latency samples");
+    assert_eq!(
+        base_probe, p_thr_on,
+        "threaded event stream differs from mem"
+    );
+    assert!(
+        thr_on.wall.has_samples(),
+        "threaded backend should record latency samples"
+    );
 
     let (af_off, p_af_off) = run_probed_telemetry(
         AsyncFileStorage::<u64>::create_temp(4, b).unwrap(),
@@ -222,10 +262,19 @@ fn telemetry_never_perturbs_the_event_stream_or_counters() {
         b,
         true,
     );
-    assert_eq!(p_af_off, p_af_on, "telemetry changed the async-file event stream");
+    assert_eq!(
+        p_af_off, p_af_on,
+        "telemetry changed the async-file event stream"
+    );
     assert_eq!(af_off, af_on, "telemetry changed the async-file counters");
-    assert_eq!(base_probe, p_af_on, "async-file event stream differs from mem");
-    assert!(af_on.wall.has_samples(), "async-file backend should record latency samples");
+    assert_eq!(
+        base_probe, p_af_on,
+        "async-file event stream differs from mem"
+    );
+    assert!(
+        af_on.wall.has_samples(),
+        "async-file backend should record latency samples"
+    );
 
     // Replaying the telemetry-on stream still reconstructs the counters.
     let rep = replay(p_af_on.events(), 4);
@@ -256,16 +305,22 @@ fn file_backend_survives_every_algorithm() {
             assert_eq!(pdm.inspect_prefix(&out, n).unwrap(), want);
         }};
     }
-    run!(|p: &mut Pdm<u64, FileStorage<u64>>, r: &Region, n| pdm_sort::three_pass1(p, r, n)
-        .unwrap()
-        .output);
-    run!(|p: &mut Pdm<u64, FileStorage<u64>>, r: &Region, n| pdm_sort::expected_two_pass(p, r, n)
-        .unwrap()
-        .output);
-    run!(|p: &mut Pdm<u64, FileStorage<u64>>, r: &Region, n| pdm_sort::radix_sort(p, r, n, 64)
-        .unwrap()
-        .report
-        .output);
+    run!(
+        |p: &mut Pdm<u64, FileStorage<u64>>, r: &Region, n| pdm_sort::three_pass1(p, r, n)
+            .unwrap()
+            .output
+    );
+    run!(
+        |p: &mut Pdm<u64, FileStorage<u64>>, r: &Region, n| pdm_sort::expected_two_pass(p, r, n)
+            .unwrap()
+            .output
+    );
+    run!(
+        |p: &mut Pdm<u64, FileStorage<u64>>, r: &Region, n| pdm_sort::radix_sort(p, r, n, 64)
+            .unwrap()
+            .report
+            .output
+    );
     for algo in [Algorithm::MergeSort, Algorithm::UpDownMergeSort] {
         run!(|p: &mut Pdm<u64, FileStorage<u64>>, r: &Region, n| algo
             .run(p, r, n, 2.0)
@@ -284,7 +339,8 @@ fn file_backend_data_is_really_on_disk() {
         let storage = FileStorage::<u64>::create(&dir, 2, b).unwrap();
         let mut pdm = Pdm::with_storage(PdmConfig::square(2, b), storage).unwrap();
         let r = pdm.alloc_region_for_keys(64).unwrap();
-        pdm.write_region(&r, &(0..64u64).collect::<Vec<_>>()).unwrap();
+        pdm.write_region(&r, &(0..64u64).collect::<Vec<_>>())
+            .unwrap();
         pdm.sync().unwrap();
     }
     {

@@ -50,7 +50,10 @@ struct Case {
     n: usize,
 }
 
-const THREE_PASS1: Case = Case { algo: Algorithm::ThreePass1, n: N };
+const THREE_PASS1: Case = Case {
+    algo: Algorithm::ThreePass1,
+    n: N,
+};
 
 /// Reference: uninterrupted sorted output, the number of phases, and the
 /// block operations the run makes (staging included), which is what
@@ -166,7 +169,10 @@ fn kill_mid_pass_then_resume_is_byte_identical() {
         .filter(|a| a.deterministic())
         .map(|algo| Case { algo, n: N })
         .collect();
-    cases.push(Case { algo: Algorithm::MergeSort, n: 640 });
+    cases.push(Case {
+        algo: Algorithm::MergeSort,
+        n: 640,
+    });
     for case in cases {
         let data = workload_of(case.n);
         let digest = digest_of(&data);
@@ -208,7 +214,10 @@ fn kill_mid_pass_then_resume_is_byte_identical() {
                         resumed_with_progress += 1;
                     }
                 } else {
-                    assert!(kill_after > ops, "{tag} kill@{kill_after}: the fault never fired");
+                    assert!(
+                        kill_after > ops,
+                        "{tag} kill@{kill_after}: the fault never fired"
+                    );
                 }
                 std::fs::remove_dir_all(&scratch).ok();
                 std::fs::remove_dir_all(&ckdir).ok();
@@ -228,22 +237,36 @@ fn resume_refuses_a_mismatched_manifest() {
     let scratch = unique_dir("scratch");
     let ckdir = unique_dir("ck");
     // Interrupt mid-pass-2 so a real checkpoint exists.
-    let completed =
-        interrupted_run(THREE_PASS1, BackendKind::File, &scratch, &ckdir, &data, digest, 200, false)
-            .expect("kill@200 should interrupt the run");
+    let completed = interrupted_run(
+        THREE_PASS1,
+        BackendKind::File,
+        &scratch,
+        &ckdir,
+        &data,
+        digest,
+        200,
+        false,
+    )
+    .expect("kill@200 should interrupt the run");
     assert!(completed > 0, "kill@200 should land after pass 1");
     let store = CheckpointStore::create(&ckdir).unwrap();
     let manifest = store.load_latest().unwrap().unwrap();
     let cfg = PdmConfig::square(D, B);
-    assert!(manifest.check_compatible("three-pass2", &cfg, N, digest).is_err());
+    assert!(manifest
+        .check_compatible("three-pass2", &cfg, N, digest)
+        .is_err());
     assert!(manifest
         .check_compatible("three-pass1", &PdmConfig::square(4, B), N, digest)
         .is_err());
-    assert!(manifest.check_compatible("three-pass1", &cfg, N - 1, digest).is_err());
+    assert!(manifest
+        .check_compatible("three-pass1", &cfg, N - 1, digest)
+        .is_err());
     assert!(manifest
         .check_compatible("three-pass1", &cfg, N, digest ^ 1)
         .is_err());
-    assert!(manifest.check_compatible("three-pass1", &cfg, N, digest).is_ok());
+    assert!(manifest
+        .check_compatible("three-pass1", &cfg, N, digest)
+        .is_ok());
     std::fs::remove_dir_all(&scratch).ok();
     std::fs::remove_dir_all(&ckdir).ok();
 }
@@ -357,11 +380,17 @@ fn full_stack_transient_faults_retry_and_checkpoints_compose() {
     let file = FileStorage::<u64>::create(&scratch, D, B).unwrap();
     let flaky = FlakyStorage::new(
         file,
-        FailMode::TransientRate { seed: 99, rate_ppm: 10_000 },
+        FailMode::TransientRate {
+            seed: 99,
+            rate_ppm: 10_000,
+        },
     );
     let retrying = RetryingStorage::new(
         flaky,
-        RetryPolicy { max_attempts: 6, backoff_steps: 2 },
+        RetryPolicy {
+            max_attempts: 6,
+            backoff_steps: 2,
+        },
     );
     let counters = retrying.counters();
     let mut pdm = Pdm::with_storage(cfg, retrying).unwrap();

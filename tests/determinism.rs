@@ -72,7 +72,10 @@ fn transient_fault_schedule_is_identical_across_backends_and_kernel_legs() {
     // identical across backends and across repeat runs.
     let cfg = PdmConfig::square(2, 8);
     let n = 512usize;
-    let policy = RetryPolicy { max_attempts: 6, backoff_steps: 1 };
+    let policy = RetryPolicy {
+        max_attempts: 6,
+        backoff_steps: 1,
+    };
     let dir = std::env::temp_dir().join(format!("pdm-det-transient-{}", std::process::id()));
 
     let mut data: Vec<u64> = (0..n as u64).collect();
@@ -86,13 +89,16 @@ fn transient_fault_schedule_is_identical_across_backends_and_kernel_legs() {
     for label in ["mem", "file", "threaded", "mem"] {
         let inner: Box<dyn Storage<u64>> = match label {
             "mem" => Box::new(MemStorage::new(cfg.num_disks, cfg.block_size)),
-            "file" => {
-                Box::new(FileStorage::create(&dir, cfg.num_disks, cfg.block_size).unwrap())
-            }
+            "file" => Box::new(FileStorage::create(&dir, cfg.num_disks, cfg.block_size).unwrap()),
             _ => Box::new(ThreadedStorage::new(cfg.num_disks, cfg.block_size)),
         };
-        let flaky =
-            FlakyStorage::new(inner, FailMode::TransientRate { seed: 0xD15C, rate_ppm: 20_000 });
+        let flaky = FlakyStorage::new(
+            inner,
+            FailMode::TransientRate {
+                seed: 0xD15C,
+                rate_ppm: 20_000,
+            },
+        );
         let retrying = RetryingStorage::new(flaky, policy);
         let counters = retrying.counters();
         let storage: Box<dyn Storage<u64>> = Box::new(retrying);
@@ -102,7 +108,10 @@ fn transient_fault_schedule_is_identical_across_backends_and_kernel_legs() {
         pdm.reset_stats();
         let rep = pdm_sort::seven_pass(&mut pdm, &input, n).unwrap();
         let got = pdm.inspect_prefix(&rep.output, n).unwrap();
-        assert_eq!(got, want, "{label}: corrupted output under transient faults");
+        assert_eq!(
+            got, want,
+            "{label}: corrupted output under transient faults"
+        );
         legs.push((label, got, counters.snapshot(), pdm.stats().clone()));
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -114,8 +123,13 @@ fn transient_fault_schedule_is_identical_across_backends_and_kernel_legs() {
     );
     for (label, out, retry, stats) in &legs[1..] {
         assert_eq!(out, out0, "{label}: output diverged");
-        assert_eq!(retry, retry0, "{label}: fault schedule diverged from mem backend");
-        assert_eq!(stats, stats0, "{label}: I/O trace diverged from mem backend");
+        assert_eq!(
+            retry, retry0,
+            "{label}: fault schedule diverged from mem backend"
+        );
+        assert_eq!(
+            stats, stats0,
+            "{label}: I/O trace diverged from mem backend"
+        );
     }
 }
-

@@ -54,9 +54,15 @@ fn all_comparison_algorithms_sort_all_distributions() {
                 "three_pass1" => pdm_sort::three_pass1(&mut pdm, &input, n).unwrap().output,
                 "three_pass2" => pdm_sort::three_pass2(&mut pdm, &input, n).unwrap().output,
                 "expected_two_pass" => {
-                    pdm_sort::expected_two_pass(&mut pdm, &input, n).unwrap().output
+                    pdm_sort::expected_two_pass(&mut pdm, &input, n)
+                        .unwrap()
+                        .output
                 }
-                _ => pdm_sort::exp_two_pass_mesh(&mut pdm, &input, n).unwrap().output,
+                _ => {
+                    pdm_sort::exp_two_pass_mesh(&mut pdm, &input, n)
+                        .unwrap()
+                        .output
+                }
             };
             assert_eq!(
                 pdm.inspect_prefix(&out, n).unwrap(),
@@ -124,7 +130,10 @@ fn integer_and_radix_sorts_end_to_end() {
     let mut pdm: Pdm<u64> = Pdm::new(PdmConfig::square(4, b)).unwrap();
     let input = ingest(&mut pdm, &bounded);
     let rep = pdm_sort::integer_sort(&mut pdm, &input, n, b as u64).unwrap();
-    assert_eq!(pdm.inspect_prefix(&rep.output, n).unwrap(), reference(&bounded));
+    assert_eq!(
+        pdm.inspect_prefix(&rep.output, n).unwrap(),
+        reference(&bounded)
+    );
 
     let wide: Vec<u64> = (0..n).map(|_| rng.gen::<u64>()).collect();
     let mut pdm: Pdm<u64> = Pdm::new(PdmConfig::square(4, b)).unwrap();
@@ -147,7 +156,10 @@ fn baselines_end_to_end() {
     let mut pdm: Pdm<u64> = Pdm::new(cfg).unwrap();
     let input = ingest(&mut pdm, &data);
     let rep = pdm_baseline::cc_columnsort(&mut pdm, &input, n).unwrap();
-    assert_eq!(pdm.inspect_prefix(&rep.output, n).unwrap(), reference(&data));
+    assert_eq!(
+        pdm.inspect_prefix(&rep.output, n).unwrap(),
+        reference(&data)
+    );
 
     for algo in [Algorithm::MergeSort, Algorithm::UpDownMergeSort] {
         let mut pdm: Pdm<u64> = Pdm::new(cfg).unwrap();

@@ -119,9 +119,11 @@ fn write_faults_fail_cleanly_too() {
     let data = workload(n);
     for k in [0u64, 32, 100, 180] {
         let inner = MemStorage::new(2, b);
-        let mut pdm: FlakyPdm =
-            Pdm::with_storage(PdmConfig::square(2, b), FlakyStorage::new(inner, FailMode::NthWrite(k)))
-                .unwrap();
+        let mut pdm: FlakyPdm = Pdm::with_storage(
+            PdmConfig::square(2, b),
+            FlakyStorage::new(inner, FailMode::NthWrite(k)),
+        )
+        .unwrap();
         let input = pdm.alloc_region_for_keys(n).unwrap();
         // the ingest itself writes; skip configs where it eats the fault
         if pdm.ingest(&input, &data).is_err() {

@@ -108,7 +108,9 @@ fn cases() -> Vec<Case> {
             n: cc_n,
             key_range: None,
             run: |p, r, n| {
-                Algorithm::UpDownMergeSort.run(p, r, n, 2.0).map(|rep| rep.output)
+                Algorithm::UpDownMergeSort
+                    .run(p, r, n, 2.0)
+                    .map(|rep| rep.output)
             },
         },
         Case {
@@ -181,14 +183,28 @@ fn drive(case: &Case, storage: Box<dyn Storage<u64>>, label: &str) -> bool {
                 Ok(got) => {
                     let mut want = data;
                     want.sort_unstable();
-                    assert_eq!(got, want, "{}/{label}: silently corrupted output", case.name);
-                    assert_eq!(pdm.mem().current(), 0, "{}/{label}: success leak", case.name);
+                    assert_eq!(
+                        got, want,
+                        "{}/{label}: silently corrupted output",
+                        case.name
+                    );
+                    assert_eq!(
+                        pdm.mem().current(),
+                        0,
+                        "{}/{label}: success leak",
+                        case.name
+                    );
                     true
                 }
                 Err(_) => {
                     // The sort's own I/O dodged the fault but the
                     // verification read tripped it — still a clean error.
-                    assert_eq!(pdm.mem().current(), 0, "{}/{label}: inspect leak", case.name);
+                    assert_eq!(
+                        pdm.mem().current(),
+                        0,
+                        "{}/{label}: inspect leak",
+                        case.name
+                    );
                     false
                 }
             }
@@ -228,7 +244,11 @@ fn no_fault_leg_succeeds_for_every_algorithm() {
 fn read_faults_resolve_cleanly_across_the_matrix() {
     for case in cases() {
         for k in [0u64, 7, 63, 200, 1000] {
-            drive(&case, flaky(&case.cfg, FailMode::NthRead(k)), &format!("nth-read:{k}"));
+            drive(
+                &case,
+                flaky(&case.cfg, FailMode::NthRead(k)),
+                &format!("nth-read:{k}"),
+            );
         }
     }
 }
@@ -237,7 +257,11 @@ fn read_faults_resolve_cleanly_across_the_matrix() {
 fn write_faults_resolve_cleanly_across_the_matrix() {
     for case in cases() {
         for k in [0u64, 7, 63, 200, 1000] {
-            drive(&case, flaky(&case.cfg, FailMode::NthWrite(k)), &format!("nth-write:{k}"));
+            drive(
+                &case,
+                flaky(&case.cfg, FailMode::NthWrite(k)),
+                &format!("nth-write:{k}"),
+            );
         }
     }
 }
@@ -246,7 +270,11 @@ fn write_faults_resolve_cleanly_across_the_matrix() {
 fn dead_disk_resolves_cleanly_across_the_matrix() {
     for case in cases() {
         for d in 0..case.cfg.num_disks {
-            drive(&case, flaky(&case.cfg, FailMode::Disk(d)), &format!("disk:{d}"));
+            drive(
+                &case,
+                flaky(&case.cfg, FailMode::Disk(d)),
+                &format!("disk:{d}"),
+            );
         }
     }
 }
@@ -266,7 +294,12 @@ fn disk_death_mid_run_resolves_cleanly_across_the_matrix() {
 
 /// Drive `three_pass2` with overlap enabled over a prebuilt storage
 /// stack; returns the sorted output and the final counters.
-fn overlap_run(storage: Box<dyn Storage<u64>>, data: &[u64], d: usize, b: usize) -> (Vec<u64>, IoStats) {
+fn overlap_run(
+    storage: Box<dyn Storage<u64>>,
+    data: &[u64],
+    d: usize,
+    b: usize,
+) -> (Vec<u64>, IoStats) {
     let n = data.len();
     let mut pdm: DynPdm = Pdm::with_storage(PdmConfig::square(d, b), storage).unwrap();
     pdm.set_overlap(true);
@@ -290,7 +323,10 @@ fn overlap_stays_on_through_the_retry_stack_and_heals_faults() {
     let mut rng = SplitMix64::seed_from_u64(0x0E11A);
     let mut data: Vec<u64> = (0..n as u64).collect();
     rng.shuffle(&mut data);
-    let policy = RetryPolicy { max_attempts: 8, backoff_steps: 1 };
+    let policy = RetryPolicy {
+        max_attempts: 8,
+        backoff_steps: 1,
+    };
 
     let clean = StorageBuilder::new(BackendKind::Mem, d, b)
         .build::<u64>()
@@ -304,7 +340,10 @@ fn overlap_stays_on_through_the_retry_stack_and_heals_faults() {
     // Leg 1: threaded backend, logical transient faults healed at issue
     // time by the forwarding retry wrapper.
     let built = StorageBuilder::new(BackendKind::Threaded, d, b)
-        .inject(FailMode::TransientRate { seed: 0xBEEF, rate_ppm: 20_000 })
+        .inject(FailMode::TransientRate {
+            seed: 0xBEEF,
+            rate_ppm: 20_000,
+        })
         .retry(policy)
         .build::<u64>()
         .unwrap();
@@ -316,19 +355,31 @@ fn overlap_stays_on_through_the_retry_stack_and_heals_faults() {
     let (out, stats) = overlap_run(built.storage, &data, d, b);
     let snap = counters.snapshot();
     assert_eq!(out, want, "threaded overlap+retry leg corrupted output");
-    assert_eq!(stats.read_steps, ref_stats.read_steps, "threaded leg pass count drifted");
-    assert_eq!(stats.write_steps, ref_stats.write_steps, "threaded leg pass count drifted");
+    assert_eq!(
+        stats.read_steps, ref_stats.read_steps,
+        "threaded leg pass count drifted"
+    );
+    assert_eq!(
+        stats.write_steps, ref_stats.write_steps,
+        "threaded leg pass count drifted"
+    );
     assert_eq!(stats.blocks_read, ref_stats.blocks_read);
     assert_eq!(stats.blocks_written, ref_stats.blocks_written);
     assert_eq!(stats.per_disk_reads, ref_stats.per_disk_reads);
     assert_eq!(stats.per_disk_writes, ref_stats.per_disk_writes);
     assert_eq!(snap.exhausted, 0, "threaded leg exhausted a retry budget");
-    assert!(snap.total_retries() > 0, "2% transient rate never fired on the threaded leg");
+    assert!(
+        snap.total_retries() > 0,
+        "2% transient rate never fired on the threaded leg"
+    );
 
     // Leg 2: async real-disk backend, real file-level faults (short
     // transfers) healed at *completion time* inside the disk workers.
     let built = StorageBuilder::new(BackendKind::AsyncFile, d, b)
-        .inject_file(FileFaultMode::ShortRate { seed: 0xF00D, rate_ppm: 20_000 })
+        .inject_file(FileFaultMode::ShortRate {
+            seed: 0xF00D,
+            rate_ppm: 20_000,
+        })
         .retry(policy)
         .build::<u64>()
         .unwrap();
@@ -340,8 +391,14 @@ fn overlap_stays_on_through_the_retry_stack_and_heals_faults() {
     let (out, stats) = overlap_run(built.storage, &data, d, b);
     let snap = counters.snapshot();
     assert_eq!(out, want, "async-file overlap+retry leg corrupted output");
-    assert_eq!(stats.read_steps, ref_stats.read_steps, "async-file leg pass count drifted");
-    assert_eq!(stats.write_steps, ref_stats.write_steps, "async-file leg pass count drifted");
+    assert_eq!(
+        stats.read_steps, ref_stats.read_steps,
+        "async-file leg pass count drifted"
+    );
+    assert_eq!(
+        stats.write_steps, ref_stats.write_steps,
+        "async-file leg pass count drifted"
+    );
     assert_eq!(stats.blocks_read, ref_stats.blocks_read);
     assert_eq!(stats.blocks_written, ref_stats.blocks_written);
     assert_eq!(stats.per_disk_reads, ref_stats.per_disk_reads);
@@ -353,9 +410,20 @@ fn overlap_stays_on_through_the_retry_stack_and_heals_faults() {
     );
     #[cfg(feature = "block-checksums")]
     {
-        assert!(built.caps.checksums, "async backend must checksum under the feature");
-        let verified: u64 = stats.wall.disks.iter().map(|dw| dw.checksums_verified).sum();
-        assert!(verified > 0, "checksummed reads were never verified on completion");
+        assert!(
+            built.caps.checksums,
+            "async backend must checksum under the feature"
+        );
+        let verified: u64 = stats
+            .wall
+            .disks
+            .iter()
+            .map(|dw| dw.checksums_verified)
+            .sum();
+        assert!(
+            verified > 0,
+            "checksummed reads were never verified on completion"
+        );
     }
 }
 
@@ -363,11 +431,17 @@ fn overlap_stays_on_through_the_retry_stack_and_heals_faults() {
 fn transient_faults_heal_under_retry_for_every_algorithm() {
     // 2 % per-op transient rate; 6 attempts give odds of full-run survival
     // indistinguishable from certainty at these op counts.
-    let policy = RetryPolicy { max_attempts: 6, backoff_steps: 1 };
+    let policy = RetryPolicy {
+        max_attempts: 6,
+        backoff_steps: 1,
+    };
     let mut total_retries = 0u64;
     for case in cases() {
         let built = StorageBuilder::new(BackendKind::Mem, case.cfg.num_disks, case.cfg.block_size)
-            .inject(FailMode::TransientRate { seed: 0xC0FFEE, rate_ppm: 20_000 })
+            .inject(FailMode::TransientRate {
+                seed: 0xC0FFEE,
+                rate_ppm: 20_000,
+            })
             .retry(policy)
             .build::<u64>()
             .expect("mem + flaky + retry stack");

@@ -48,7 +48,11 @@ fn make_storage(kind: Backend, b: usize) -> Box<dyn Storage<u64>> {
 }
 
 /// A sorter under test, on the boxed backend every leg runs.
-type Sorter = fn(&mut Pdm<u64, Box<dyn Storage<u64>>>, &Region, usize) -> pdm_model::Result<pdm_sort::SortReport>;
+type Sorter = fn(
+    &mut Pdm<u64, Box<dyn Storage<u64>>>,
+    &Region,
+    usize,
+) -> pdm_model::Result<pdm_sort::SortReport>;
 
 struct Leg {
     out: Vec<u64>,
@@ -58,13 +62,7 @@ struct Leg {
     write_passes: f64,
 }
 
-fn run_leg(
-    kind: Backend,
-    b: usize,
-    data: &[u64],
-    window: Option<usize>,
-    algo: Sorter,
-) -> Leg {
+fn run_leg(kind: Backend, b: usize, data: &[u64], window: Option<usize>, algo: Sorter) -> Leg {
     let n = data.len();
     let mut pdm = Pdm::with_storage(PdmConfig::square(D, b), make_storage(kind, b)).unwrap();
     pdm.set_overlap(true);
@@ -78,41 +76,77 @@ fn run_leg(
     let out = pdm.inspect_prefix(&rep.output, n).unwrap();
     let (_, mut stats) = pdm.into_parts();
     let probe = stats.take_probe().expect("probe was enabled");
-    Leg { out, stats, probe, read_passes: rep.read_passes, write_passes: rep.write_passes }
+    Leg {
+        out,
+        stats,
+        probe,
+        read_passes: rep.read_passes,
+        write_passes: rep.write_passes,
+    }
 }
 
 fn assert_legs_match(label: &str, base: &Leg, got: &Leg) {
-    assert_eq!(got.out, base.out, "{label}: window budget changed the sorted output");
-    assert_eq!(got.read_passes, base.read_passes, "{label}: read passes differ");
-    assert_eq!(got.write_passes, base.write_passes, "{label}: write passes differ");
+    assert_eq!(
+        got.out, base.out,
+        "{label}: window budget changed the sorted output"
+    );
+    assert_eq!(
+        got.read_passes, base.read_passes,
+        "{label}: read passes differ"
+    );
+    assert_eq!(
+        got.write_passes, base.write_passes,
+        "{label}: write passes differ"
+    );
     assert_eq!(got.stats.blocks_read, base.stats.blocks_read, "{label}");
-    assert_eq!(got.stats.blocks_written, base.stats.blocks_written, "{label}");
+    assert_eq!(
+        got.stats.blocks_written, base.stats.blocks_written,
+        "{label}"
+    );
     assert_eq!(got.stats.read_steps, base.stats.read_steps, "{label}");
     assert_eq!(got.stats.write_steps, base.stats.write_steps, "{label}");
-    assert_eq!(got.stats.per_disk_reads, base.stats.per_disk_reads, "{label}");
-    assert_eq!(got.stats.per_disk_writes, base.stats.per_disk_writes, "{label}");
+    assert_eq!(
+        got.stats.per_disk_reads, base.stats.per_disk_reads,
+        "{label}"
+    );
+    assert_eq!(
+        got.stats.per_disk_writes, base.stats.per_disk_writes,
+        "{label}"
+    );
     // The budget shifts *when* overlapped batches are issued, so the event
     // interleaving may differ — but every leg's stream must still replay
     // to exactly the shared counters.
     let rep = replay(got.probe.events(), D);
-    assert_eq!(rep.blocks_read, base.stats.blocks_read, "{label}: replay drifted");
-    assert_eq!(rep.blocks_written, base.stats.blocks_written, "{label}: replay drifted");
-    assert_eq!(rep.read_steps, base.stats.read_steps, "{label}: replay drifted");
-    assert_eq!(rep.write_steps, base.stats.write_steps, "{label}: replay drifted");
-    assert_eq!(rep.per_disk_reads, base.stats.per_disk_reads, "{label}: replay drifted");
-    assert_eq!(rep.per_disk_writes, base.stats.per_disk_writes, "{label}: replay drifted");
+    assert_eq!(
+        rep.blocks_read, base.stats.blocks_read,
+        "{label}: replay drifted"
+    );
+    assert_eq!(
+        rep.blocks_written, base.stats.blocks_written,
+        "{label}: replay drifted"
+    );
+    assert_eq!(
+        rep.read_steps, base.stats.read_steps,
+        "{label}: replay drifted"
+    );
+    assert_eq!(
+        rep.write_steps, base.stats.write_steps,
+        "{label}: replay drifted"
+    );
+    assert_eq!(
+        rep.per_disk_reads, base.stats.per_disk_reads,
+        "{label}: replay drifted"
+    );
+    assert_eq!(
+        rep.per_disk_writes, base.stats.per_disk_writes,
+        "{label}: replay drifted"
+    );
 }
 
 /// Sweep every budget on every backend against the blocking anchor. With
 /// `must_overlap`, the legs on the worker-engine backends must also have
 /// issued overlapped reads and writes.
-fn sweep(
-    algo_name: &str,
-    n: usize,
-    b: usize,
-    must_overlap: bool,
-    algo: Sorter,
-) {
+fn sweep(algo_name: &str, n: usize, b: usize, must_overlap: bool, algo: Sorter) {
     let data = workload(n, 37);
     // Fixed-depth reference: the default window on the mem backend. Every
     // budget on every backend must reproduce its cost-model stream.
@@ -123,7 +157,8 @@ fn sweep(
     // of Io charges does shift — read-ahead charges reads at issue, which
     // runs ahead of consumption — so streams compare within overlap legs
     // only.
-    let mut pdm = Pdm::with_storage(PdmConfig::square(D, b), make_storage(Backend::Mem, b)).unwrap();
+    let mut pdm =
+        Pdm::with_storage(PdmConfig::square(D, b), make_storage(Backend::Mem, b)).unwrap();
     pdm.set_overlap(false);
     let input = pdm.alloc_region_for_keys(n).unwrap();
     pdm.ingest(&input, &data).unwrap();
@@ -131,16 +166,31 @@ fn sweep(
     let rep = algo(&mut pdm, &input, n).unwrap();
     let blocking_out = pdm.inspect_prefix(&rep.output, n).unwrap();
     let (_, blocking_stats) = pdm.into_parts();
-    assert_eq!(base.out, blocking_out, "{algo_name}: overlap changed the sorted output");
+    assert_eq!(
+        base.out, blocking_out,
+        "{algo_name}: overlap changed the sorted output"
+    );
     assert_eq!(
         (base.read_passes, base.write_passes),
         (rep.read_passes, rep.write_passes),
         "{algo_name}: overlap changed the pass counts"
     );
-    assert_eq!(base.stats.read_steps, blocking_stats.read_steps, "{algo_name}");
-    assert_eq!(base.stats.write_steps, blocking_stats.write_steps, "{algo_name}");
-    assert_eq!(base.stats.blocks_read, blocking_stats.blocks_read, "{algo_name}");
-    assert_eq!(base.stats.blocks_written, blocking_stats.blocks_written, "{algo_name}");
+    assert_eq!(
+        base.stats.read_steps, blocking_stats.read_steps,
+        "{algo_name}"
+    );
+    assert_eq!(
+        base.stats.write_steps, blocking_stats.write_steps,
+        "{algo_name}"
+    );
+    assert_eq!(
+        base.stats.blocks_read, blocking_stats.blocks_read,
+        "{algo_name}"
+    );
+    assert_eq!(
+        base.stats.blocks_written, blocking_stats.blocks_written,
+        "{algo_name}"
+    );
 
     for kind in [Backend::Mem, Backend::Threaded, Backend::AsyncFile] {
         for (bname, window) in budgets(b) {
@@ -175,7 +225,13 @@ fn speculative_two_pass_is_invariant_across_window_budgets_and_backends() {
     // Its capacity at M = 256 is under a thousand keys, so N sits below
     // the three-pass sweeps'.
     let b = 16;
-    sweep("expected_two_pass", 768, b, false, pdm_sort::expected_two_pass);
+    sweep(
+        "expected_two_pass",
+        768,
+        b,
+        false,
+        pdm_sort::expected_two_pass,
+    );
 }
 
 #[test]

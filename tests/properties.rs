@@ -39,7 +39,10 @@ impl Case {
 /// property name, the seed and the case's input length.
 fn forall(property: &str, mut body: impl FnMut(&mut Case)) {
     for seed in 0..CASES {
-        let mut case = Case { rng: SplitMix64::seed_from_u64(seed), len: 0 };
+        let mut case = Case {
+            rng: SplitMix64::seed_from_u64(seed),
+            len: 0,
+        };
         if let Err(e) = panic::catch_unwind(AssertUnwindSafe(|| body(&mut case))) {
             let msg = e
                 .downcast_ref::<String>()

@@ -79,12 +79,27 @@ fn assert_backends_agree<K: PdmKey>(data: &[K], b: usize) {
         let out = pdm.inspect_prefix(&rep.output, n).unwrap();
         let peak = pdm.mem().peak();
         let (_, stats) = pdm.into_parts();
-        assert_eq!(out, out_mem, "async-file output differs (overlap={overlap})");
-        assert_eq!(stats.blocks_read, stats_mem.blocks_read, "overlap={overlap}");
+        assert_eq!(
+            out, out_mem,
+            "async-file output differs (overlap={overlap})"
+        );
+        assert_eq!(
+            stats.blocks_read, stats_mem.blocks_read,
+            "overlap={overlap}"
+        );
         assert_eq!(stats.read_steps, stats_mem.read_steps, "overlap={overlap}");
-        assert_eq!(stats.write_steps, stats_mem.write_steps, "overlap={overlap}");
-        assert_eq!(stats.per_disk_reads, stats_mem.per_disk_reads, "overlap={overlap}");
-        assert_eq!(stats.per_disk_writes, stats_mem.per_disk_writes, "overlap={overlap}");
+        assert_eq!(
+            stats.write_steps, stats_mem.write_steps,
+            "overlap={overlap}"
+        );
+        assert_eq!(
+            stats.per_disk_reads, stats_mem.per_disk_reads,
+            "overlap={overlap}"
+        );
+        assert_eq!(
+            stats.per_disk_writes, stats_mem.per_disk_writes,
+            "overlap={overlap}"
+        );
         assert_eq!(peak, peak_mem, "overlap={overlap}");
     }
 }
@@ -143,7 +158,11 @@ fn tagged_sentinel_values_survive_the_async_backend() {
     }
     let mut want = data.clone();
     want.sort_unstable();
-    let (out, _, _) = run_on(AsyncFileStorage::<Tagged>::create_temp(4, b).unwrap(), &data, b);
+    let (out, _, _) = run_on(
+        AsyncFileStorage::<Tagged>::create_temp(4, b).unwrap(),
+        &data,
+        b,
+    );
     assert_eq!(out, want, "sentinel-laden input came back altered");
     assert_eq!(
         out.iter().filter(|&&t| t == Tagged::MAX).count(),
@@ -176,9 +195,8 @@ fn tagged_checkpoint_resume_is_byte_identical() {
     reference.sort_unstable();
 
     let manifest = || Manifest::new("three-pass1", &cfg, N, digest);
-    let unique = |tag: &str| {
-        std::env::temp_dir().join(format!("pdm-rec-{tag}-{}", std::process::id()))
-    };
+    let unique =
+        |tag: &str| std::env::temp_dir().join(format!("pdm-rec-{tag}-{}", std::process::id()));
 
     let mut resumed_with_progress = 0usize;
     for kill_after in [96u64, 128, 160, 192, 224, 256] {
@@ -260,7 +278,12 @@ fn wide_records_verify_checksums_on_readback() {
     let mut want = data.clone();
     want.sort_unstable();
     assert_eq!(out, want);
-    let verified: u64 = stats.wall.disks.iter().map(|dw| dw.checksums_verified).sum();
+    let verified: u64 = stats
+        .wall
+        .disks
+        .iter()
+        .map(|dw| dw.checksums_verified)
+        .sum();
     assert!(
         verified > 0,
         "no block read was checksum-verified on the async backend"

@@ -40,7 +40,11 @@ fn seven_pass_at_m_squared_b64() {
     drop(data);
     pdm.reset_stats();
     let rep = pdm_sort::seven_pass(&mut pdm, &input, n).unwrap();
-    assert!((rep.read_passes - 7.0).abs() < 1e-9, "read {}", rep.read_passes);
+    assert!(
+        (rep.read_passes - 7.0).abs() < 1e-9,
+        "read {}",
+        rep.read_passes
+    );
     assert!((rep.write_passes - 7.0).abs() < 1e-9);
     assert!(rep.peak_mem <= pdm.cfg().mem_limit());
     spot_check_sorted(&mut pdm, &rep.output, n);
@@ -61,7 +65,11 @@ fn three_passes_at_m_sqrt_m_b64() {
             "tp1" => pdm_sort::three_pass1(&mut pdm, &input, n).unwrap(),
             _ => pdm_sort::three_pass2(&mut pdm, &input, n).unwrap(),
         };
-        assert!((rep.read_passes - 3.0).abs() < 1e-9, "{which}: {}", rep.read_passes);
+        assert!(
+            (rep.read_passes - 3.0).abs() < 1e-9,
+            "{which}: {}",
+            rep.read_passes
+        );
         assert!(pdm.stats().read_parallel_efficiency(8) > 0.999, "{which}");
         spot_check_sorted(&mut pdm, &rep.output, n);
     }

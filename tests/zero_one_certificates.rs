@@ -19,20 +19,31 @@ fn machine() -> Pdm<u64> {
     Pdm::new(PdmConfig::square(2, 2)).unwrap() // D = 2, B = 2, M = 4
 }
 
-fn run_sorted(
-    algo: &str,
-    data: &[u64],
-) -> Vec<u64> {
+fn run_sorted(algo: &str, data: &[u64]) -> Vec<u64> {
     let mut pdm = machine();
     let input = pdm.alloc_region_for_keys(data.len()).unwrap();
     pdm.ingest(&input, data).unwrap();
     let out = match algo {
-        "three_pass1" => pdm_sort::three_pass1(&mut pdm, &input, data.len()).unwrap().output,
-        "three_pass2" => pdm_sort::three_pass2(&mut pdm, &input, data.len()).unwrap().output,
-        "expected_two_pass" => {
-            pdm_sort::expected_two_pass(&mut pdm, &input, data.len()).unwrap().output
+        "three_pass1" => {
+            pdm_sort::three_pass1(&mut pdm, &input, data.len())
+                .unwrap()
+                .output
         }
-        "seven_pass" => pdm_sort::seven_pass(&mut pdm, &input, data.len()).unwrap().output,
+        "three_pass2" => {
+            pdm_sort::three_pass2(&mut pdm, &input, data.len())
+                .unwrap()
+                .output
+        }
+        "expected_two_pass" => {
+            pdm_sort::expected_two_pass(&mut pdm, &input, data.len())
+                .unwrap()
+                .output
+        }
+        "seven_pass" => {
+            pdm_sort::seven_pass(&mut pdm, &input, data.len())
+                .unwrap()
+                .output
+        }
         other => panic!("unknown algo {other}"),
     };
     pdm.inspect_prefix(&out, data.len()).unwrap()
