@@ -1,7 +1,7 @@
 #!/bin/bash
 # The repository's gate. Every cargo call passes --offline, so a registry
 # crate that creeps back in fails here, as it does in CI.
-#   scripts/offline/check.sh        # build every leg, print BUILD OK
+#   scripts/offline/check.sh        # check formatting, build every leg, print BUILD OK
 #   scripts/offline/check.sh --run  # run them, then the examples, the golden,
 #                                   # trace and bench gates and the yardstick's
 #                                   # self-test, print ALL TESTS OK
@@ -10,6 +10,7 @@ cd "$(dirname "$0")/../.."
 NORUN=--no-run
 [ "${1:-}" = --run ] && NORUN=
 step() { echo "== $*"; "$@"; }
+step cargo fmt --all --check
 step cargo build --release --offline
 step cargo test -q --offline $NORUN
 step cargo test -q --offline -p pdm-model --features uring --lib $NORUN
