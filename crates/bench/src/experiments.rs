@@ -499,20 +499,34 @@ pub fn e8_seven_pass() {
 }
 
 /// Print the per-phase pass breakdown from the machine's
-/// [`IoStats::phases`]: where each of the budgeted passes went.
+/// [`IoStats::phases`]: where each of the budgeted passes went. A phase
+/// that ran more than once (SevenPass runs the inner ThreePass2 phases
+/// once per run) is one row, in first-seen order: its steps summed, its
+/// memory peak the largest.
 fn print_phase_breakdown(label: &str, n: usize, d: usize, b: usize, phases: &[PhaseStats]) {
     if phases.is_empty() {
         return;
     }
     println!("per-phase passes ({label}):");
+    let mut rows: Vec<(&str, u64, u64, usize)> = Vec::new();
+    for p in phases {
+        match rows.iter_mut().find(|r| r.0 == p.name) {
+            Some(r) => {
+                r.1 += p.read_steps;
+                r.2 += p.write_steps;
+                r.3 = r.3.max(p.mem_peak);
+            }
+            None => rows.push((&p.name, p.read_steps, p.write_steps, p.mem_peak)),
+        }
+    }
     let pass_steps = (n.max(1) as f64 / (d * b) as f64).max(1e-9);
     let mut t = Table::new(&["phase", "read passes", "write passes", "mem peak"]);
-    for p in phases {
+    for (name, read_steps, write_steps, mem_peak) in rows {
         t.row(&[
-            p.name.clone(),
-            f3(p.read_steps as f64 / pass_steps),
-            f3(p.write_steps as f64 / pass_steps),
-            int(p.mem_peak),
+            name.to_string(),
+            f3(read_steps as f64 / pass_steps),
+            f3(write_steps as f64 / pass_steps),
+            int(mem_peak),
         ]);
     }
     t.print();
