@@ -1040,8 +1040,8 @@ fn main() {
     let mut overlap_rows = Vec::new();
     if let Some(path) = &overlap_out {
         // Overlap hides disk latency behind compute and behind the *other*
-        // I/O direction: the duplex threaded backend services a disk's
-        // prefetch stream and flush stream concurrently, which blocking
+        // I/O direction: the duplex threaded backend services the
+        // prefetch stream and the flush stream concurrently, which blocking
         // callers (read, compute, write, strictly in turn) can never
         // exploit. B = 64 makes each batch carry M = 4096 keys (~100µs of
         // kernel work) beside 100µs of emulated per-batch disk latency —

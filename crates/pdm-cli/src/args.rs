@@ -255,7 +255,8 @@ pub enum Command {
         /// Lines holding the exact counters and the probe's events.
         stats: Option<String>,
         /// Optional path to write a Chrome trace-event JSON file (one
-        /// track per disk worker plus a phase track; load in Perfetto).
+        /// track per disk and direction plus a phase track; load in
+        /// Perfetto).
         trace_out: Option<String>,
         /// Directory to write pass-level checkpoint manifests into.
         checkpoint_dir: Option<String>,
@@ -404,17 +405,18 @@ Performance:
                          only: output, pass counts, and the probe event
                          stream are identical for every window.
   --queue-depth N        async-file only: blocks per kernel submission per
-                         disk worker (io_uring ring size when built in;
-                         default 32)
+                         disk and direction (io_uring ring size when built
+                         in; default 32)
   --storage KIND         disk backend: file (default, synchronous one file
-                         per disk), async-file (duplex worker threads per
-                         disk, io_uring where built in), threaded (RAM with
-                         real thread parallelism), mem (plain RAM reference).
+                         per disk), async-file (one read and one write
+                         worker thread for all disks, io_uring where built
+                         in), threaded (RAM on the same two workers), mem
+                         (plain RAM reference).
                          mem and threaded take no --scratch/--resume.
-  --trace-out FILE.json  write wall-clock spans (one track per disk worker,
-                         one span per kernel round, plus a phase track) as
-                         Chrome trace-event JSON — open in Perfetto or
-                         chrome://tracing. Timing-only: never changes output,
+  --trace-out FILE.json  write wall-clock spans (one track per disk and
+                         direction, one span per service round, plus a phase
+                         track) as Chrome trace-event JSON — open in
+                         Perfetto or chrome://tracing. Timing-only: never changes output,
                          pass counts, or the probe events that --stats
                          writes.";
 

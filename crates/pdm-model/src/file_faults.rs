@@ -29,11 +29,13 @@
 //! *set* of operation indices that fault is fixed by the mode (and seed).
 //! `FileStorage` draws on the caller thread, once per block transfer and
 //! once per sync, so the mapping from logical operation to index is fully
-//! deterministic. Under `AsyncFileStorage` the per-disk workers share the
-//! counter (and draw one fsync verdict per disk), so which worker lands
-//! on a faulting index depends on thread interleaving — the fault *count*
-//! for nth-op modes is still exactly one, and rate modes still converge to
-//! the configured rate.
+//! deterministic. Under `AsyncFileStorage` the read worker and the write
+//! worker share the counter. Each draws in a fixed order (its messages in
+//! issue order, a message's disks in disk order, one fsync verdict per
+//! disk at a sync), but while overlap keeps both busy their draws
+//! interleave, so which transfer lands on a faulting index depends on
+//! thread timing — the fault *count* for nth-op modes is still exactly
+//! one, and rate modes still converge to the configured rate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

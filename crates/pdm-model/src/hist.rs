@@ -9,7 +9,7 @@
 //! `replay()` equivalence.
 //!
 //! [`LatencyHist`] is the live recorder: a fixed array of atomic bucket
-//! counters shared (`Arc`) between the per-disk worker threads and the
+//! counters shared (`Arc`) between the storage's worker threads and the
 //! harvesting machine, so recording is a single relaxed `fetch_add` with
 //! no locks on the I/O path. [`HistSnapshot`] is the frozen form stored
 //! in [`crate::stats::WallStats`]: sparse (only non-empty buckets),

@@ -14,7 +14,8 @@
 //! * [`machine::Pdm`] — the machine: striped regions, batch block I/O with
 //!   exact step accounting, and a capacity-enforced internal memory.
 //! * [`storage`] — pluggable backends: in-memory ([`storage::MemStorage`]),
-//!   and the duplex-worker engine ([`storage_worker`]) over two media: RAM
+//!   and the worker engine ([`storage_worker`], one read and one write
+//!   thread for all disks) over two media: RAM
 //!   ([`storage_threaded::ThreadedStorage`]) for real wall-clock disk
 //!   parallelism, and host files ([`storage_async_file::AsyncFileStorage`],
 //!   io_uring behind the `uring` feature), whose medium

@@ -10,7 +10,7 @@
 //! `wait` blocks only for whatever hasn't completed yet. Synchronous
 //! backends fall back to eager completion (correct, no latency hiding);
 //! the worker-engine backends ([`crate::storage_worker`]: threaded and
-//! async-file) service the token from their per-disk workers.
+//! async-file) service the token on their read or write worker thread.
 //!
 //! Algorithms do not touch storage tokens directly — they go through
 //! [`Pdm::start_read_blocks`](crate::machine::Pdm::start_read_blocks) and
@@ -530,16 +530,13 @@ impl<K: PdmKey> ReadAhead<K> {
 /// ([`Pdm::overlap_window_blocks`]) the helper retires submissions to
 /// make room, and `finish` drains the rest.
 ///
-/// Room is made in two sweeps. First, every in-flight submission whose
-/// backend reports it already completed ([`TrackedWrite::is_ready`]) is
-/// retired — in any queue position, since retiring a token only harvests
-/// its completion; the *disk* ordering of two writes to the same slot is
-/// fixed by the per-disk worker FIFO at issue time, not by retirement
-/// order (and within a coalesced group, by step order). Only if the
-/// window is still over budget does the helper block on the oldest
-/// submission (FIFO), so one slow disk no longer holds the whole window
-/// hostage behind a head-of-line wait while younger batches sit
-/// completed behind it.
+/// Room is made by retiring the oldest submission, blocking on it if need
+/// be, until the incoming one fits. The worker engine's one write worker
+/// completes submissions in issue order, so a younger submission is never
+/// done while an older one waits, and a sweep for completed tokens could
+/// only find a prefix whose length depends on timing. Retiring by count
+/// alone keeps every `OverlapComplete` probe event at the same position on
+/// every backend and in every run; only its `stalled` flag is wall-clock.
 ///
 /// The staging buffers are untracked, like the backend-owned in-flight
 /// copies the unstaged path already makes: a pipeline's tracked peak is
@@ -586,32 +583,10 @@ impl<K: PdmKey> WriteBehind<K> {
         Ok(())
     }
 
-    /// Retire every submission the backend has already completed,
-    /// regardless of queue position. Free on eager backends (everything
-    /// is always ready, so this is plain FIFO drainage) and pure win on
-    /// async ones.
-    fn retire_ready<S: Storage<K>>(&mut self, pdm: &mut Pdm<K, S>) -> Result<()> {
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].0.is_ready() {
-                let (p, blocks) = self.inflight.remove(i).expect("index checked");
-                self.inflight_blocks -= blocks;
-                pdm.finish_write_blocks(p)?;
-            } else {
-                i += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Make room for an `incoming`-block submission: opportunistic sweep
-    /// first, then FIFO blocking. One submission is always admitted even
-    /// when it alone exceeds the budget (progress guarantee).
+    /// Make room for an `incoming`-block submission by retiring the oldest
+    /// ones (FIFO). One submission is always admitted even when it alone
+    /// exceeds the budget (progress guarantee).
     fn make_room<S: Storage<K>>(&mut self, pdm: &mut Pdm<K, S>, incoming: usize) -> Result<()> {
-        if self.inflight.is_empty() || self.inflight_blocks + incoming <= self.budget_blocks {
-            return Ok(());
-        }
-        self.retire_ready(pdm)?;
         while !self.inflight.is_empty() && self.inflight_blocks + incoming > self.budget_blocks {
             self.retire_oldest(pdm)?;
         }

@@ -1,4 +1,4 @@
-//! Recyclable block-buffer pool for the duplex-worker engine
+//! Recyclable block-buffer pool for the worker engine
 //! ([`crate::storage_worker`], under the threaded and async-file backends).
 //!
 //! Allocating a fresh `Vec<K>` for every read reply and write payload would

@@ -176,7 +176,8 @@ pub struct PhaseStall {
 
 /// Live, thread-shared wall recorder for one disk: the mutable counterpart
 /// of [`DiskWall`]. A backend allocates one per disk, hands clones of the
-/// `Arc` to that disk's workers, and snapshots it on demand. All counters
+/// `Arc` to the worker threads that serve the disk, and snapshots it on
+/// demand. All counters
 /// are relaxed atomics — this sits on the I/O service path.
 #[derive(Debug, Default)]
 pub struct DiskWallRec {

@@ -26,7 +26,7 @@ use crate::key::PdmKey;
 pub struct StorageCaps {
     /// `start_read_batch` / `start_write_batch` return genuinely
     /// asynchronous tokens — I/O proceeds while the caller computes, with
-    /// reads and writes of one disk on independent (duplex) queues.
+    /// reads and writes on independent (duplex) queues.
     pub overlap: bool,
     /// Block transfers bypass the page cache (`O_DIRECT` open succeeded on
     /// every disk file).

@@ -5,22 +5,25 @@
 //! `O_DIRECT` probe), the `meta.pdm` geometry manifest, the per-disk
 //! checksum tables, the physical-file fault hook and the cleanup of
 //! temporary directories. Two drivers move blocks through it:
-//! [`AsyncFileStorage`], the duplex-worker engine
-//! ([`crate::storage_worker`]) with a [`FileWorker`] per disk and
-//! direction, whose `start_*_batch` calls return at once so the machine's
+//! [`AsyncFileStorage`], the worker engine ([`crate::storage_worker`])
+//! whose read and write worker threads each hold a [`FileWorker`] per
+//! disk, whose `start_*_batch` calls return at once so the machine's
 //! `--overlap` pipelines hide real disk latency; and
 //! [`crate::storage_file::FileStorage`], which moves one block at a time on
 //! the caller thread.
 //!
 //! ## Submission and alignment
 //!
-//! Each worker owns its own file handle (private cursor — no shared-seek
-//! races) and, with the `uring` feature on Linux, its own plain io_uring
-//! ring. Ring setup failing (pre-5.6 kernel, seccomp-filtered container)
-//! silently degrades that worker to synchronous positioned I/O; behavior is
+//! Each [`FileWorker`] (one per disk on each of the two worker threads)
+//! owns its own file handle (private cursor — no shared-seek races) and,
+//! with the `uring` feature on Linux, its own plain io_uring ring. Ring
+//! setup failing (pre-5.6 kernel, seccomp-filtered container) silently
+//! degrades that worker to synchronous positioned I/O; behavior is
 //! identical either way, only the submission mechanism differs. A worker
 //! submits at most its queue depth (the ring's actual capacity) per kernel
-//! round, and never two writes to one slot in the same round.
+//! round, and never two writes to one slot in the same round. A worker
+//! thread serves a message's disks one after another, so on the
+//! positioned-I/O path the disks of one batch do not move concurrently.
 //!
 //! The engine's files are opened with `O_DIRECT` when the block payload is
 //! a multiple of 4096 bytes, so the benches measure the device rather than
@@ -67,6 +70,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(feature = "block-checksums")]
 use std::sync::Mutex;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Buffer-address / file-offset / transfer-length alignment `O_DIRECT`
 /// requires (the logical block size is at most this on any disk we care
@@ -172,8 +176,8 @@ impl UringShared {
     }
 }
 
-/// One file-disk worker: a private file handle, its aligned staging
-/// buffer and its kernel submission path.
+/// One file disk's service state on one worker thread: a private file
+/// handle, its aligned staging buffer and its kernel submission path.
 pub struct FileWorker {
     file: File,
     disk: usize,
@@ -194,7 +198,8 @@ pub struct FileWorker {
     /// as the issue-time retry layer's.
     retry: Arc<OnceLock<(RetryPolicy, RetryCounters)>>,
     /// This disk's live checksum table (slot → FNV-1a, 0 = unchecked),
-    /// shared between both of the disk's workers and the medium.
+    /// shared between the disk's read and write [`FileWorker`] and the
+    /// medium.
     #[cfg(feature = "block-checksums")]
     sums: Arc<Mutex<Vec<u64>>>,
 }
@@ -327,7 +332,7 @@ impl FileWorker {
 
     /// Decode the staged block at position `i` into a pooled buffer,
     /// verifying its checksum first when the feature is on.
-    fn decode_block<K: PdmKey>(&self, lane: &Lane<K>, i: usize, slot: usize) -> Result<Vec<K>> {
+    fn decode_block<K: PdmKey>(&self, lane: &Lane<'_, K>, i: usize, slot: usize) -> Result<Vec<K>> {
         let bytes = self.staging.block(i);
         #[cfg(feature = "block-checksums")]
         if verify_sum(&self.sums, self.disk, slot, bytes)? {
@@ -343,7 +348,7 @@ impl FileWorker {
     /// Stage, submit, and retire one round of writes (no slot repeats).
     fn commit_round<K: PdmKey>(
         &mut self,
-        lane: &Lane<K>,
+        lane: &Lane<'_, K>,
         round: &[(usize, Vec<K>)],
         out: &mut Vec<Result<()>>,
     ) {
@@ -355,7 +360,7 @@ impl FileWorker {
             }
         }
         let slots: Vec<usize> = round.iter().map(|(s, _)| *s).collect();
-        let results = lane.round(slots.len(), || self.transfer(&slots, true));
+        let results = lane.round(slots.len(), Duration::ZERO, || self.transfer(&slots, true));
         for (i, res) in results.into_iter().enumerate() {
             // Completion-time retry before the checksum is recorded: the
             // worker still holds the staged payload, so a failed write can
@@ -445,10 +450,10 @@ impl<K: PdmKey> MediumWorker<K> for FileWorker {
     /// `block-checksums`, surviving reads are verified before decode — off
     /// the caller's critical path — and mismatches surface as
     /// [`PdmError::Corrupt`].
-    fn read(&mut self, lane: &Lane<K>, slots: &[usize], out: &mut Vec<Result<Vec<K>>>) {
+    fn read(&mut self, lane: &Lane<'_, K>, slots: &[usize], out: &mut Vec<Result<Vec<K>>>) {
         for chunk in slots.chunks(self.depth) {
             self.staging.ensure(chunk.len());
-            let results = lane.round(chunk.len(), || self.transfer(chunk, false));
+            let results = lane.round(chunk.len(), Duration::ZERO, || self.transfer(chunk, false));
             for (i, (res, &slot)) in results.into_iter().zip(chunk).enumerate() {
                 out.push(match self.complete_with_retry(i, slot, false, res) {
                     Ok(()) => self.decode_block(lane, i, slot),
@@ -462,7 +467,7 @@ impl<K: PdmKey> MediumWorker<K> for FileWorker {
     /// round is also cut before a slot it already stages: two writes to one
     /// slot must not share a kernel submission (the kernel may reorder
     /// within a batch).
-    fn write(&mut self, lane: &Lane<K>, batch: &[(usize, Vec<K>)], out: &mut Vec<Result<()>>) {
+    fn write(&mut self, lane: &Lane<'_, K>, batch: &[(usize, Vec<K>)], out: &mut Vec<Result<()>>) {
         let mut start = 0;
         while start < batch.len() {
             let mut end = start + 1;
@@ -677,8 +682,8 @@ pub struct FileDisks {
     uring: Arc<UringShared>,
     faults: Arc<OnceLock<Arc<FileFaults>>>,
     retry: Arc<OnceLock<(RetryPolicy, RetryCounters)>>,
-    /// Per-disk live checksum tables, shared with the disk's workers;
-    /// persisted to `disk-<d>.sum` sidecars at sync.
+    /// Per-disk live checksum tables, shared with the disk's read and
+    /// write [`FileWorker`]; persisted to `disk-<d>.sum` sidecars at sync.
     #[cfg(feature = "block-checksums")]
     sums: Vec<Arc<Mutex<Vec<u64>>>>,
 }
@@ -821,7 +826,7 @@ impl FileDisks {
         Ok(())
     }
 
-    /// One worker's private handle on disk `disk`, with its aligned
+    /// One worker thread's private handle on disk `disk`, with its aligned
     /// staging buffer and its submission path.
     fn worker(&self, disk: usize, block_bytes: usize, queue_depth: usize) -> Result<FileWorker> {
         let (file, _) = open_disk(&self.paths[disk], false, self.direct_io)?;
@@ -899,8 +904,8 @@ impl Drop for FileDisks {
     }
 }
 
-/// Asynchronous file-backed storage: real disk files, duplex per-disk
-/// worker threads, batched kernel submission (io_uring with the `uring`
+/// Asynchronous file-backed storage: real disk files, one read and one
+/// write worker thread for all disks, batched kernel submission (io_uring with the `uring`
 /// feature), `O_DIRECT` where the geometry and filesystem allow.
 pub type AsyncFileStorage<K> = WorkerStorage<K, FileDisks>;
 
@@ -963,7 +968,8 @@ impl<K: PdmKey> AsyncFileStorage<K> {
         Self::on(medium, queue_depth)
     }
 
-    /// Spawn a `(read, write)` worker pair per disk over an opened medium.
+    /// Open every disk's read and write [`FileWorker`] over an opened
+    /// medium and spawn the two worker threads.
     fn on((medium, allocated): (FileDisks, Vec<usize>), queue_depth: usize) -> Result<Self> {
         let (block_size, depth) = (medium.block_size, queue_depth.max(1));
         let workers = (0..allocated.len())
@@ -982,7 +988,7 @@ impl<K: PdmKey> AsyncFileStorage<K> {
         self.medium.set_file_faults(faults);
     }
 
-    /// Arm completion-time retry: the per-disk workers will classify
+    /// Arm completion-time retry: the workers will classify
     /// failed blocks of asynchronously issued batches at completion and
     /// reissue the transient ones under `policy`, recording into
     /// `counters` — share the counter set with the issue-time

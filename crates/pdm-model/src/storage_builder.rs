@@ -53,11 +53,12 @@ pub enum BackendKind {
     /// One-file-per-disk [`FileStorage`]: the async-file medium driven on
     /// the caller thread.
     File,
-    /// Thread-per-disk RAM emulation [`ThreadedStorage`] (duplex workers,
-    /// optional emulated latency).
+    /// RAM emulation [`ThreadedStorage`] on the worker engine (one read
+    /// and one write worker thread for all disks, optional emulated
+    /// latency).
     Threaded,
-    /// Asynchronous real-disk [`AsyncFileStorage`] (duplex workers over
-    /// real files; io_uring with the `uring` feature).
+    /// Asynchronous real-disk [`AsyncFileStorage`] (the same two workers
+    /// over real files; io_uring with the `uring` feature).
     AsyncFile,
 }
 

@@ -1,18 +1,20 @@
-//! Threaded storage: the duplex-worker engine
-//! ([`crate::storage_worker`]) over RAM disks with an optional emulated
-//! access latency.
+//! Threaded storage: the worker engine ([`crate::storage_worker`]) over RAM
+//! disks with an optional emulated access latency.
 //!
 //! The logical cost model is identical across backends (the machine layer
 //! does all accounting); this backend exists to show the *wall-clock*
 //! `D`-way scaling that the PDM's parallel-step metric predicts — the
 //! property the paper's "full parallelism" claims (Thm 3.1 proof, §7) are
-//! about — and to give the overlap A/B in `pdm-bench` a latency to hide. A disk pays its access latency once per
-//! service round, i.e. once per batch it takes part in (requests queued
-//! together stream back-to-back), and sleeps it *outside* the lock on its
-//! data, so a disk's read stream and write stream genuinely overlap.
-//! Synchronous callers can't tell: a blocking batch is all-reads or
-//! all-writes and waits for every reply before returning, so duplexing only
-//! shows up once the overlap layer keeps both streams in flight.
+//! about — and to give the overlap A/B in `pdm-bench` a latency to hide.
+//! The access latency is paid once per message, i.e. once per batch: the
+//! batch is one parallel step, whose disks wait out their access side by
+//! side, and each disk it touches is charged the latency in its service
+//! time. Requests queued together stream back-to-back. The latency is
+//! slept *outside* the lock on a disk's data, so the read worker and the
+//! write worker genuinely overlap. Synchronous callers can't tell: a
+//! blocking batch is all-reads or all-writes and waits for its reply
+//! before returning, so the two workers only run side by side once the
+//! overlap layer keeps both streams in flight.
 
 use crate::error::Result;
 use crate::key::PdmKey;
@@ -21,31 +23,23 @@ use crate::storage_worker::{Lane, Medium, MediumWorker, WorkerStorage, POISONED}
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Storage whose `D` RAM disks are serviced by `2D` worker threads: one
-/// read worker and one write worker per disk (a full-duplex disk model).
+/// Storage whose `D` RAM disks are served by two worker threads: one read
+/// worker and one write worker for all disks.
 pub type ThreadedStorage<K> = WorkerStorage<K, RamDisks<K>>;
 
-/// The RAM medium: one flat key array per disk, shared by the disk's two
-/// workers behind a mutex. Only the copy in or out holds the lock.
+/// The RAM medium: one flat key array per disk, shared by the two workers
+/// behind a mutex. Only the copy in or out holds the lock.
 pub struct RamDisks<K> {
     disks: Vec<Arc<Mutex<Vec<K>>>>,
     block_size: usize,
 }
 
-/// One RAM-disk worker: its disk's array and the access latency it sleeps
-/// once per round.
+/// One RAM disk's service state: its array and the access latency a
+/// message pays.
 pub struct RamWorker<K> {
     disk: Arc<Mutex<Vec<K>>>,
     block_size: usize,
     latency: Duration,
-}
-
-impl<K> RamWorker<K> {
-    fn access(&self) {
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
-        }
-    }
 }
 
 impl<K: PdmKey> Medium<K> for RamDisks<K> {
@@ -70,10 +64,9 @@ impl<K: PdmKey> Medium<K> for RamDisks<K> {
 }
 
 impl<K: PdmKey> MediumWorker<K> for RamWorker<K> {
-    fn read(&mut self, lane: &Lane<K>, slots: &[usize], out: &mut Vec<Result<Vec<K>>>) {
+    fn read(&mut self, lane: &Lane<'_, K>, slots: &[usize], out: &mut Vec<Result<Vec<K>>>) {
         let b = self.block_size;
-        lane.round(slots.len(), || {
-            self.access();
+        lane.round(slots.len(), self.latency, || {
             let disk = self.disk.lock().expect(POISONED);
             for &slot in slots {
                 let mut buf = lane.pool.get(b);
@@ -83,10 +76,9 @@ impl<K: PdmKey> MediumWorker<K> for RamWorker<K> {
         });
     }
 
-    fn write(&mut self, lane: &Lane<K>, batch: &[(usize, Vec<K>)], out: &mut Vec<Result<()>>) {
+    fn write(&mut self, lane: &Lane<'_, K>, batch: &[(usize, Vec<K>)], out: &mut Vec<Result<()>>) {
         let b = self.block_size;
-        lane.round(batch.len(), || {
-            self.access();
+        lane.round(batch.len(), self.latency, || {
             let mut disk = self.disk.lock().expect(POISONED);
             for (slot, data) in batch {
                 disk[slot * b..(slot + 1) * b].copy_from_slice(data);
@@ -97,13 +89,13 @@ impl<K: PdmKey> MediumWorker<K> for RamWorker<K> {
 }
 
 impl<K: PdmKey> ThreadedStorage<K> {
-    /// Spawn `num_disks` duplex worker pairs with zero emulated latency.
+    /// Spawn the two workers with zero emulated latency.
     pub fn new(num_disks: usize, block_size: usize) -> Self {
         Self::with_latency(num_disks, block_size, Duration::ZERO)
     }
 
-    /// Spawn workers that sleep `latency` per serviced batch, emulating a
-    /// disk with that access time.
+    /// Spawn workers that sleep `latency` per serviced batch, emulating
+    /// disks with that access time.
     pub fn with_latency(num_disks: usize, block_size: usize, latency: Duration) -> Self {
         let disks: Vec<Arc<Mutex<Vec<K>>>> = (0..num_disks).map(|_| Arc::default()).collect();
         let worker = |disk: &Arc<Mutex<Vec<K>>>| RamWorker {

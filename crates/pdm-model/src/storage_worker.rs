@@ -1,44 +1,47 @@
-//! The duplex-worker storage engine shared by the threaded and async-file
+//! The worker storage engine shared by the threaded and async-file
 //! backends.
 //!
-//! Each of the `D` disks is serviced by a *read worker* and a *write
-//! worker* thread (a full-duplex disk), so a batch really proceeds
-//! disk-parallel in wall-clock time and — with overlap enabled — a disk's
-//! prefetches and flush-behinds service concurrently instead of convoying
-//! in one queue. What a disk *is* comes from a pluggable [`Medium`]: RAM
-//! with an emulated access latency
+//! Two worker threads serve all `D` disks: a *read worker* and a *write
+//! worker*. A caller batch is one message to one of them, carrying every
+//! touched disk's share, and one reply back, so a parallel I/O step of the
+//! PDM costs one hand-off each way however many disks it touches. With
+//! overlap enabled, prefetches and flush-behinds run side by side on the
+//! two workers instead of convoying in one queue. What a disk *is* comes
+//! from a pluggable [`Medium`]: RAM with an emulated access latency
 //! ([`crate::storage_threaded::ThreadedStorage`]) or a host file driven by
 //! positioned I/O or io_uring
-//! ([`crate::storage_async_file::AsyncFileStorage`]). Everything else is
-//! written once, here:
+//! ([`crate::storage_async_file::AsyncFileStorage`]). Each worker owns one
+//! [`MediumWorker`] per disk and serves a message's shares in disk order.
+//! Everything else is written once, here:
 //!
 //! - **Grouped dispatch.** A caller batch is validated against the
 //!   caller-side allocation table (disk, slot, payload length), split by
-//!   disk, and sent as *one* message per touched disk. A bad request fails
-//!   the whole batch at issue, before anything is sent.
+//!   disk, and sent as *one* message. A bad request fails the whole batch
+//!   at issue, before anything is sent.
 //! - **Copy-at-issue writes.** Write payloads are copied into buffers from
 //!   a shared [`BlockPool`] before `start_write_batch` returns; the write
 //!   worker returns them after committing. Read replies travel in pooled
 //!   buffers that the completion token returns.
-//! - **The read/write hazard gate.** Duplexing makes read-overtakes-write
-//!   possible, so every issued write registers its slot and the write
-//!   worker retires the entry only after the bytes are committed. A read of
-//!   a slot whose write has not retired is refused
+//! - **The read/write hazard gate.** Separate read and write workers make
+//!   read-overtakes-write possible, so every issued write registers its
+//!   slot and the write worker retires the entry only after the bytes are
+//!   committed. A read of a slot whose write has not retired is refused
 //!   ([`PdmError::ReadDuringFlush`]) rather than returning whichever bytes
 //!   win the race. The pipeline discipline (write-behind drained before its
 //!   region is re-read, enforced at every phase boundary by the checkpoint
 //!   guard) keeps correct code off that path entirely.
-//! - **Completion tokens.** A token drains every disk's reply and returns
-//!   every pooled buffer before it reports the first error, so an error
-//!   never strands buffers inside a reply channel. The blocking
-//!   `read_batch`/`write_batch` are `start_*_batch(..)?.wait(..)`.
-//! - **Telemetry.** One service *round* (a medium's unit of work: one
-//!   emulated access, one kernel submission) is one latency-histogram
-//!   sample and one [`SpanSink`] span; the queue gauge counts blocks
-//!   submitted but not yet serviced.
-//! - **`sync`** is a FIFO barrier on every write queue: when all barriers
-//!   reply, every previously queued write is committed, after which the
-//!   medium persists its own metadata.
+//! - **Completion tokens.** A token waits for its one reply and returns
+//!   every pooled buffer before it reports the first error (in disk
+//!   order), so an error never strands buffers inside a reply channel. The
+//!   blocking `read_batch`/`write_batch` are `start_*_batch(..)?.wait(..)`.
+//!   One worker completes its messages in issue order.
+//! - **Telemetry.** One service *round* (a medium's unit of work on one
+//!   disk: one emulated access, one kernel submission) is one sample in
+//!   that disk's latency histogram and one [`SpanSink`] span on its track;
+//!   the queue gauge counts blocks submitted but not yet serviced.
+//! - **`sync`** is one FIFO barrier on the write queue: the write worker
+//!   reaches it once every previously queued write is committed, syncs
+//!   every disk, and replies; the medium then persists its own metadata.
 
 use crate::error::{PdmError, Result};
 use crate::key::PdmKey;
@@ -46,27 +49,27 @@ use crate::overlap::{PendingRead, PendingWrite};
 use crate::pool::{BlockPool, PoolStats};
 use crate::stats::{DiskWallRec, SpanSink, StorageWallSnapshot, UringWall};
 use crate::storage::{Storage, StorageCaps};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The caller-side half of a medium: what the engine asks of the disks as
-/// a whole. Per-thread state lives in [`Medium::Worker`].
+/// a whole. Per-disk service state lives in [`Medium::Worker`].
 pub trait Medium<K: PdmKey>: Send + 'static {
-    /// Per-thread service state; every disk gets one for its read worker
-    /// and one for its write worker.
+    /// Per-disk service state; every disk gets one on the read worker and
+    /// one on the write worker.
     type Worker: MediumWorker<K>;
 
     /// Grow disk `disk` to `slots` block slots (called on the caller
     /// thread, only when the allocation grows).
     fn grow(&mut self, disk: usize, slots: usize) -> Result<()>;
 
-    /// Persist metadata once every write queue has drained and synced
-    /// (the tail of [`Storage::sync`]); `allocated` is the per-disk
-    /// allocation.
+    /// Persist metadata once the write queue has drained and every disk
+    /// has synced (the tail of [`Storage::sync`]); `allocated` is the
+    /// per-disk allocation.
     fn commit(&mut self, _allocated: &[usize]) -> Result<()> {
         Ok(())
     }
@@ -81,72 +84,117 @@ pub trait Medium<K: PdmKey>: Send + 'static {
     }
 }
 
-/// The worker-thread half of a medium: moves one disk's blocks.
+/// One disk's service state on one worker thread: moves that disk's
+/// blocks.
 pub trait MediumWorker<K: PdmKey>: Send + 'static {
     /// Read `slots` (already bounds-checked) into pooled buffers, pushing
     /// one result per slot onto `out` in order. Each service round runs
     /// inside [`Lane::round`].
-    fn read(&mut self, lane: &Lane<K>, slots: &[usize], out: &mut Vec<Result<Vec<K>>>);
+    fn read(&mut self, lane: &Lane<'_, K>, slots: &[usize], out: &mut Vec<Result<Vec<K>>>);
 
     /// Commit `batch` (`(slot, payload)` pairs in issue order), pushing one
     /// result per block onto `out`. The engine returns the payloads to the
     /// pool and retires their hazard entries afterwards.
-    fn write(&mut self, lane: &Lane<K>, batch: &[(usize, Vec<K>)], out: &mut Vec<Result<()>>);
+    fn write(&mut self, lane: &Lane<'_, K>, batch: &[(usize, Vec<K>)], out: &mut Vec<Result<()>>);
 
-    /// Make committed writes durable (the write worker's half of
-    /// [`Storage::sync`]).
+    /// Make this disk's committed writes durable (the write worker's half
+    /// of [`Storage::sync`]).
     fn sync(&mut self) -> Result<()> {
         Ok(())
     }
 }
 
-/// One worker thread's share of the engine: its disk and direction, the
-/// block pool, and that disk's wall-clock recorder and trace track.
-pub struct Lane<K> {
+/// One worker thread's state: its direction, the block pool, every disk's
+/// wall-clock recorder and the trace sink.
+struct Station<K> {
+    write: bool,
+    pool: Arc<BlockPool<K>>,
+    wall: Vec<Arc<DiskWallRec>>,
+    sink: Arc<OnceLock<Arc<SpanSink>>>,
+    /// How long the message being served waited out its access time,
+    /// once it has.
+    waited: Cell<Option<Duration>>,
+}
+
+impl<K> Station<K> {
+    /// Disk `disk`'s view of this worker, for serving its share.
+    fn lane(&self, disk: usize) -> Lane<'_, K> {
+        Lane {
+            disk,
+            write: self.write,
+            pool: &self.pool,
+            wall: &self.wall[disk],
+            sink: self.sink.get().map(|s| &**s),
+            waited: &self.waited,
+        }
+    }
+}
+
+/// One disk's share of the message a worker thread is serving: its disk
+/// and direction, the block pool, and that disk's wall-clock recorder and
+/// trace track.
+pub struct Lane<'a, K> {
     disk: usize,
     write: bool,
     /// The pool read replies are drawn from.
-    pub(crate) pool: Arc<BlockPool<K>>,
+    pub(crate) pool: &'a BlockPool<K>,
     /// This disk's wall-clock recorder.
-    pub(crate) wall: Arc<DiskWallRec>,
-    sink: Arc<OnceLock<Arc<SpanSink>>>,
+    pub(crate) wall: &'a DiskWallRec,
+    sink: Option<&'a SpanSink>,
+    waited: &'a Cell<Option<Duration>>,
 }
 
-impl<K> Lane<K> {
-    /// Run one service round over `blocks` blocks: its wall time is one
-    /// latency-histogram sample and, when a sink is attached, one span on
-    /// this worker's track (`2·disk` read, `2·disk + 1` write); its blocks
+impl<K> Lane<'_, K> {
+    /// Run one service round over `blocks` blocks of this disk after an
+    /// emulated access time `access` (zero on a real medium). A message is
+    /// one parallel step: its first round to ask sleeps `access`, and every
+    /// round is charged the time that sleep took, as if the disks of the
+    /// step waited side by side. The round's wall time plus that wait is
+    /// one latency-histogram sample and, when a sink is attached, one span
+    /// on this disk's track (`2·disk` read, `2·disk + 1` write); its blocks
     /// then retire from the queue gauge.
-    pub(crate) fn round<R>(&self, blocks: usize, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn round<R>(&self, blocks: usize, access: Duration, f: impl FnOnce() -> R) -> R {
+        let waited = match self.waited.get() {
+            Some(waited) => waited,
+            None if access.is_zero() => Duration::ZERO,
+            None => {
+                let slept = Instant::now();
+                std::thread::sleep(access);
+                let waited = slept.elapsed();
+                self.waited.set(Some(waited));
+                waited
+            }
+        };
         let t0 = Instant::now();
         let res = f();
         let t1 = Instant::now();
-        let ns = t1.saturating_duration_since(t0).as_nanos() as u64;
+        let ns = (t1.saturating_duration_since(t0) + waited).as_nanos() as u64;
         let hist = if self.write {
             &self.wall.write
         } else {
             &self.wall.read
         };
         hist.record(ns);
-        if let Some(sink) = self.sink.get() {
+        if let Some(sink) = self.sink {
             let track = (2 * self.disk + usize::from(self.write)) as u32;
-            sink.record(track, if self.write { "write" } else { "read" }, t0, t1);
+            let start = t0.checked_sub(waited).unwrap_or(t0);
+            sink.record(track, if self.write { "write" } else { "read" }, start, t1);
         }
         self.wall.queue_sub(blocks as u64);
         res
     }
 }
 
-/// One message carries a whole per-disk share of a caller batch: one
-/// channel, one send and one worker wake-up per disk per batch.
+/// One message carries every touched disk's share of a caller batch, in
+/// disk order: one send, one worker wake-up and one reply per batch.
 enum Request<K> {
     Read {
-        slots: Vec<usize>,
+        shares: Vec<Share<usize>>,
         reply: Sender<BlockResults<K>>,
     },
     Write {
-        batch: Vec<(usize, Vec<K>)>,
-        reply: Sender<Vec<Result<()>>>,
+        shares: Vec<Share<(usize, Vec<K>)>>,
+        reply: Sender<Result<()>>,
     },
     /// FIFO barrier: every write queued before it is committed when it is
     /// served.
@@ -194,11 +242,15 @@ impl<T> Reply<T> {
 /// while holding it.
 pub(crate) const POISONED: &str = "a disk worker panicked holding a shared lock";
 
-/// One disk's answer to a read request: a block or an error per slot.
+/// One disk's share of a message: the disk, and its slots (or
+/// `(slot, payload)` pairs) in issue order.
+type Share<T> = (usize, Vec<T>);
+
+/// A read message's answer: a block or an error per slot, in share order.
 type BlockResults<K> = Vec<Result<Vec<K>>>;
 
-/// In-flight write slots of one disk (slot → outstanding writes).
-type Hazards = Arc<Mutex<HashMap<usize, usize>>>;
+/// In-flight write slots (`(disk, slot)` → outstanding writes).
+type Hazards = Arc<Mutex<HashMap<(usize, usize), usize>>>;
 
 fn hung_up() -> PdmError {
     PdmError::BadConfig("disk worker hung up".into())
@@ -240,70 +292,83 @@ pub(crate) fn grow<K: PdmKey, M: Medium<K>>(
     Ok(())
 }
 
-/// A worker thread's loop; returns when the engine drops its sender.
+/// A worker thread's loop over every disk's [`MediumWorker`]; returns when
+/// the engine drops its sender.
 fn serve<K: PdmKey, W: MediumWorker<K>>(
-    mut worker: W,
-    lane: Lane<K>,
+    mut disks: Vec<W>,
+    station: Station<K>,
     hazards: Hazards,
     rx: Receiver<Request<K>>,
 ) {
     while let Ok(req) = rx.recv() {
+        station.waited.set(None);
         match req {
-            Request::Read { slots, reply } => {
-                let mut out = Vec::with_capacity(slots.len());
-                worker.read(&lane, &slots, &mut out);
+            Request::Read { shares, reply } => {
+                let mut out = Vec::with_capacity(shares.iter().map(|(_, s)| s.len()).sum());
+                for (disk, slots) in &shares {
+                    disks[*disk].read(&station.lane(*disk), slots, &mut out);
+                }
                 let _ = reply.send(out);
             }
-            Request::Write { batch, reply } => {
-                let mut out = Vec::with_capacity(batch.len());
-                worker.write(&lane, &batch, &mut out);
+            Request::Write { shares, reply } => {
+                let mut out = Vec::with_capacity(shares.iter().map(|(_, b)| b.len()).sum());
+                for (disk, batch) in &shares {
+                    disks[*disk].write(&station.lane(*disk), batch, &mut out);
+                }
                 // The bytes are committed: only now may a read of these
                 // slots pass the hazard gate.
                 let mut pending = hazards.lock().expect(POISONED);
-                for (slot, _) in &batch {
-                    if let Some(count) = pending.get_mut(slot) {
-                        *count -= 1;
-                        if *count == 0 {
-                            pending.remove(slot);
+                for (disk, batch) in &shares {
+                    for (slot, _) in batch {
+                        if let Some(count) = pending.get_mut(&(*disk, *slot)) {
+                            *count -= 1;
+                            if *count == 0 {
+                                pending.remove(&(*disk, *slot));
+                            }
                         }
                     }
                 }
                 drop(pending);
-                for (_, buf) in batch {
-                    lane.pool.put(buf);
+                for (_, batch) in shares {
+                    for (_, buf) in batch {
+                        station.pool.put(buf);
+                    }
                 }
-                let _ = reply.send(out);
+                let _ = reply.send(out.into_iter().find(Result::is_err).unwrap_or(Ok(())));
             }
             Request::Sync { reply } => {
-                let _ = reply.send(worker.sync());
+                // Every disk syncs, even after one fails; the first error
+                // in disk order is the answer.
+                let synced = disks.iter_mut().map(W::sync).fold(Ok(()), Result::and);
+                let _ = reply.send(synced);
             }
         }
     }
 }
 
-/// Storage whose `D` disks are each serviced by a duplex pair of worker
-/// threads over the medium `M` (see the module docs).
+/// Storage whose `D` disks are served by one read worker and one write
+/// worker thread over the medium `M` (see the module docs).
 pub struct WorkerStorage<K: PdmKey, M> {
     pub(crate) medium: M,
     block_size: usize,
     /// Caller-side allocation per disk; every request is checked against
     /// it at issue.
     allocated: Vec<usize>,
-    /// Request queues indexed by trace track: `2·disk` read, `2·disk + 1`
-    /// write.
+    /// The read worker's queue, then the write worker's.
     queues: Vec<Sender<Request<K>>>,
     handles: Vec<JoinHandle<()>>,
     pool: Arc<BlockPool<K>>,
-    hazards: Vec<Hazards>,
-    /// Per-disk wall-clock recorders shared with that disk's workers
-    /// (telemetry only — never consulted for correctness).
+    hazards: Hazards,
+    /// Per-disk wall-clock recorders shared with both workers (telemetry
+    /// only — never consulted for correctness).
     wall: Vec<Arc<DiskWallRec>>,
     sink: Arc<OnceLock<Arc<SpanSink>>>,
 }
 
 impl<K: PdmKey, M: Medium<K>> WorkerStorage<K, M> {
-    /// Spawn one `(read, write)` worker pair per disk over `medium`, whose
-    /// disks start with `allocated` slots each.
+    /// Spawn the read worker and the write worker over `medium`, whose
+    /// disks start with `allocated` slots each; `workers` holds each disk's
+    /// `(read, write)` service state.
     pub(crate) fn spawn(
         medium: M,
         block_size: usize,
@@ -316,88 +381,99 @@ impl<K: PdmKey, M: Medium<K>> WorkerStorage<K, M> {
             medium,
             block_size,
             allocated,
-            queues: Vec::with_capacity(2 * num_disks),
-            handles: Vec::with_capacity(2 * num_disks),
+            queues: Vec::with_capacity(2),
+            handles: Vec::with_capacity(2),
             // Steady state keeps ~2 buffers per disk in flight; 4×D gives
             // slack for the overlap layer's double-buffering and grows per
             // dispatch via reserve_retained. Pinned to this block size so a
             // buffer from another geometry is never recycled here.
             pool: Arc::new(BlockPool::for_blocks(4 * num_disks.max(1), block_size)),
-            hazards: Vec::with_capacity(num_disks),
-            wall: Vec::with_capacity(num_disks),
+            hazards: Arc::default(),
+            wall: (0..num_disks)
+                .map(|_| Arc::new(DiskWallRec::new()))
+                .collect(),
             sink: Arc::new(OnceLock::new()),
         };
-        for (disk, (reader, writer)) in workers.into_iter().enumerate() {
-            let wall = Arc::new(DiskWallRec::new());
-            let hazards: Hazards = Arc::default();
-            for (write, worker) in [(false, reader), (true, writer)] {
-                let lane = Lane {
-                    disk,
-                    write,
-                    pool: Arc::clone(&s.pool),
-                    wall: Arc::clone(&wall),
-                    sink: Arc::clone(&s.sink),
-                };
-                let (tx, rx) = channel();
-                let hazards = Arc::clone(&hazards);
-                let side = if write { 'w' } else { 'r' };
-                let handle = std::thread::Builder::new()
-                    .name(format!("pdm-disk-{disk}{side}"))
-                    .spawn(move || serve(worker, lane, hazards, rx))
-                    .expect("spawn disk worker");
-                s.queues.push(tx);
-                s.handles.push(handle);
-            }
-            s.hazards.push(hazards);
-            s.wall.push(wall);
+        let (readers, writers): (Vec<_>, Vec<_>) = workers.into_iter().unzip();
+        for (write, disks) in [(false, readers), (true, writers)] {
+            let station = Station {
+                write,
+                pool: Arc::clone(&s.pool),
+                wall: s.wall.clone(),
+                sink: Arc::clone(&s.sink),
+                waited: Cell::new(None),
+            };
+            let (tx, rx) = channel();
+            let hazards = Arc::clone(&s.hazards);
+            let side = if write { 'w' } else { 'r' };
+            let handle = std::thread::Builder::new()
+                .name(format!("pdm-disks-{side}"))
+                .spawn(move || serve(disks, station, hazards, rx))
+                .expect("spawn disk worker");
+            s.queues.push(tx);
+            s.handles.push(handle);
         }
         s
     }
 
-    /// Send one disk's share of a batch, counting its blocks into the
-    /// queue gauge first (the worker retires them round by round).
-    fn send(&self, disk: usize, write: bool, blocks: usize, req: Request<K>) -> Result<()> {
-        self.wall[disk].queue_add(blocks as u64);
-        self.queues[2 * disk + usize::from(write)]
+    /// Send one message to the read or the write worker.
+    fn send(&self, write: bool, req: Request<K>) -> Result<()> {
+        self.queues[usize::from(write)]
             .send(req)
             .map_err(|_| hung_up())
     }
+
+    /// Split `items` (each tagged with its disk) into per-disk shares in
+    /// disk order, counting each share's blocks into its disk's queue
+    /// gauge (the worker retires them round by round).
+    fn shares<T>(&self, items: impl Iterator<Item = (usize, T)>) -> Vec<Share<T>> {
+        let mut groups: Vec<Vec<T>> = (0..self.allocated.len()).map(|_| Vec::new()).collect();
+        for (disk, item) in items {
+            groups[disk].push(item);
+        }
+        let mut shares = Vec::new();
+        for (disk, share) in groups.into_iter().enumerate() {
+            if !share.is_empty() {
+                self.wall[disk].queue_add(share.len() as u64);
+                shares.push((disk, share));
+            }
+        }
+        shares
+    }
 }
 
-/// Completion token for a grouped read batch: one reply per touched disk,
-/// with the request indices that disk's results scatter back to.
+/// Completion token for a grouped read batch: the one reply, and the
+/// request index each of its results scatters back to.
 struct GroupedPending<K> {
-    parts: Vec<(Vec<usize>, Reply<BlockResults<K>>)>,
+    order: Vec<usize>,
+    reply: Reply<BlockResults<K>>,
     keys: usize,
     block_size: usize,
     pool: Arc<BlockPool<K>>,
 }
 
 impl<K: PdmKey> PendingRead<K> for GroupedPending<K> {
-    /// Drains every disk and returns every delivered buffer to the pool
-    /// before reporting the first error (in disk order).
+    /// Returns every delivered buffer to the pool before reporting the
+    /// first error (in disk order).
     fn wait(self: Box<Self>, out: &mut [K]) -> Result<()> {
         let b = self.block_size;
         let mut first_err = (out.len() != self.keys).then_some(PdmError::BadBlockLen {
             got: out.len(),
             expected: self.keys,
         });
-        for (idx, reply) in self.parts {
-            let Some(results) = reply.take() else {
-                first_err.get_or_insert_with(hung_up);
-                continue;
-            };
-            for (i, res) in idx.into_iter().zip(results) {
-                match res {
-                    Ok(data) => {
-                        if first_err.is_none() {
-                            out[i * b..(i + 1) * b].copy_from_slice(&data);
-                        }
-                        self.pool.put(data);
+        let Some(results) = self.reply.take() else {
+            return Err(first_err.unwrap_or_else(hung_up));
+        };
+        for (i, res) in self.order.into_iter().zip(results) {
+            match res {
+                Ok(data) => {
+                    if first_err.is_none() {
+                        out[i * b..(i + 1) * b].copy_from_slice(&data);
                     }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
+                    self.pool.put(data);
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
                 }
             }
         }
@@ -405,36 +481,23 @@ impl<K: PdmKey> PendingRead<K> for GroupedPending<K> {
     }
 
     fn is_ready(&self) -> bool {
-        self.parts.iter().all(|(_, reply)| reply.ready())
+        self.reply.ready()
     }
 }
 
-/// Completion token for a grouped write batch.
+/// Completion token for a grouped write batch: the first error in disk
+/// order, or success.
 struct GroupedWritePending {
-    parts: Vec<Reply<Vec<Result<()>>>>,
+    reply: Reply<Result<()>>,
 }
 
 impl PendingWrite for GroupedWritePending {
-    /// Drains every disk before reporting the first error.
     fn wait(self: Box<Self>) -> Result<()> {
-        let mut first_err = None;
-        for reply in self.parts {
-            match reply.take() {
-                Some(results) => {
-                    if let Some(e) = results.into_iter().find_map(|r| r.err()) {
-                        first_err.get_or_insert(e);
-                    }
-                }
-                None => {
-                    first_err.get_or_insert_with(hung_up);
-                }
-            }
-        }
-        first_err.map_or(Ok(()), Err)
+        self.reply.take().unwrap_or_else(|| Err(hung_up()))
     }
 
     fn is_ready(&self) -> bool {
-        self.parts.iter().all(Reply::ready)
+        self.reply.ready()
     }
 }
 
@@ -468,15 +531,9 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
     }
 
     fn sync(&mut self) -> Result<()> {
-        let mut replies = Vec::with_capacity(self.allocated.len());
-        for disk in 0..self.allocated.len() {
-            let (reply, rx) = channel();
-            self.send(disk, true, 0, Request::Sync { reply })?;
-            replies.push(rx);
-        }
-        for rx in replies {
-            rx.recv().map_err(|_| hung_up())??;
-        }
+        let (reply, rx) = channel();
+        self.send(true, Request::Sync { reply })?;
+        rx.recv().map_err(|_| hung_up())??;
         self.medium.commit(&self.allocated)
     }
 
@@ -507,14 +564,13 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
         &mut self,
         reqs: &[(usize, usize)],
     ) -> Result<Box<dyn PendingRead<K> + Send>> {
-        for &(disk, slot) in reqs {
-            check_slot(&self.allocated, disk, slot)?;
-            if self.hazards[disk]
-                .lock()
-                .expect(POISONED)
-                .contains_key(&slot)
-            {
-                return Err(PdmError::ReadDuringFlush { disk, slot });
+        {
+            let hazards = self.hazards.lock().expect(POISONED);
+            for &(disk, slot) in reqs {
+                check_slot(&self.allocated, disk, slot)?;
+                if hazards.contains_key(&(disk, slot)) {
+                    return Err(PdmError::ReadDuringFlush { disk, slot });
+                }
             }
         }
         // A whole batch's reply buffers are in flight at once — and with
@@ -522,22 +578,25 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
         // that re-allocates the excess on every batch.
         self.pool
             .reserve_retained(2 * reqs.len() + self.allocated.len());
-        let mut groups = vec![(Vec::new(), Vec::new()); self.allocated.len()];
-        for (i, &(disk, slot)) in reqs.iter().enumerate() {
-            groups[disk].0.push(i);
-            groups[disk].1.push(slot);
-        }
-        let mut parts = Vec::new();
-        for (disk, (idx, slots)) in groups.into_iter().enumerate() {
-            if idx.is_empty() {
-                continue;
-            }
-            let (reply, rx) = Reply::new();
-            self.send(disk, false, slots.len(), Request::Read { slots, reply })?;
-            parts.push((idx, rx));
-        }
+        let shares = self.shares(
+            reqs.iter()
+                .enumerate()
+                .map(|(i, &(disk, slot))| (disk, (i, slot))),
+        );
+        let mut order = Vec::with_capacity(reqs.len());
+        let shares = shares
+            .into_iter()
+            .map(|(disk, share)| {
+                let (idx, slots): (Vec<usize>, Vec<usize>) = share.into_iter().unzip();
+                order.extend(idx);
+                (disk, slots)
+            })
+            .collect();
+        let (reply, rx) = Reply::new();
+        self.send(false, Request::Read { shares, reply })?;
         Ok(Box::new(GroupedPending {
-            parts,
+            order,
+            reply: rx,
             keys: reqs.len() * self.block_size,
             block_size: self.block_size,
             pool: Arc::clone(&self.pool),
@@ -561,28 +620,22 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
         }
         self.pool
             .reserve_retained(2 * reqs.len() + self.allocated.len());
-        let mut groups: Vec<Vec<(usize, Vec<K>)>> = vec![Vec::new(); self.allocated.len()];
-        for (i, &(disk, slot)) in reqs.iter().enumerate() {
-            let mut block = self.pool.get(b);
-            block.extend_from_slice(&data[i * b..(i + 1) * b]);
-            // Registered before the worker can possibly see the request.
-            *self.hazards[disk]
-                .lock()
-                .expect(POISONED)
-                .entry(slot)
-                .or_insert(0) += 1;
-            groups[disk].push((slot, block));
+        // Registered before the worker can possibly see the request.
+        let mut hazards = self.hazards.lock().expect(POISONED);
+        for &(disk, slot) in reqs {
+            *hazards.entry((disk, slot)).or_insert(0) += 1;
         }
-        let mut parts = Vec::new();
-        for (disk, batch) in groups.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let (reply, rx) = Reply::new();
-            self.send(disk, true, batch.len(), Request::Write { batch, reply })?;
-            parts.push(rx);
-        }
-        Ok(Box::new(GroupedWritePending { parts }))
+        drop(hazards);
+        let shares = self.shares(reqs.iter().zip(data.chunks_exact(b)).map(
+            |(&(disk, slot), payload)| {
+                let mut block = self.pool.get(b);
+                block.extend_from_slice(payload);
+                (disk, (slot, block))
+            },
+        ));
+        let (reply, rx) = Reply::new();
+        self.send(true, Request::Write { shares, reply })?;
+        Ok(Box::new(GroupedWritePending { reply: rx }))
     }
 }
 
@@ -606,7 +659,7 @@ mod tests {
     use crate::overlap::DEFAULT_QUEUE_DEPTH;
     use crate::storage_async_file::AsyncFileStorage;
     use crate::storage_threaded::ThreadedStorage;
-    use std::time::Duration;
+    use std::thread::ThreadId;
 
     /// Writes queued ahead of the block under test, so that block's write
     /// is still in flight when the caller looks (the RAM medium also
@@ -649,6 +702,159 @@ mod tests {
         block_buffers_are_recycled_across_batches,
         wall_telemetry_is_one_sample_and_span_per_disk_per_batch,
     );
+
+    /// One service call a [`Recorder`] disk saw: the thread that made it,
+    /// what it was, the disk and the blocks.
+    #[derive(Debug, PartialEq)]
+    struct Call {
+        thread: ThreadId,
+        kind: &'static str,
+        disk: usize,
+        blocks: usize,
+    }
+
+    type Log = Arc<Mutex<Vec<Call>>>;
+
+    fn log(log: &Log, kind: &'static str, disk: usize, blocks: usize) {
+        log.lock().unwrap().push(Call {
+            thread: std::thread::current().id(),
+            kind,
+            disk,
+            blocks,
+        });
+    }
+
+    /// A test medium that keeps no bytes (a read returns blocks filled
+    /// with the disk's index) and logs every service call.
+    struct Recorder(Log);
+
+    /// One [`Recorder`] disk's service state.
+    struct RecordingDisk {
+        disk: usize,
+        log: Log,
+    }
+
+    impl Medium<u64> for Recorder {
+        type Worker = RecordingDisk;
+
+        fn grow(&mut self, _disk: usize, _slots: usize) -> Result<()> {
+            Ok(())
+        }
+
+        fn commit(&mut self, _allocated: &[usize]) -> Result<()> {
+            log(&self.0, "commit", 0, 0);
+            Ok(())
+        }
+
+        fn caps(&self) -> StorageCaps {
+            StorageCaps::default()
+        }
+    }
+
+    impl MediumWorker<u64> for RecordingDisk {
+        fn read(&mut self, lane: &Lane<'_, u64>, slots: &[usize], out: &mut BlockResults<u64>) {
+            lane.round(slots.len(), Duration::ZERO, || {
+                log(&self.log, "read", self.disk, slots.len());
+                for _ in slots {
+                    let mut buf = lane.pool.get(4);
+                    buf.resize(4, self.disk as u64);
+                    out.push(Ok(buf));
+                }
+            });
+        }
+
+        fn write(
+            &mut self,
+            lane: &Lane<'_, u64>,
+            batch: &[(usize, Vec<u64>)],
+            out: &mut Vec<Result<()>>,
+        ) {
+            lane.round(batch.len(), Duration::ZERO, || {
+                log(&self.log, "write", self.disk, batch.len());
+                out.extend(batch.iter().map(|_| Ok(())));
+            });
+        }
+
+        fn sync(&mut self) -> Result<()> {
+            log(&self.log, "sync", self.disk, 0);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_read_worker_and_one_write_worker_serve_every_disk() {
+        let (d, b) = (8, 4);
+        let calls: Log = Arc::default();
+        let disk = |disk| RecordingDisk {
+            disk,
+            log: Arc::clone(&calls),
+        };
+        let workers = (0..d).map(|i| (disk(i), disk(i))).collect();
+        let mut s = WorkerStorage::spawn(Recorder(Arc::clone(&calls)), b, vec![2; d], workers);
+        assert_eq!(
+            s.handles.len(),
+            2,
+            "a {d}-disk storage runs two worker threads"
+        );
+        let take = || std::mem::take(&mut *calls.lock().unwrap());
+
+        // One striped batch each way, two blocks per disk.
+        let reqs: Vec<(usize, usize)> = (0..2 * d).map(|i| (i % d, i / d)).collect();
+        s.write_batch(&reqs, &vec![1; reqs.len() * b]).unwrap();
+        let mut out = vec![0u64; reqs.len() * b];
+        s.read_batch(&reqs, &mut out).unwrap();
+        // The one reply scatters back to request order.
+        for (i, &(disk, _)) in reqs.iter().enumerate() {
+            assert_eq!(out[i * b..(i + 1) * b], [disk as u64; 4], "request {i}");
+        }
+        let log = take();
+        assert_eq!(log.len(), 2 * d, "{log:?}");
+        let (writes, reads) = log.split_at(d);
+        let (writer, reader) = (writes[0].thread, reads[0].thread);
+        let caller = std::thread::current().id();
+        assert!(writer != reader && writer != caller && reader != caller);
+        // Each batch is one service round per disk, in disk order, all on
+        // one thread.
+        for disk in 0..d {
+            let round = |thread, kind| Call {
+                thread,
+                kind,
+                disk,
+                blocks: 2,
+            };
+            assert_eq!(writes[disk], round(writer, "write"));
+            assert_eq!(reads[disk], round(reader, "read"));
+        }
+
+        // `sync` is one barrier on the write queue: the write queued ahead
+        // of it is served first, then every disk syncs on the write worker,
+        // then the medium commits on the caller.
+        let pending = s.start_write_batch(&reqs[..d], &vec![2; d * b]).unwrap();
+        s.sync().unwrap();
+        assert!(pending.is_ready(), "the barrier overtook a queued write");
+        pending.wait().unwrap();
+        let log = take();
+        assert_eq!(log.len(), 2 * d + 1, "{log:?}");
+        for disk in 0..d {
+            let call = |kind, blocks| Call {
+                thread: writer,
+                kind,
+                disk,
+                blocks,
+            };
+            assert_eq!(log[disk], call("write", 1));
+            assert_eq!(log[d + disk], call("sync", 0));
+        }
+        assert_eq!(
+            log[2 * d],
+            Call {
+                thread: caller,
+                kind: "commit",
+                disk: 0,
+                blocks: 0
+            }
+        );
+    }
 
     /// `s` with every disk grown to `slots` slots.
     fn sized<S: Storage<u64>>(mut s: S, slots: usize) -> S {

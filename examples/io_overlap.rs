@@ -1,4 +1,4 @@
-//! I/O–computation overlap on the thread-per-disk backend — the
+//! I/O–computation overlap on the threaded backend — the
 //! Dementiev–Sanders idea the paper cites ("overlaps I/O and computation
 //! optimally", [11]).
 //!

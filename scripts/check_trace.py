@@ -11,10 +11,11 @@ promises:
     also carry `name` and a numeric `ts`;
   * per (pid, tid) track, `B`/`E` events pair up like balanced brackets
     and timestamps are monotonically non-decreasing — each track is one
-    worker recording its spans sequentially, so time never runs backward;
+    disk's reads or writes, recorded in order by one worker thread, so
+    time never runs backward;
   * at least one span exists somewhere (an all-metadata trace means the
     instrumentation never fired);
-  * with --disks D: one named track per disk worker (`diskN read`,
+  * with --disks D: one named track per disk and direction (`diskN read`,
     `diskN write` for every N < D) plus the `phases` track, each named
     via `thread_name` metadata and each carrying at least one span.
 

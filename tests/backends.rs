@@ -1,7 +1,7 @@
 //! Backend equivalence: the cost model is backend-independent.
 //!
 //! The same algorithm on the same input must produce identical output AND
-//! identical I/O statistics on the in-memory, file-backed, thread-per-disk,
+//! identical I/O statistics on the in-memory, file-backed, threaded,
 //! and async real-disk backends — the backends only change where bytes
 //! live, never what the machine charges for moving them.
 
@@ -355,7 +355,7 @@ fn file_backend_data_is_really_on_disk() {
 
 #[test]
 fn threaded_backend_handles_concurrent_batches() {
-    // many stripes in flight — exercises the per-disk worker queues
+    // many stripes in flight — exercises the read and write worker queues
     let b = 16usize;
     let storage = ThreadedStorage::<u64>::new(8, b);
     let mut pdm = Pdm::with_storage(PdmConfig::new(8, b, 2 * 8 * b), storage).unwrap();

@@ -133,3 +133,76 @@ fn transient_fault_schedule_is_identical_across_backends_and_kernel_legs() {
         );
     }
 }
+
+/// The probe stream of one overlapped sort, with every
+/// `OverlapComplete.stalled` masked: whether retiring a batch had to wait
+/// is the one wall-clock field in the stream.
+fn overlapped_events<S: Storage<u64>>(
+    storage: S,
+    data: &[u64],
+    b: usize,
+    algo: pdm_sort::Algorithm,
+) -> Vec<ProbeEvent> {
+    let n = data.len();
+    let mut pdm = Pdm::with_storage(PdmConfig::square(4, b), storage).unwrap();
+    pdm.set_overlap(true);
+    let input = pdm.alloc_region_for_keys(n).unwrap();
+    pdm.ingest(&input, data).unwrap();
+    pdm.reset_stats();
+    pdm.enable_probe(1 << 20);
+    algo.run(&mut pdm, &input, n, 2.0).unwrap();
+    let (_, mut stats) = pdm.into_parts();
+    let probe = stats.take_probe().expect("probe was enabled");
+    assert_eq!(probe.dropped, 0, "cap should be ample for this run");
+    probe
+        .events()
+        .iter()
+        .map(|e| match *e {
+            ProbeEvent::OverlapComplete {
+                step, write, id, ..
+            } => ProbeEvent::OverlapComplete {
+                step,
+                write,
+                id,
+                stalled: false,
+            },
+            ref e => e.clone(),
+        })
+        .collect()
+}
+
+#[test]
+fn overlapped_runs_on_worker_storage_produce_identical_event_streams() {
+    // Write-behind retires its submissions by count, never by which ones
+    // the workers happen to have finished, so overlapped runs on the
+    // threaded backend place every event identically, and where the
+    // eager in-memory backend places it.
+    use pdm_sort::Algorithm;
+    let b = 16usize;
+    let lat = std::time::Duration::from_micros(50);
+    for (algo, n) in [
+        (Algorithm::ThreePass2, b * b * b),
+        (Algorithm::MergeSort, 4 * b * b * b),
+    ] {
+        let mut rng = SplitMix64::seed_from_u64(7);
+        let mut data: Vec<u64> = (0..n as u64).collect();
+        rng.shuffle(&mut data);
+        let mem = overlapped_events(MemStorage::new(4, b), &data, b, algo);
+        let flushes = mem
+            .iter()
+            .filter(|e| matches!(e, ProbeEvent::OverlapComplete { write: true, .. }))
+            .count();
+        assert!(
+            flushes > 2,
+            "{algo:?}: write-behind retired {flushes} batches"
+        );
+        for run in 0..3 {
+            let threaded =
+                overlapped_events(ThreadedStorage::with_latency(4, b, lat), &data, b, algo);
+            assert!(
+                threaded == mem,
+                "{algo:?}: run {run} on the threaded backend placed its events differently"
+            );
+        }
+    }
+}
