@@ -281,8 +281,9 @@ pub(crate) fn pass3_shift_merge_window<K: PdmKey, S: Storage<K>>(
             let idx: Vec<usize> = (0..d.col_blocks).collect();
             pdm.read_blocks(oc, &idx, buf.as_vec_mut())?;
             buf.sort_unstable(); // step 5
-                                 // feed windows: sorting carry+window = the step-7 sort of a
-                                 // shifted column (tail of col j−1 + head of col j)
+
+            // feed windows: sorting carry+window = the step-7 sort of a
+            // shifted column (tail of col j−1 + head of col j)
             for piece in buf.chunks(w) {
                 carry.extend_from_slice(piece);
                 carry.sort_unstable();

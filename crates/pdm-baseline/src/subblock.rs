@@ -199,7 +199,8 @@ mod tests {
         let rt = (s as f64).sqrt() as usize;
         assert_eq!(rt * rt, s);
         assert!(4 * s * rt <= 4096); // r ≥ 4 s^{3/2}
-                                     // and it exceeds plain columnsort's legal range
+
+        // and it exceeds plain columnsort's legal range
         assert!(2 * (s - 1) * (s - 1) > 4096);
     }
 
