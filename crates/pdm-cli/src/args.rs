@@ -281,7 +281,7 @@ pub enum Command {
         /// changes output or pass counts — only wall-clock.
         overlap_window: OverlapWindow,
         /// Per-disk submission queue depth for the async-file backend
-        /// (blocks per kernel round; io_uring ring size when built in).
+        /// (blocks of one disk per kernel round).
         queue_depth: Option<usize>,
         /// Storage backend for the simulated disks (default: `file`).
         storage: BackendKind,
@@ -404,9 +404,9 @@ Performance:
                          geometry (D x queue-depth blocks). Wall-clock
                          only: output, pass counts, and the probe event
                          stream are identical for every window.
-  --queue-depth N        async-file only: blocks per kernel submission per
-                         disk and direction (io_uring ring size when built
-                         in; default 32)
+  --queue-depth N        async-file only: blocks of one disk per kernel
+                         round (default 32); built with io_uring, each
+                         worker's ring takes a round of every disk at once
   --storage KIND         disk backend: file (default, synchronous one file
                          per disk), async-file (one read and one write
                          worker thread for all disks, io_uring where built

@@ -31,8 +31,9 @@
 //! once per sync, so the mapping from logical operation to index is fully
 //! deterministic. Under `AsyncFileStorage` the read worker and the write
 //! worker share the counter. Each draws in a fixed order (its messages in
-//! issue order, a message's disks in disk order, one fsync verdict per
-//! disk at a sync), but while overlap keeps both busy their draws
+//! issue order, a message's kernel rounds in order, a round's disks in
+//! disk order, one fsync verdict per disk at a sync), but while overlap
+//! keeps both busy their draws
 //! interleave, so which transfer lands on a faulting index depends on
 //! thread timing — the fault *count* for nth-op modes is still exactly
 //! one, and rate modes still converge to the configured rate.

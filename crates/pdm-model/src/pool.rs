@@ -9,8 +9,8 @@
 //! allocations for millions of blocks.
 //!
 //! The pool is deliberately simple — a mutexed free list plus atomic
-//! counters — because contention is bounded by `D` workers and the critical
-//! section is a `Vec` push/pop.
+//! counters — because contention is bounded by the caller and the two
+//! workers, and the critical section is a `Vec` push/pop.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -6,24 +6,26 @@
 //! checksum tables, the physical-file fault hook and the cleanup of
 //! temporary directories. Two drivers move blocks through it:
 //! [`AsyncFileStorage`], the worker engine ([`crate::storage_worker`])
-//! whose read and write worker threads each hold a [`FileWorker`] per
-//! disk, whose `start_*_batch` calls return at once so the machine's
+//! whose read and write worker threads each hold a [`FileWorker`] for
+//! all disks, whose `start_*_batch` calls return at once so the machine's
 //! `--overlap` pipelines hide real disk latency; and
 //! [`crate::storage_file::FileStorage`], which moves one block at a time on
 //! the caller thread.
 //!
 //! ## Submission and alignment
 //!
-//! Each [`FileWorker`] (one per disk on each of the two worker threads)
-//! owns its own file handle (private cursor — no shared-seek races) and,
-//! with the `uring` feature on Linux, its own plain io_uring ring. Ring
-//! setup failing (pre-5.6 kernel, seccomp-filtered container) silently
-//! degrades that worker to synchronous positioned I/O; behavior is
-//! identical either way, only the submission mechanism differs. A worker
-//! submits at most its queue depth (the ring's actual capacity) per kernel
-//! round, and never two writes to one slot in the same round. A worker
-//! thread serves a message's disks one after another, so on the
-//! positioned-I/O path the disks of one batch do not move concurrently.
+//! Each of the two worker threads holds one [`FileWorker`]: its own handle
+//! on every disk file (private cursors — no shared-seek races), an aligned
+//! staging buffer per disk and, with the `uring` feature on Linux, one
+//! plain io_uring ring for all disks. A kernel round takes at most the
+//! queue depth of blocks from each disk, and never two writes to one slot.
+//! With a ring, a round holds the next blocks of every disk a message
+//! touches and goes to the kernel in one submission, so the disks of a
+//! batch move concurrently. Ring setup failing (pre-5.6 kernel,
+//! seccomp-filtered container) silently degrades that worker to
+//! synchronous positioned I/O, which moves a message's disks one after
+//! another; behavior is identical either way, only the submission
+//! mechanism and its concurrency differ.
 //!
 //! The engine's files are opened with `O_DIRECT` when the block payload is
 //! a multiple of 4096 bytes, so the benches measure the device rather than
@@ -62,15 +64,15 @@ use crate::storage::StorageCaps;
 use crate::storage_retry::{RetryCounters, RetryPolicy};
 #[cfg(feature = "block-checksums")]
 use crate::storage_worker::POISONED;
-use crate::storage_worker::{Lane, Medium, MediumWorker, WorkerStorage};
+use crate::storage_worker::{BlockResults, Medium, MediumWorker, Share, Station, WorkerStorage};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(feature = "block-checksums")]
 use std::sync::Mutex;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// Buffer-address / file-offset / transfer-length alignment `O_DIRECT`
 /// requires (the logical block size is at most this on any disk we care
@@ -130,12 +132,20 @@ impl AlignedBuf {
 
 /// How a worker hands its rounds to the kernel.
 enum Driver {
-    /// Batches go to the kernel in one `io_uring_enter`; the ring's
-    /// counters are folded into the storage-wide totals after each round.
+    /// A round goes to the kernel in one `io_uring_enter`, every disk's
+    /// blocks together; the ring's counters are folded into the
+    /// storage-wide totals after each round.
     #[cfg(all(feature = "uring", target_os = "linux"))]
     Uring(pdm_uring::Ring, Arc<UringShared>),
-    /// Positioned read/write per block on the worker's private handle.
+    /// Positioned read/write per block on each disk's private handle.
     Sync,
+}
+
+impl Driver {
+    /// Whether one round moves several disks at once.
+    fn concurrent(&self) -> bool {
+        !matches!(self, Driver::Sync)
+    }
 }
 
 /// Cumulative io_uring submit/reap batching counters, summed over every
@@ -176,17 +186,25 @@ impl UringShared {
     }
 }
 
-/// One file disk's service state on one worker thread: a private file
-/// handle, its aligned staging buffer and its kernel submission path.
-pub struct FileWorker {
+/// One file disk as one worker thread sees it: a private handle (its own
+/// cursor, so no shared-seek races) and an aligned staging buffer.
+struct FileDisk {
     file: File,
-    disk: usize,
+    staging: AlignedBuf,
+    /// This disk's live checksum table (slot → FNV-1a, 0 = unchecked),
+    /// shared between both workers and the medium.
+    #[cfg(feature = "block-checksums")]
+    sums: Arc<Mutex<Vec<u64>>>,
+}
+
+/// One worker thread's service state over every file disk: each disk's
+/// [`FileDisk`], and one kernel submission path for all of them.
+pub struct FileWorker {
+    disks: Vec<FileDisk>,
     /// Keys per block.
     block_size: usize,
-    /// Max blocks per kernel submission — the ring's actual capacity when
-    /// a ring was set up, the configured queue depth otherwise.
+    /// Max blocks of one disk per kernel round: the configured queue depth.
     depth: usize,
-    staging: AlignedBuf,
     driver: Driver,
     /// Physical-file fault schedule, armed before any I/O is dispatched
     /// (empty in production). Consulted per block transfer and per fsync.
@@ -197,72 +215,150 @@ pub struct FileWorker {
     /// off the caller's critical path — and folded into the same counters
     /// as the issue-time retry layer's.
     retry: Arc<OnceLock<(RetryPolicy, RetryCounters)>>,
-    /// This disk's live checksum table (slot → FNV-1a, 0 = unchecked),
-    /// shared between the disk's read and write [`FileWorker`] and the
-    /// medium.
-    #[cfg(feature = "block-checksums")]
-    sums: Arc<Mutex<Vec<u64>>>,
+}
+
+/// A kernel round: for each part, a disk and the slots it moves, in disk
+/// order.
+type Round<'a> = [(usize, &'a [usize])];
+
+/// Each part's `(disk, blocks)`, as [`Station::round`] records them.
+fn round_blocks(round: &Round<'_>) -> Vec<(usize, usize)> {
+    round
+        .iter()
+        .map(|&(disk, slots)| (disk, slots.len()))
+        .collect()
+}
+
+/// Where each share's results start in a message's answer.
+fn share_offsets<T>(shares: &[Share<T>]) -> Vec<usize> {
+    shares
+        .iter()
+        .scan(0, |at, (_, items)| {
+            let start = *at;
+            *at += items.len();
+            Some(start)
+        })
+        .collect()
+}
+
+/// Cut a disk's write share into kernel rounds of at most `depth` blocks,
+/// cutting also before a slot the round already stages: two writes to one
+/// slot must not share a kernel submission (the kernel may reorder within
+/// a batch).
+fn write_cuts<K>(batch: &[(usize, Vec<K>)], depth: usize) -> Vec<Range<usize>> {
+    let mut cuts = Vec::new();
+    let mut start = 0;
+    while start < batch.len() {
+        let mut end = start + 1;
+        while end < batch.len()
+            && end - start < depth
+            && !batch[start..end].iter().any(|(s, _)| *s == batch[end].0)
+        {
+            end += 1;
+        }
+        cuts.push(start..end);
+        start = end;
+    }
+    cuts
 }
 
 impl FileWorker {
-    /// Transfer `slots.len()` staged blocks to/from disk, one result per
-    /// slot. The staging buffer holds the payloads (writes) or receives
-    /// them (reads).
+    /// Group the shares' cuts (`cuts[k]`: share `k`'s consecutive block
+    /// ranges) into kernel rounds of `(share, range)` parts. A ring takes
+    /// the `r`-th cut of every share in round `r`, so the disks of a
+    /// message move concurrently; positioned I/O takes one cut per round,
+    /// share after share.
+    fn rounds(&self, cuts: Vec<Vec<Range<usize>>>) -> Vec<Vec<(usize, Range<usize>)>> {
+        if !self.driver.concurrent() {
+            return cuts
+                .into_iter()
+                .enumerate()
+                .flat_map(|(k, c)| c.into_iter().map(move |r| vec![(k, r)]))
+                .collect();
+        }
+        let rounds = cuts.iter().map(Vec::len).max().unwrap_or(0);
+        (0..rounds)
+            .map(|r| {
+                cuts.iter()
+                    .enumerate()
+                    .filter_map(|(k, c)| Some((k, c.get(r)?.clone())))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Transfer one kernel round between each part's staging buffer and
+    /// its file, one result per slot, parts in order. The staging buffers
+    /// hold the payloads (writes) or receive them (reads). A ring takes
+    /// the whole round in one submission, so its disks move concurrently;
+    /// positioned I/O moves one block after another.
     ///
     /// When a fault schedule is armed, one verdict is drawn per block up
-    /// front (the ring and positioned paths share the schedule): faulted
-    /// blocks never reach the kernel — short transfers and EIO fail
-    /// immediately, torn writes submit only the first half of the block
-    /// and report success.
-    fn transfer(&mut self, slots: &[usize], write: bool) -> Vec<std::io::Result<()>> {
+    /// front, in round order (the ring and positioned paths share the
+    /// schedule): faulted blocks never reach the kernel — short transfers
+    /// and EIO fail immediately, torn writes submit only the first half of
+    /// the block and report success.
+    fn transfer(&mut self, round: &Round<'_>, write: bool) -> Vec<std::io::Result<()>> {
+        let blocks: usize = round.iter().map(|(_, slots)| slots.len()).sum();
         let verdicts: Option<Vec<BlockFault>> = self
             .faults
             .get()
-            .map(|f| slots.iter().map(|_| f.block_fault(write)).collect());
+            .map(|f| (0..blocks).map(|_| f.block_fault(write)).collect());
         let verdict = |i: usize| verdicts.as_ref().map_or(BlockFault::None, |v| v[i]);
-        let bb = self.staging.block_bytes;
-        let off = self.staging.offset();
-        let staged = &mut self.staging.raw[off..];
-        let file = &mut self.file;
+        // Each part's disk, borrowed once: the parts come in disk order.
+        let mut pick = self.disks.iter_mut().enumerate();
+        let parts: Vec<(&mut FileDisk, &[usize])> = round
+            .iter()
+            .map(|&(d, slots)| {
+                let disk = pick
+                    .find_map(|(i, disk)| (i == d).then_some(disk))
+                    .expect("round parts in disk order");
+                (disk, slots)
+            })
+            .collect();
         match &mut self.driver {
             #[cfg(all(feature = "uring", target_os = "linux"))]
             Driver::Uring(ring, shared) => {
                 use std::os::fd::AsRawFd;
-                let fd = file.as_raw_fd();
-                let mut ops: Vec<pdm_uring::Op<'_>> = Vec::with_capacity(slots.len());
-                if write {
-                    for (i, (chunk, &slot)) in staged.chunks(bb).zip(slots).enumerate() {
-                        let buf = match verdict(i) {
-                            BlockFault::None => chunk,
-                            BlockFault::Torn => &chunk[..bb / 2],
-                            _ => continue,
-                        };
-                        ops.push(pdm_uring::Op::Write {
-                            fd,
-                            buf,
-                            offset: slot as u64 * bb as u64,
-                        });
-                    }
-                } else {
-                    for (i, (chunk, &slot)) in staged.chunks_mut(bb).zip(slots).enumerate() {
-                        if verdict(i) != BlockFault::None {
-                            continue;
-                        }
-                        ops.push(pdm_uring::Op::Read {
-                            fd,
-                            buf: chunk,
-                            offset: slot as u64 * bb as u64,
+                let mut ops: Vec<pdm_uring::Op<'_>> = Vec::with_capacity(blocks);
+                let mut i = 0;
+                for (disk, slots) in parts {
+                    let fd = disk.file.as_raw_fd();
+                    let bb = disk.staging.block_bytes;
+                    let off = disk.staging.offset();
+                    let staged = &mut disk.staging.raw[off..];
+                    for (chunk, &slot) in staged.chunks_mut(bb).zip(slots) {
+                        let offset = slot as u64 * bb as u64;
+                        let fault = verdict(i);
+                        i += 1;
+                        ops.push(match (write, fault) {
+                            (_, BlockFault::ShortTransfer | BlockFault::Eio) => continue,
+                            (true, BlockFault::Torn) => pdm_uring::Op::Write {
+                                fd,
+                                buf: &chunk[..bb / 2],
+                                offset,
+                            },
+                            (true, _) => pdm_uring::Op::Write {
+                                fd,
+                                buf: chunk,
+                                offset,
+                            },
+                            (false, _) => pdm_uring::Op::Read {
+                                fd,
+                                buf: chunk,
+                                offset,
+                            },
                         });
                     }
                 }
                 let before = ring.stats();
                 let results = ring.run(&mut ops);
                 shared.add(before, ring.stats());
-                // Scatter ring completions back over the slots that were
-                // actually submitted; faulted slots get their injected
+                // Scatter ring completions back over the blocks that were
+                // actually submitted; faulted blocks get their injected
                 // error in place.
                 let mut ring_results = results.into_iter();
-                (0..slots.len())
+                (0..blocks)
                     .map(|i| match verdict(i) {
                         BlockFault::ShortTransfer => Err(FileFaults::short_transfer_error(write)),
                         BlockFault::Eio => Err(FileFaults::eio_error()),
@@ -272,25 +368,33 @@ impl FileWorker {
                     })
                     .collect()
             }
-            Driver::Sync => staged
-                .chunks_mut(bb)
-                .zip(slots)
-                .enumerate()
-                .map(|(i, (chunk, &slot))| positioned(file, chunk, slot, write, verdict(i)))
-                .collect(),
+            Driver::Sync => {
+                let mut results = Vec::with_capacity(blocks);
+                for (disk, slots) in parts {
+                    let bb = disk.staging.block_bytes;
+                    let off = disk.staging.offset();
+                    let staged = &mut disk.staging.raw[off..];
+                    for (chunk, &slot) in staged.chunks_mut(bb).zip(slots) {
+                        let i = results.len();
+                        results.push(positioned(&mut disk.file, chunk, slot, write, verdict(i)));
+                    }
+                }
+                results
+            }
         }
     }
 
-    /// Completion-time retry: given one block's transfer result, reissue
-    /// it while it keeps failing transiently, up to the armed policy's
-    /// attempt budget. Runs on the worker — the async I/O already
-    /// completed, so the caller's pipeline keeps draining other blocks
-    /// while this one is re-driven. Mirrors the issue-time layer's
-    /// accounting exactly: retry `k` charges `k · backoff_steps`, each
-    /// reissue lands on this disk's per-disk counter, and a spent budget
-    /// records one exhaustion.
+    /// Completion-time retry: given the transfer result of block `i` of
+    /// disk `disk`'s round, reissue it while it keeps failing transiently,
+    /// up to the armed policy's attempt budget. Runs on the worker — the
+    /// async I/O already completed, so the caller's pipeline keeps
+    /// draining other blocks while this one is re-driven. Mirrors the
+    /// issue-time layer's accounting exactly: retry `k` charges
+    /// `k · backoff_steps`, each reissue lands on this disk's per-disk
+    /// counter, and a spent budget records one exhaustion.
     fn complete_with_retry(
         &mut self,
+        disk: usize,
         i: usize,
         slot: usize,
         write: bool,
@@ -314,7 +418,7 @@ impl FileWorker {
                 counters.record_exhausted();
                 return Err(err);
             }
-            counters.record_completion_retry(write, self.disk, u64::from(attempt), &policy);
+            counters.record_completion_retry(write, disk, u64::from(attempt), &policy);
             // Retries are rare, so they skip the batch driver; the fault
             // schedule still advances per attempt, which is what lets
             // injected transient faults heal on reissue.
@@ -322,56 +426,34 @@ impl FileWorker {
                 .faults
                 .get()
                 .map_or(BlockFault::None, |f| f.block_fault(write));
-            let chunk = self.staging.block_mut(i);
-            match positioned(&mut self.file, chunk, slot, write, verdict) {
+            let d = &mut self.disks[disk];
+            let chunk = d.staging.block_mut(i);
+            match positioned(&mut d.file, chunk, slot, write, verdict) {
                 Ok(()) => return Ok(()),
                 Err(e) => err = e,
             }
         }
     }
 
-    /// Decode the staged block at position `i` into a pooled buffer,
-    /// verifying its checksum first when the feature is on.
-    fn decode_block<K: PdmKey>(&self, lane: &Lane<'_, K>, i: usize, slot: usize) -> Result<Vec<K>> {
-        let bytes = self.staging.block(i);
+    /// Decode block `i` of disk `disk`'s staged round into a pooled
+    /// buffer, verifying its checksum first when the feature is on.
+    fn decode_block<K: PdmKey>(
+        &self,
+        station: &Station<K>,
+        disk: usize,
+        i: usize,
+        slot: usize,
+    ) -> Result<Vec<K>> {
+        let bytes = self.disks[disk].staging.block(i);
         #[cfg(feature = "block-checksums")]
-        if verify_sum(&self.sums, self.disk, slot, bytes)? {
-            lane.wall.add_verified(1);
+        if verify_sum(&self.disks[disk].sums, disk, slot, bytes)? {
+            station.wall(disk).add_verified(1);
         }
         #[cfg(not(feature = "block-checksums"))]
         let _ = slot;
-        let mut buf = lane.pool.get(self.block_size);
+        let mut buf = station.pool.get(self.block_size);
         buf.extend(bytes.chunks_exact(K::WIDTH).map(K::read_bytes));
         Ok(buf)
-    }
-
-    /// Stage, submit, and retire one round of writes (no slot repeats).
-    fn commit_round<K: PdmKey>(
-        &mut self,
-        lane: &Lane<'_, K>,
-        round: &[(usize, Vec<K>)],
-        out: &mut Vec<Result<()>>,
-    ) {
-        self.staging.ensure(round.len());
-        for (i, (_, data)) in round.iter().enumerate() {
-            let bytes = self.staging.block_mut(i);
-            for (k, dst) in data.iter().zip(bytes.chunks_exact_mut(K::WIDTH)) {
-                k.write_bytes(dst);
-            }
-        }
-        let slots: Vec<usize> = round.iter().map(|(s, _)| *s).collect();
-        let results = lane.round(slots.len(), Duration::ZERO, || self.transfer(&slots, true));
-        for (i, res) in results.into_iter().enumerate() {
-            // Completion-time retry before the checksum is recorded: the
-            // worker still holds the staged payload, so a failed write can
-            // be re-driven without any caller involvement.
-            let res = self.complete_with_retry(i, slots[i], true, res);
-            #[cfg(feature = "block-checksums")]
-            if res.is_ok() {
-                record_sum(&self.sums, slots[i], self.staging.block(i));
-            }
-            out.push(res.map_err(PdmError::Io));
-        }
     }
 }
 
@@ -445,47 +527,119 @@ fn positioned(
 }
 
 impl<K: PdmKey> MediumWorker<K> for FileWorker {
-    /// Reads go to the kernel at most `depth` blocks per round. Transient
-    /// per-block failures are reissued here (completion-time retry); with
-    /// `block-checksums`, surviving reads are verified before decode — off
-    /// the caller's critical path — and mismatches surface as
+    /// Reads go to the kernel at most `depth` blocks per disk per round.
+    /// Transient per-block failures are reissued here (completion-time
+    /// retry); with `block-checksums`, surviving reads are verified before
+    /// decode — off the caller's critical path — and mismatches surface as
     /// [`PdmError::Corrupt`].
-    fn read(&mut self, lane: &Lane<'_, K>, slots: &[usize], out: &mut Vec<Result<Vec<K>>>) {
-        for chunk in slots.chunks(self.depth) {
-            self.staging.ensure(chunk.len());
-            let results = lane.round(chunk.len(), Duration::ZERO, || self.transfer(chunk, false));
-            for (i, (res, &slot)) in results.into_iter().zip(chunk).enumerate() {
-                out.push(match self.complete_with_retry(i, slot, false, res) {
-                    Ok(()) => self.decode_block(lane, i, slot),
-                    Err(e) => Err(PdmError::Io(e)),
-                });
+    fn read(&mut self, station: &Station<K>, shares: &[Share<usize>], out: &mut BlockResults<K>) {
+        let depth = self.depth;
+        let cuts = shares
+            .iter()
+            .map(|(_, slots)| {
+                (0..slots.len())
+                    .step_by(depth)
+                    .map(|s| s..(s + depth).min(slots.len()))
+                    .collect()
+            })
+            .collect();
+        let offsets = share_offsets(shares);
+        let base = out.len();
+        out.resize_with(
+            base + shares.iter().map(|(_, s)| s.len()).sum::<usize>(),
+            || Ok(Vec::new()),
+        );
+        for round in self.rounds(cuts) {
+            let parts: Vec<(usize, &[usize])> = round
+                .iter()
+                .map(|(k, r)| (shares[*k].0, &shares[*k].1[r.clone()]))
+                .collect();
+            for &(disk, slots) in &parts {
+                self.disks[disk].staging.ensure(slots.len());
+            }
+            let results = station.round(&round_blocks(&parts), || self.transfer(&parts, false));
+            let mut results = results.into_iter();
+            for ((k, r), &(disk, slots)) in round.iter().zip(&parts) {
+                for (i, (&slot, res)) in slots.iter().zip(results.by_ref()).enumerate() {
+                    out[base + offsets[*k] + r.start + i] =
+                        match self.complete_with_retry(disk, i, slot, false, res) {
+                            Ok(()) => self.decode_block(station, disk, i, slot),
+                            Err(e) => Err(PdmError::Io(e)),
+                        };
+                }
             }
         }
     }
 
-    /// Writes go to the kernel at most `depth` blocks per round, and a
-    /// round is also cut before a slot it already stages: two writes to one
-    /// slot must not share a kernel submission (the kernel may reorder
-    /// within a batch).
-    fn write(&mut self, lane: &Lane<'_, K>, batch: &[(usize, Vec<K>)], out: &mut Vec<Result<()>>) {
-        let mut start = 0;
-        while start < batch.len() {
-            let mut end = start + 1;
-            while end < batch.len()
-                && end - start < self.depth
-                && !batch[start..end].iter().any(|(s, _)| *s == batch[end].0)
-            {
-                end += 1;
+    /// Writes go to the kernel at most `depth` blocks per disk per round,
+    /// and a disk's round is also cut before a slot it already stages (see
+    /// [`write_cuts`]).
+    fn write(
+        &mut self,
+        station: &Station<K>,
+        shares: &[Share<(usize, Vec<K>)>],
+        out: &mut Vec<Result<()>>,
+    ) {
+        let cuts = shares
+            .iter()
+            .map(|(_, batch)| write_cuts(batch, self.depth))
+            .collect();
+        let offsets = share_offsets(shares);
+        let base = out.len();
+        out.resize_with(
+            base + shares.iter().map(|(_, b)| b.len()).sum::<usize>(),
+            || Ok(()),
+        );
+        for round in self.rounds(cuts) {
+            let mut slots = Vec::with_capacity(round.len());
+            for (k, r) in &round {
+                let (disk, batch) = &shares[*k];
+                let staging = &mut self.disks[*disk].staging;
+                staging.ensure(r.len());
+                for (i, (_, data)) in batch[r.clone()].iter().enumerate() {
+                    let bytes = staging.block_mut(i);
+                    for (key, dst) in data.iter().zip(bytes.chunks_exact_mut(K::WIDTH)) {
+                        key.write_bytes(dst);
+                    }
+                }
+                slots.push(batch[r.clone()].iter().map(|(s, _)| *s).collect::<Vec<_>>());
             }
-            self.commit_round(lane, &batch[start..end], out);
-            start = end;
+            let parts: Vec<(usize, &[usize])> = round
+                .iter()
+                .zip(&slots)
+                .map(|((k, _), s)| (shares[*k].0, s.as_slice()))
+                .collect();
+            let results = station.round(&round_blocks(&parts), || self.transfer(&parts, true));
+            let mut results = results.into_iter();
+            for ((k, r), &(disk, slots)) in round.iter().zip(&parts) {
+                for (i, (&slot, res)) in slots.iter().zip(results.by_ref()).enumerate() {
+                    // Completion-time retry before the checksum is recorded:
+                    // the worker still holds the staged payload, so a failed
+                    // write can be re-driven without any caller involvement.
+                    let res = self.complete_with_retry(disk, i, slot, true, res);
+                    #[cfg(feature = "block-checksums")]
+                    if res.is_ok() {
+                        let d = &self.disks[disk];
+                        record_sum(&d.sums, slot, d.staging.block(i));
+                    }
+                    out[base + offsets[*k] + r.start + i] = res.map_err(PdmError::Io);
+                }
+            }
         }
     }
 
+    /// Every disk draws one fsync verdict and syncs, in disk order, even
+    /// after one fails.
     fn sync(&mut self) -> Result<()> {
-        sync_fault(&self.faults)
-            .and_then(|()| self.file.sync_all())
-            .map_err(PdmError::Io)
+        let faults = &self.faults;
+        self.disks
+            .iter()
+            .map(|d| {
+                sync_fault(faults)
+                    .and_then(|()| d.file.sync_all())
+                    .map_err(PdmError::Io)
+            })
+            .fold(Ok(()), Result::and)
     }
 }
 
@@ -549,15 +703,18 @@ fn store_sums(dir: &Path, disk: usize, table: &[u64]) -> Result<()> {
     Ok(())
 }
 
+/// The most entries the kernel grants one io_uring ring
+/// (`IORING_MAX_ENTRIES`); a round larger than its ring submits in turns.
+const MAX_RING_ENTRIES: usize = 32768;
+
 /// Set up one worker's submission path: a plain io_uring ring of
-/// `queue_depth` entries with the `uring` feature when the kernel grants
-/// one, positioned I/O otherwise. Returns the driver and its max blocks
-/// per round.
+/// `entries` entries with the `uring` feature when the kernel grants one,
+/// positioned I/O otherwise.
 #[cfg_attr(
     not(all(feature = "uring", target_os = "linux")),
     allow(unused_variables)
 )]
-fn driver(queue_depth: usize, uring: &Arc<UringShared>) -> (Driver, usize) {
+fn driver(entries: usize, uring: &Arc<UringShared>) -> Driver {
     #[cfg(all(feature = "uring", target_os = "linux"))]
     {
         use std::sync::atomic::AtomicBool;
@@ -566,14 +723,8 @@ fn driver(queue_depth: usize, uring: &Arc<UringShared>) -> (Driver, usize) {
         // the doomed syscall.
         static URING_UNAVAILABLE: AtomicBool = AtomicBool::new(false);
         if !URING_UNAVAILABLE.load(Ordering::Relaxed) {
-            match pdm_uring::Ring::new(queue_depth as u32) {
-                Ok(ring) => {
-                    // Rounds are sized to the ring's *actual* capacity (the
-                    // kernel rounds entries up to a power of two), so a
-                    // submission never has to queue inside the ring driver.
-                    let depth = ring.capacity().max(1);
-                    return (Driver::Uring(ring, Arc::clone(uring)), depth);
-                }
+            match pdm_uring::Ring::new(entries as u32) {
+                Ok(ring) => return Driver::Uring(ring, Arc::clone(uring)),
                 // No io_uring here: positioned I/O gives identical
                 // behavior, just per-block syscalls. Transient setup
                 // failures (e.g. ENOMEM) only downgrade this worker;
@@ -587,7 +738,7 @@ fn driver(queue_depth: usize, uring: &Arc<UringShared>) -> (Driver, usize) {
             }
         }
     }
-    (Driver::Sync, queue_depth)
+    Driver::Sync
 }
 
 /// Magic first line of the `meta.pdm` geometry manifest.
@@ -826,23 +977,29 @@ impl FileDisks {
         Ok(())
     }
 
-    /// One worker thread's private handle on disk `disk`, with its aligned
-    /// staging buffer and its submission path.
-    fn worker(&self, disk: usize, block_bytes: usize, queue_depth: usize) -> Result<FileWorker> {
-        let (file, _) = open_disk(&self.paths[disk], false, self.direct_io)?;
+    /// One worker thread's service state: a private handle and an aligned
+    /// staging buffer per disk, and one submission path for all disks that
+    /// takes `depth` blocks of every disk in one round.
+    fn worker(&self, block_bytes: usize, depth: usize) -> Result<FileWorker> {
         let align = if self.direct_io { DIRECT_ALIGN } else { 1 };
-        let (driver, depth) = driver(queue_depth, &self.uring);
+        let disks = (0..self.paths.len())
+            .map(|d| {
+                let (file, _) = open_disk(&self.paths[d], false, self.direct_io)?;
+                Ok(FileDisk {
+                    file,
+                    staging: AlignedBuf::new(block_bytes, align),
+                    #[cfg(feature = "block-checksums")]
+                    sums: Arc::clone(&self.sums[d]),
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(FileWorker {
-            file,
-            disk,
+            driver: driver((disks.len() * depth).min(MAX_RING_ENTRIES), &self.uring),
+            disks,
             block_size: self.block_size,
             depth,
-            staging: AlignedBuf::new(block_bytes, align),
-            driver,
             faults: Arc::clone(&self.faults),
             retry: Arc::clone(&self.retry),
-            #[cfg(feature = "block-checksums")]
-            sums: Arc::clone(&self.sums[disk]),
         })
     }
 }
@@ -905,8 +1062,9 @@ impl Drop for FileDisks {
 }
 
 /// Asynchronous file-backed storage: real disk files, one read and one
-/// write worker thread for all disks, batched kernel submission (io_uring with the `uring`
-/// feature), `O_DIRECT` where the geometry and filesystem allow.
+/// write worker thread for all disks, batched kernel submission (one
+/// io_uring ring per worker with the `uring` feature), `O_DIRECT` where
+/// the geometry and filesystem allow.
 pub type AsyncFileStorage<K> = WorkerStorage<K, FileDisks>;
 
 impl<K: PdmKey> AsyncFileStorage<K> {
@@ -917,8 +1075,9 @@ impl<K: PdmKey> AsyncFileStorage<K> {
     }
 
     /// [`AsyncFileStorage::create`] with an explicit per-disk queue depth:
-    /// max blocks per kernel submission per worker, and the io_uring ring
-    /// size requested with the `uring` feature.
+    /// max blocks of one disk per kernel round. With the `uring` feature,
+    /// each worker's ring is sized to take a round of every disk at once
+    /// (`D ×` the depth).
     pub fn create_with(
         dir: impl AsRef<Path>,
         num_disks: usize,
@@ -968,16 +1127,12 @@ impl<K: PdmKey> AsyncFileStorage<K> {
         Self::on(medium, queue_depth)
     }
 
-    /// Open every disk's read and write [`FileWorker`] over an opened
-    /// medium and spawn the two worker threads.
+    /// Open the read and the write [`FileWorker`] over an opened medium
+    /// and spawn the two worker threads.
     fn on((medium, allocated): (FileDisks, Vec<usize>), queue_depth: usize) -> Result<Self> {
         let (block_size, depth) = (medium.block_size, queue_depth.max(1));
-        let workers = (0..allocated.len())
-            .map(|d| {
-                let worker = || medium.worker(d, block_size * K::WIDTH, depth);
-                Ok((worker()?, worker()?))
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let worker = || medium.worker(block_size * K::WIDTH, depth);
+        let workers = (worker()?, worker()?);
         Ok(Self::spawn(medium, block_size, allocated, workers))
     }
 
@@ -1114,7 +1269,16 @@ mod tests {
             assert_eq!((dw.read.count, dw.write.count), (3, 3));
         }
         // uring counters only move when a ring actually serviced the
-        // batch; when they do, submissions balance completions.
+        // batch; when they do, submissions balance completions, and each
+        // round hands both disks' blocks to the kernel in one submission.
         assert_eq!(w.uring.submitted_sqes, w.uring.reaped_cqes);
+        if w.uring.submitted_sqes > 0 {
+            assert_eq!(w.uring.submitted_sqes, 40, "{:?}", w.uring);
+            assert_eq!(
+                w.uring.submit_calls, 6,
+                "3 rounds a direction: {:?}",
+                w.uring
+            );
+        }
     }
 }

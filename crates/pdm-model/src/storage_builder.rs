@@ -150,8 +150,9 @@ impl StorageBuilder {
     }
 
     /// Per-disk submission queue depth for the async-file backend: max
-    /// blocks per kernel round per worker, and the io_uring ring size with
-    /// the `uring` feature. Ignored by the other backends.
+    /// blocks of one disk per kernel round (each worker's io_uring ring,
+    /// with the `uring` feature, holds `D ×` that). Ignored by the other
+    /// backends.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
         self

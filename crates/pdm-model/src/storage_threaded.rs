@@ -9,9 +9,11 @@
 //! The access latency is paid once per message, i.e. once per batch: the
 //! batch is one parallel step, whose disks wait out their access side by
 //! side, and each disk it touches is charged the latency in its service
-//! time. Requests queued together stream back-to-back. The latency is
-//! slept *outside* the lock on a disk's data, so the read worker and the
-//! write worker genuinely overlap. Synchronous callers can't tell: a
+//! time. A batch queued behind another starts its access when that one's
+//! ends, so a queue streams at the nominal latency, not at the latency plus
+//! whatever the OS adds to each sleep. The latency is slept *outside* the
+//! lock on a disk's data, so the read worker and the write worker genuinely
+//! overlap. Synchronous callers can't tell: a
 //! blocking batch is all-reads or all-writes and waits for its reply
 //! before returning, so the two workers only run side by side once the
 //! overlap layer keeps both streams in flight.
@@ -19,7 +21,9 @@
 use crate::error::Result;
 use crate::key::PdmKey;
 use crate::storage::StorageCaps;
-use crate::storage_worker::{Lane, Medium, MediumWorker, WorkerStorage, POISONED};
+use crate::storage_worker::{
+    BlockResults, Medium, MediumWorker, Share, Station, WorkerStorage, POISONED,
+};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -28,18 +32,17 @@ use std::time::Duration;
 pub type ThreadedStorage<K> = WorkerStorage<K, RamDisks<K>>;
 
 /// The RAM medium: one flat key array per disk, shared by the two workers
-/// behind a mutex. Only the copy in or out holds the lock.
+/// behind a mutex per disk. Only the copy in or out holds the lock.
 pub struct RamDisks<K> {
     disks: Vec<Arc<Mutex<Vec<K>>>>,
     block_size: usize,
+    latency: Duration,
 }
 
-/// One RAM disk's service state: its array and the access latency a
-/// message pays.
+/// One worker thread's view of the RAM disks: every disk's array.
 pub struct RamWorker<K> {
-    disk: Arc<Mutex<Vec<K>>>,
+    disks: Vec<Arc<Mutex<Vec<K>>>>,
     block_size: usize,
-    latency: Duration,
 }
 
 impl<K: PdmKey> Medium<K> for RamDisks<K> {
@@ -61,30 +64,44 @@ impl<K: PdmKey> Medium<K> for RamDisks<K> {
             ..StorageCaps::default()
         }
     }
+
+    fn access(&self) -> Duration {
+        self.latency
+    }
 }
 
+/// Each disk's share is one service round.
 impl<K: PdmKey> MediumWorker<K> for RamWorker<K> {
-    fn read(&mut self, lane: &Lane<'_, K>, slots: &[usize], out: &mut Vec<Result<Vec<K>>>) {
+    fn read(&mut self, station: &Station<K>, shares: &[Share<usize>], out: &mut BlockResults<K>) {
         let b = self.block_size;
-        lane.round(slots.len(), self.latency, || {
-            let disk = self.disk.lock().expect(POISONED);
-            for &slot in slots {
-                let mut buf = lane.pool.get(b);
-                buf.extend_from_slice(&disk[slot * b..(slot + 1) * b]);
-                out.push(Ok(buf));
-            }
-        });
+        for (disk, slots) in shares {
+            station.round(&[(*disk, slots.len())], || {
+                let data = self.disks[*disk].lock().expect(POISONED);
+                for &slot in slots {
+                    let mut buf = station.pool.get(b);
+                    buf.extend_from_slice(&data[slot * b..(slot + 1) * b]);
+                    out.push(Ok(buf));
+                }
+            });
+        }
     }
 
-    fn write(&mut self, lane: &Lane<'_, K>, batch: &[(usize, Vec<K>)], out: &mut Vec<Result<()>>) {
+    fn write(
+        &mut self,
+        station: &Station<K>,
+        shares: &[Share<(usize, Vec<K>)>],
+        out: &mut Vec<Result<()>>,
+    ) {
         let b = self.block_size;
-        lane.round(batch.len(), self.latency, || {
-            let mut disk = self.disk.lock().expect(POISONED);
-            for (slot, data) in batch {
-                disk[slot * b..(slot + 1) * b].copy_from_slice(data);
-                out.push(Ok(()));
-            }
-        });
+        for (disk, batch) in shares {
+            station.round(&[(*disk, batch.len())], || {
+                let mut data = self.disks[*disk].lock().expect(POISONED);
+                for (slot, payload) in batch {
+                    data[slot * b..(slot + 1) * b].copy_from_slice(payload);
+                    out.push(Ok(()));
+                }
+            });
+        }
     }
 }
 
@@ -98,14 +115,17 @@ impl<K: PdmKey> ThreadedStorage<K> {
     /// disks with that access time.
     pub fn with_latency(num_disks: usize, block_size: usize, latency: Duration) -> Self {
         let disks: Vec<Arc<Mutex<Vec<K>>>> = (0..num_disks).map(|_| Arc::default()).collect();
-        let worker = |disk: &Arc<Mutex<Vec<K>>>| RamWorker {
-            disk: Arc::clone(disk),
+        let worker = || RamWorker {
+            disks: disks.clone(),
             block_size,
-            latency,
         };
-        let workers = disks.iter().map(|d| (worker(d), worker(d))).collect();
+        let workers = (worker(), worker());
         Self::spawn(
-            RamDisks { disks, block_size },
+            RamDisks {
+                disks,
+                block_size,
+                latency,
+            },
             block_size,
             vec![0; num_disks],
             workers,

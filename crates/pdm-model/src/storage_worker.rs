@@ -10,9 +10,11 @@
 //! from a pluggable [`Medium`]: RAM with an emulated access latency
 //! ([`crate::storage_threaded::ThreadedStorage`]) or a host file driven by
 //! positioned I/O or io_uring
-//! ([`crate::storage_async_file::AsyncFileStorage`]). Each worker owns one
-//! [`MediumWorker`] per disk and serves a message's shares in disk order.
-//! Everything else is written once, here:
+//! ([`crate::storage_async_file::AsyncFileStorage`]). Each worker thread
+//! owns one [`MediumWorker`], which serves a whole message: the RAM medium
+//! copies the shares in disk order, and the file medium's ring takes every
+//! disk's blocks in one kernel submission. Everything else is written
+//! once, here:
 //!
 //! - **Grouped dispatch.** A caller batch is validated against the
 //!   caller-side allocation table (disk, slot, payload length), split by
@@ -35,10 +37,15 @@
 //!   order), so an error never strands buffers inside a reply channel. The
 //!   blocking `read_batch`/`write_batch` are `start_*_batch(..)?.wait(..)`.
 //!   One worker completes its messages in issue order.
-//! - **Telemetry.** One service *round* (a medium's unit of work on one
-//!   disk: one emulated access, one kernel submission) is one sample in
-//!   that disk's latency histogram and one [`SpanSink`] span on its track;
-//!   the queue gauge counts blocks submitted but not yet serviced.
+//! - **Emulated access.** A medium with an access time
+//!   ([`Medium::access`]) has the worker sleep it once per read or write
+//!   message, before the disks move; a message queued behind another
+//!   starts its access when that one's ends (see [`Station`]).
+//! - **Telemetry.** One service *round* (a medium's unit of work: one
+//!   disk's copy, one kernel submission) is one sample in the latency
+//!   histogram of every disk it moves and one [`SpanSink`] span on each of
+//!   their tracks, the message's access wait included; the queue gauge
+//!   counts blocks submitted but not yet serviced.
 //! - **`sync`** is one FIFO barrier on the write queue: the write worker
 //!   reaches it once every previously queued write is committed, syncs
 //!   every disk, and replies; the medium then persists its own metadata.
@@ -57,10 +64,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The caller-side half of a medium: what the engine asks of the disks as
-/// a whole. Per-disk service state lives in [`Medium::Worker`].
+/// a whole. What moves blocks lives in [`Medium::Worker`].
 pub trait Medium<K: PdmKey>: Send + 'static {
-    /// Per-disk service state; every disk gets one on the read worker and
-    /// one on the write worker.
+    /// One worker thread's service state over every disk; the read worker
+    /// and the write worker each get one.
     type Worker: MediumWorker<K>;
 
     /// Grow disk `disk` to `slots` block slots (called on the caller
@@ -82,118 +89,134 @@ pub trait Medium<K: PdmKey>: Send + 'static {
     fn uring(&self) -> UringWall {
         UringWall::default()
     }
+
+    /// The emulated access time a read or write message waits out before
+    /// its disks move: zero on a real medium.
+    fn access(&self) -> Duration {
+        Duration::ZERO
+    }
 }
 
-/// One disk's service state on one worker thread: moves that disk's
-/// blocks.
+/// One worker thread's service state over every disk: moves the blocks of
+/// a message's shares.
 pub trait MediumWorker<K: PdmKey>: Send + 'static {
-    /// Read `slots` (already bounds-checked) into pooled buffers, pushing
-    /// one result per slot onto `out` in order. Each service round runs
-    /// inside [`Lane::round`].
-    fn read(&mut self, lane: &Lane<'_, K>, slots: &[usize], out: &mut Vec<Result<Vec<K>>>);
+    /// Read every share's slots (already bounds-checked) into pooled
+    /// buffers, pushing one result per slot onto `out`, shares in order.
+    /// Each service round runs inside [`Station::round`].
+    fn read(&mut self, station: &Station<K>, shares: &[Share<usize>], out: &mut BlockResults<K>);
 
-    /// Commit `batch` (`(slot, payload)` pairs in issue order), pushing one
-    /// result per block onto `out`. The engine returns the payloads to the
-    /// pool and retires their hazard entries afterwards.
-    fn write(&mut self, lane: &Lane<'_, K>, batch: &[(usize, Vec<K>)], out: &mut Vec<Result<()>>);
+    /// Commit every share's `(slot, payload)` pairs (in issue order within
+    /// a share), pushing one result per block onto `out`, shares in order.
+    /// The engine returns the payloads to the pool and retires their
+    /// hazard entries afterwards.
+    fn write(
+        &mut self,
+        station: &Station<K>,
+        shares: &[Share<(usize, Vec<K>)>],
+        out: &mut Vec<Result<()>>,
+    );
 
-    /// Make this disk's committed writes durable (the write worker's half
-    /// of [`Storage::sync`]).
+    /// Make every disk's committed writes durable (the write worker's half
+    /// of [`Storage::sync`]): every disk syncs, even after one fails, and
+    /// the first error in disk order is the answer.
     fn sync(&mut self) -> Result<()> {
         Ok(())
     }
 }
 
 /// One worker thread's state: its direction, the block pool, every disk's
-/// wall-clock recorder and the trace sink.
-struct Station<K> {
+/// wall-clock recorder, the trace sink and the medium's emulated access
+/// time. A [`MediumWorker`] reports its service rounds through it.
+pub struct Station<K> {
     write: bool,
-    pool: Arc<BlockPool<K>>,
+    /// The pool read replies are drawn from.
+    pub(crate) pool: Arc<BlockPool<K>>,
     wall: Vec<Arc<DiskWallRec>>,
     sink: Arc<OnceLock<Arc<SpanSink>>>,
-    /// How long the message being served waited out its access time,
-    /// once it has.
-    waited: Cell<Option<Duration>>,
+    /// Emulated access time per message (zero on a real medium).
+    access: Duration,
+    /// When the emulated disks finish the access of the last message.
+    free_at: Cell<Instant>,
+    /// How long this thread waited out the access of the message being
+    /// served.
+    waited: Cell<Duration>,
 }
 
 impl<K> Station<K> {
-    /// Disk `disk`'s view of this worker, for serving its share.
-    fn lane(&self, disk: usize) -> Lane<'_, K> {
-        Lane {
-            disk,
-            write: self.write,
-            pool: &self.pool,
-            wall: &self.wall[disk],
-            sink: self.sink.get().map(|s| &**s),
-            waited: &self.waited,
+    /// Wait out the emulated access of a message issued at `issued`: one
+    /// access per message, since a message is one parallel step whose
+    /// disks wait side by side. A message issued while the previous one's
+    /// access was still running is queued: its access starts the moment
+    /// that one's ends, as a device starts its next queued request at once,
+    /// even if this thread is still waking from the last sleep. So the
+    /// thread's wake-up lag does not pile up along a queue. A message that
+    /// found the disks idle starts its access when this thread takes it
+    /// up.
+    fn wait_access(&self, issued: Instant) {
+        if self.access.is_zero() {
+            return;
         }
+        let now = Instant::now();
+        let free_at = self.free_at.get();
+        let start = if issued < free_at { free_at } else { now };
+        let done = start + self.access;
+        self.free_at.set(done);
+        if let Some(left) = done.checked_duration_since(now) {
+            std::thread::sleep(left);
+        }
+        self.waited.set(now.elapsed());
     }
-}
 
-/// One disk's share of the message a worker thread is serving: its disk
-/// and direction, the block pool, and that disk's wall-clock recorder and
-/// trace track.
-pub struct Lane<'a, K> {
-    disk: usize,
-    write: bool,
-    /// The pool read replies are drawn from.
-    pub(crate) pool: &'a BlockPool<K>,
-    /// This disk's wall-clock recorder.
-    pub(crate) wall: &'a DiskWallRec,
-    sink: Option<&'a SpanSink>,
-    waited: &'a Cell<Option<Duration>>,
-}
+    /// Disk `disk`'s wall-clock recorder.
+    #[cfg(feature = "block-checksums")]
+    pub(crate) fn wall(&self, disk: usize) -> &DiskWallRec {
+        &self.wall[disk]
+    }
 
-impl<K> Lane<'_, K> {
-    /// Run one service round over `blocks` blocks of this disk after an
-    /// emulated access time `access` (zero on a real medium). A message is
-    /// one parallel step: its first round to ask sleeps `access`, and every
-    /// round is charged the time that sleep took, as if the disks of the
-    /// step waited side by side. The round's wall time plus that wait is
-    /// one latency-histogram sample and, when a sink is attached, one span
-    /// on this disk's track (`2·disk` read, `2·disk + 1` write); its blocks
-    /// then retire from the queue gauge.
-    pub(crate) fn round<R>(&self, blocks: usize, access: Duration, f: impl FnOnce() -> R) -> R {
-        let waited = match self.waited.get() {
-            Some(waited) => waited,
-            None if access.is_zero() => Duration::ZERO,
-            None => {
-                let slept = Instant::now();
-                std::thread::sleep(access);
-                let waited = slept.elapsed();
-                self.waited.set(Some(waited));
-                waited
-            }
-        };
+    /// Run one service round that moves `blocks` blocks of each listed
+    /// `(disk, blocks)`. For every one of those disks, the round's wall
+    /// time plus the message's access wait is one latency-histogram sample
+    /// and, when a sink is attached, one span on the disk's track (`2·disk`
+    /// read, `2·disk + 1` write); its blocks then retire from the queue
+    /// gauge.
+    pub(crate) fn round<R>(&self, disks: &[(usize, usize)], f: impl FnOnce() -> R) -> R {
+        let waited = self.waited.get();
         let t0 = Instant::now();
         let res = f();
         let t1 = Instant::now();
         let ns = (t1.saturating_duration_since(t0) + waited).as_nanos() as u64;
-        let hist = if self.write {
-            &self.wall.write
-        } else {
-            &self.wall.read
-        };
-        hist.record(ns);
-        if let Some(sink) = self.sink {
-            let track = (2 * self.disk + usize::from(self.write)) as u32;
-            let start = t0.checked_sub(waited).unwrap_or(t0);
-            sink.record(track, if self.write { "write" } else { "read" }, start, t1);
+        let start = t0.checked_sub(waited).unwrap_or(t0);
+        let name = if self.write { "write" } else { "read" };
+        for &(disk, blocks) in disks {
+            let wall = &self.wall[disk];
+            if self.write {
+                wall.write.record(ns);
+            } else {
+                wall.read.record(ns);
+            }
+            if let Some(sink) = self.sink.get() {
+                let track = (2 * disk + usize::from(self.write)) as u32;
+                sink.record(track, name, start, t1);
+            }
+            wall.queue_sub(blocks as u64);
         }
-        self.wall.queue_sub(blocks as u64);
         res
     }
 }
 
 /// One message carries every touched disk's share of a caller batch, in
 /// disk order: one send, one worker wake-up and one reply per batch.
+/// Reads and writes carry the instant they were issued, which places
+/// their emulated access.
 enum Request<K> {
     Read {
         shares: Vec<Share<usize>>,
+        issued: Instant,
         reply: Sender<BlockResults<K>>,
     },
     Write {
         shares: Vec<Share<(usize, Vec<K>)>>,
+        issued: Instant,
         reply: Sender<Result<()>>,
     },
     /// FIFO barrier: every write queued before it is committed when it is
@@ -244,10 +267,10 @@ pub(crate) const POISONED: &str = "a disk worker panicked holding a shared lock"
 
 /// One disk's share of a message: the disk, and its slots (or
 /// `(slot, payload)` pairs) in issue order.
-type Share<T> = (usize, Vec<T>);
+pub type Share<T> = (usize, Vec<T>);
 
 /// A read message's answer: a block or an error per slot, in share order.
-type BlockResults<K> = Vec<Result<Vec<K>>>;
+pub type BlockResults<K> = Vec<Result<Vec<K>>>;
 
 /// In-flight write slots (`(disk, slot)` → outstanding writes).
 type Hazards = Arc<Mutex<HashMap<(usize, usize), usize>>>;
@@ -292,29 +315,38 @@ pub(crate) fn grow<K: PdmKey, M: Medium<K>>(
     Ok(())
 }
 
-/// A worker thread's loop over every disk's [`MediumWorker`]; returns when
-/// the engine drops its sender.
+/// A worker thread's loop over its [`MediumWorker`]; returns when the
+/// engine drops its sender.
 fn serve<K: PdmKey, W: MediumWorker<K>>(
-    mut disks: Vec<W>,
+    mut worker: W,
     station: Station<K>,
     hazards: Hazards,
     rx: Receiver<Request<K>>,
 ) {
     while let Ok(req) = rx.recv() {
-        station.waited.set(None);
         match req {
-            Request::Read { shares, reply } => {
-                let mut out = Vec::with_capacity(shares.iter().map(|(_, s)| s.len()).sum());
-                for (disk, slots) in &shares {
-                    disks[*disk].read(&station.lane(*disk), slots, &mut out);
+            Request::Read {
+                shares,
+                issued,
+                reply,
+            } => {
+                if !shares.is_empty() {
+                    station.wait_access(issued);
                 }
+                let mut out = Vec::with_capacity(shares.iter().map(|(_, s)| s.len()).sum());
+                worker.read(&station, &shares, &mut out);
                 let _ = reply.send(out);
             }
-            Request::Write { shares, reply } => {
-                let mut out = Vec::with_capacity(shares.iter().map(|(_, b)| b.len()).sum());
-                for (disk, batch) in &shares {
-                    disks[*disk].write(&station.lane(*disk), batch, &mut out);
+            Request::Write {
+                shares,
+                issued,
+                reply,
+            } => {
+                if !shares.is_empty() {
+                    station.wait_access(issued);
                 }
+                let mut out = Vec::with_capacity(shares.iter().map(|(_, b)| b.len()).sum());
+                worker.write(&station, &shares, &mut out);
                 // The bytes are committed: only now may a read of these
                 // slots pass the hazard gate.
                 let mut pending = hazards.lock().expect(POISONED);
@@ -337,10 +369,7 @@ fn serve<K: PdmKey, W: MediumWorker<K>>(
                 let _ = reply.send(out.into_iter().find(Result::is_err).unwrap_or(Ok(())));
             }
             Request::Sync { reply } => {
-                // Every disk syncs, even after one fails; the first error
-                // in disk order is the answer.
-                let synced = disks.iter_mut().map(W::sync).fold(Ok(()), Result::and);
-                let _ = reply.send(synced);
+                let _ = reply.send(worker.sync());
             }
         }
     }
@@ -367,16 +396,15 @@ pub struct WorkerStorage<K: PdmKey, M> {
 
 impl<K: PdmKey, M: Medium<K>> WorkerStorage<K, M> {
     /// Spawn the read worker and the write worker over `medium`, whose
-    /// disks start with `allocated` slots each; `workers` holds each disk's
-    /// `(read, write)` service state.
+    /// disks start with `allocated` slots each; `workers` holds the read
+    /// worker's and the write worker's service state.
     pub(crate) fn spawn(
         medium: M,
         block_size: usize,
         allocated: Vec<usize>,
-        workers: Vec<(M::Worker, M::Worker)>,
+        workers: (M::Worker, M::Worker),
     ) -> Self {
-        let num_disks = workers.len();
-        debug_assert_eq!(allocated.len(), num_disks);
+        let num_disks = allocated.len();
         let mut s = Self {
             medium,
             block_size,
@@ -394,21 +422,23 @@ impl<K: PdmKey, M: Medium<K>> WorkerStorage<K, M> {
                 .collect(),
             sink: Arc::new(OnceLock::new()),
         };
-        let (readers, writers): (Vec<_>, Vec<_>) = workers.into_iter().unzip();
-        for (write, disks) in [(false, readers), (true, writers)] {
+        let (reader, writer) = workers;
+        for (write, worker) in [(false, reader), (true, writer)] {
             let station = Station {
                 write,
                 pool: Arc::clone(&s.pool),
                 wall: s.wall.clone(),
                 sink: Arc::clone(&s.sink),
-                waited: Cell::new(None),
+                access: s.medium.access(),
+                free_at: Cell::new(Instant::now()),
+                waited: Cell::new(Duration::ZERO),
             };
             let (tx, rx) = channel();
             let hazards = Arc::clone(&s.hazards);
             let side = if write { 'w' } else { 'r' };
             let handle = std::thread::Builder::new()
                 .name(format!("pdm-disks-{side}"))
-                .spawn(move || serve(disks, station, hazards, rx))
+                .spawn(move || serve(worker, station, hazards, rx))
                 .expect("spawn disk worker");
             s.queues.push(tx);
             s.handles.push(handle);
@@ -593,7 +623,15 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
             })
             .collect();
         let (reply, rx) = Reply::new();
-        self.send(false, Request::Read { shares, reply })?;
+        let issued = Instant::now();
+        self.send(
+            false,
+            Request::Read {
+                shares,
+                issued,
+                reply,
+            },
+        )?;
         Ok(Box::new(GroupedPending {
             order,
             reply: rx,
@@ -634,7 +672,15 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
             },
         ));
         let (reply, rx) = Reply::new();
-        self.send(true, Request::Write { shares, reply })?;
+        let issued = Instant::now();
+        self.send(
+            true,
+            Request::Write {
+                shares,
+                issued,
+                reply,
+            },
+        )?;
         Ok(Box::new(GroupedWritePending { reply: rx }))
     }
 }
@@ -703,7 +749,7 @@ mod tests {
         wall_telemetry_is_one_sample_and_span_per_disk_per_batch,
     );
 
-    /// One service call a [`Recorder`] disk saw: the thread that made it,
+    /// One service round a [`Recorder`] disk saw: the thread that made it,
     /// what it was, the disk and the blocks.
     #[derive(Debug, PartialEq)]
     struct Call {
@@ -725,17 +771,17 @@ mod tests {
     }
 
     /// A test medium that keeps no bytes (a read returns blocks filled
-    /// with the disk's index) and logs every service call.
+    /// with the disk's index) and logs every service round.
     struct Recorder(Log);
 
-    /// One [`Recorder`] disk's service state.
-    struct RecordingDisk {
-        disk: usize,
+    /// One [`Recorder`] worker thread's service state over `disks` disks.
+    struct RecordingWorker {
+        disks: usize,
         log: Log,
     }
 
     impl Medium<u64> for Recorder {
-        type Worker = RecordingDisk;
+        type Worker = RecordingWorker;
 
         fn grow(&mut self, _disk: usize, _slots: usize) -> Result<()> {
             Ok(())
@@ -751,32 +797,43 @@ mod tests {
         }
     }
 
-    impl MediumWorker<u64> for RecordingDisk {
-        fn read(&mut self, lane: &Lane<'_, u64>, slots: &[usize], out: &mut BlockResults<u64>) {
-            lane.round(slots.len(), Duration::ZERO, || {
-                log(&self.log, "read", self.disk, slots.len());
-                for _ in slots {
-                    let mut buf = lane.pool.get(4);
-                    buf.resize(4, self.disk as u64);
-                    out.push(Ok(buf));
-                }
-            });
+    impl MediumWorker<u64> for RecordingWorker {
+        fn read(
+            &mut self,
+            station: &Station<u64>,
+            shares: &[Share<usize>],
+            out: &mut BlockResults<u64>,
+        ) {
+            for (disk, slots) in shares {
+                station.round(&[(*disk, slots.len())], || {
+                    log(&self.log, "read", *disk, slots.len());
+                    for _ in slots {
+                        let mut buf = station.pool.get(4);
+                        buf.resize(4, *disk as u64);
+                        out.push(Ok(buf));
+                    }
+                });
+            }
         }
 
         fn write(
             &mut self,
-            lane: &Lane<'_, u64>,
-            batch: &[(usize, Vec<u64>)],
+            station: &Station<u64>,
+            shares: &[Share<(usize, Vec<u64>)>],
             out: &mut Vec<Result<()>>,
         ) {
-            lane.round(batch.len(), Duration::ZERO, || {
-                log(&self.log, "write", self.disk, batch.len());
-                out.extend(batch.iter().map(|_| Ok(())));
-            });
+            for (disk, batch) in shares {
+                station.round(&[(*disk, batch.len())], || {
+                    log(&self.log, "write", *disk, batch.len());
+                    out.extend(batch.iter().map(|_| Ok(())));
+                });
+            }
         }
 
         fn sync(&mut self) -> Result<()> {
-            log(&self.log, "sync", self.disk, 0);
+            for disk in 0..self.disks {
+                log(&self.log, "sync", disk, 0);
+            }
             Ok(())
         }
     }
@@ -785,11 +842,11 @@ mod tests {
     fn one_read_worker_and_one_write_worker_serve_every_disk() {
         let (d, b) = (8, 4);
         let calls: Log = Arc::default();
-        let disk = |disk| RecordingDisk {
-            disk,
+        let worker = || RecordingWorker {
+            disks: d,
             log: Arc::clone(&calls),
         };
-        let workers = (0..d).map(|i| (disk(i), disk(i))).collect();
+        let workers = (worker(), worker());
         let mut s = WorkerStorage::spawn(Recorder(Arc::clone(&calls)), b, vec![2; d], workers);
         assert_eq!(
             s.handles.len(),
@@ -854,6 +911,34 @@ mod tests {
                 blocks: 0
             }
         );
+    }
+
+    #[test]
+    fn queued_messages_start_their_access_when_the_last_one_ends() {
+        let access = Duration::from_millis(2);
+        let station = Station::<u64> {
+            write: true,
+            pool: Arc::new(BlockPool::for_blocks(1, 4)),
+            wall: Vec::new(),
+            sink: Arc::default(),
+            access,
+            free_at: Cell::new(Instant::now()),
+            waited: Cell::new(Duration::ZERO),
+        };
+        // A message that finds the disks idle waits out a whole access
+        // from when the worker takes it up.
+        let issued = Instant::now();
+        station.wait_access(issued);
+        assert!(station.waited.get() >= access, "{:?}", station.waited.get());
+        let done = station.free_at.get();
+        // Messages issued while that access ran are queued: each access
+        // starts when the previous one ends, however late the thread woke,
+        // so the queue drains at exactly one access per message.
+        for k in 1..=3 {
+            station.wait_access(issued);
+            assert_eq!(station.free_at.get(), done + k * access, "message {k}");
+        }
+        assert!(Instant::now() >= done + 3 * access);
     }
 
     /// `s` with every disk grown to `slots` slots.
