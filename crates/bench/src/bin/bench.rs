@@ -18,6 +18,8 @@
 use pdm_model::prelude::*;
 use pdm_sort::dispatch::DEFAULT_ALPHA;
 use pdm_sort::{merge, Algorithm};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -624,7 +626,9 @@ fn render_realdisk_json(
     s
 }
 
-/// One timed run of `alg` over a fresh [`AsyncFileStorage`] stack.
+/// One timed run of `alg` over a fresh [`AsyncFileStorage`] stack. Under
+/// `dir`, the disks live in a fresh subdirectory that is removed when the
+/// leg ends, so the run leaves nothing under `dir`.
 /// Returns (wall ms, read passes, write passes, direct_io in effect,
 /// harvested wall-clock telemetry with `run_nanos` stamped).
 fn real_disk_leg(
@@ -635,9 +639,17 @@ fn real_disk_leg(
     overlap: bool,
     data: &[u64],
 ) -> (f64, f64, f64, bool, WallStats) {
+    static LEGS: AtomicUsize = AtomicUsize::new(0);
+    let leg_dir = dir.map(|d| {
+        let leg = LEGS.fetch_add(1, Ordering::Relaxed);
+        let sub = Path::new(d).join(format!("leg-{}-{leg}", std::process::id()));
+        std::fs::create_dir_all(d).expect("real-disk dir");
+        std::fs::create_dir(&sub).expect("fresh real-disk leg dir");
+        sub
+    });
     let cfg = PdmConfig::square(4, b);
     let mut builder = StorageBuilder::new(BackendKind::AsyncFile, cfg.num_disks, cfg.block_size);
-    if let Some(d) = dir {
+    if let Some(d) = &leg_dir {
         builder = builder.dir(d);
     }
     let built = builder.build::<u64>().expect("async-file storage");
@@ -653,6 +665,10 @@ fn real_disk_leg(
     let el = t0.elapsed();
     pdm.stats_mut().wall.run_nanos = el.as_nanos() as u64;
     let wall = pdm.stats().wall.clone();
+    drop(pdm); // closes the disks before their directory goes
+    if let Some(d) = &leg_dir {
+        std::fs::remove_dir_all(d).expect("remove real-disk leg dir");
+    }
     (
         el.as_secs_f64() * 1e3,
         rep.read_passes,

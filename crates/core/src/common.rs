@@ -451,14 +451,14 @@ impl<K: PdmKey> Cleaner<K> {
         self.telemetry
     }
 
-    /// Read the given blocks of `region` straight into the cleanup buffer.
+    /// Read one batch of blocks (see [`Pdm::read_blocks`]) straight into
+    /// the cleanup buffer.
     pub fn feed_blocks<S: Storage<K>>(
         &mut self,
         pdm: &mut Pdm<K, S>,
-        region: &Region,
-        indices: &[usize],
+        blocks: impl IntoIterator<Item = (Region, usize)>,
     ) -> Result<()> {
-        pdm.read_blocks(region, indices, self.buf.as_vec_mut())
+        pdm.read_blocks(blocks, self.buf.as_vec_mut())
     }
 
     /// Pull the next read-ahead batch straight into the cleanup buffer
@@ -581,8 +581,8 @@ impl RegionEmitter {
         let b = self.region.block_size();
         assert_eq!(keys.len() % b, 0, "emit must be block-aligned");
         let nblocks = keys.len() / b;
-        let idx: Vec<usize> = (self.next_block..self.next_block + nblocks).collect();
-        pdm.write_blocks(&self.region, &idx, keys)?;
+        let blocks = (self.next_block..self.next_block + nblocks).map(|i| (self.region, i));
+        pdm.write_blocks(blocks, keys)?;
         self.next_block += nblocks;
         Ok(())
     }
@@ -599,8 +599,8 @@ impl RegionEmitter {
         let b = self.region.block_size();
         assert_eq!(keys.len() % b, 0, "emit must be block-aligned");
         let nblocks = keys.len() / b;
-        let idx: Vec<usize> = (self.next_block..self.next_block + nblocks).collect();
-        wb.write(pdm, &self.region, &idx, keys)?;
+        let blocks = (self.next_block..self.next_block + nblocks).map(|i| (self.region, i));
+        wb.write(pdm, blocks, keys)?;
         self.next_block += nblocks;
         Ok(())
     }

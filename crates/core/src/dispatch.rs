@@ -26,7 +26,8 @@
 //! what they cost.
 //!
 //! Integer keys with a known bounded domain should use
-//! [`crate::integer_sort`] / [`crate::radix_sort`] directly — the
+//! [`crate::integer_sort`](fn@crate::integer_sort) /
+//! [`crate::radix_sort`](fn@crate::radix_sort) directly — the
 //! dispatcher is comparison-based and makes no assumption on key values.
 
 use crate::common::{require_square_cfg, PassBound, SortReport};

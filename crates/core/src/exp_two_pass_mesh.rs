@@ -64,15 +64,13 @@ pub fn exp_two_pass_mesh<K: PdmKey, S: Storage<K>>(
         let lo = c * col_blocks;
         let hi = ((c + 1) * col_blocks).min(in_blocks);
         if lo < hi {
-            let idx: Vec<usize> = (lo..hi).collect();
-            pdm.read_blocks(input, &idx, buf.as_vec_mut())?;
+            pdm.read_blocks((lo..hi).map(|i| (*input, i)), buf.as_vec_mut())?;
         }
         buf.truncate(n.saturating_sub(lo * b).min(rows));
         buf.resize(rows, K::MAX);
         buf.sort_unstable();
         // band t's segment is buf[t*b..(t+1)*b] — contiguous
-        let targets: Vec<(Region, usize)> = band_regions.iter().map(|t| (*t, c)).collect();
-        pdm.write_blocks_multi(&targets, &buf)?;
+        pdm.write_blocks(band_regions.iter().map(|t| (*t, c)), &buf)?;
     }
 
     // Pass 2: streaming cleanup with online verification.
@@ -80,10 +78,9 @@ pub fn exp_two_pass_mesh<K: PdmKey, S: Storage<K>>(
     let mut cleaner = Cleaner::new(pdm, m)?;
     let mut emitter = RegionEmitter::new(out);
     let mut emit = |pd: &mut Pdm<K, S>, ks: &[K]| emitter.emit(pd, ks);
-    let all_blocks: Vec<usize> = (0..b).collect();
     let mut aborted = false;
     for band in &band_regions {
-        cleaner.feed_blocks(pdm, band, &all_blocks)?;
+        cleaner.feed_blocks(pdm, (0..b).map(|i| (*band, i)))?;
         cleaner.process(pdm, &mut emit)?;
         if !cleaner.clean() {
             aborted = true;

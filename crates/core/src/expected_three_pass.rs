@@ -5,8 +5,9 @@
 //! Structure:
 //!
 //! 1–2. Form `N₂` long runs of `q = m'·M` keys each with
-//!      [`crate::expected_two_pass`]'s two-pass machinery (per-run fallback
-//!      to `ThreePass2` on detection). Each run's sorted stream is
+//!      [`crate::expected_two_pass`](mod@crate::expected_two_pass)'s
+//!      two-pass machinery (per-run fallback to `ThreePass2` on
+//!      detection). Each run's sorted stream is
 //!      scattered chunk-wise into the final window regions as it is
 //!      emitted (the shuffle of the `N₂` runs, folded into the write).
 //! 3.   One streaming cleanup pass with window `M`: by the shuffling lemma
@@ -91,13 +92,12 @@ impl<'a> ChunkScatterEmitter<'a> {
         let chunk_keys = self.chunk_blocks * b;
         assert_eq!(ks.len() % chunk_keys, 0, "emission must be whole chunks");
         let chunks = ks.len() / chunk_keys;
-        let mut targets: Vec<(Region, usize)> = Vec::with_capacity(chunks * self.chunk_blocks);
-        for c in 0..chunks {
-            for cb in 0..self.chunk_blocks {
-                targets.push((self.wins[self.next_chunk + c], self.block_base + cb));
-            }
-        }
-        pdm.write_blocks_multi(&targets, ks)?;
+        let wins = &self.wins[self.next_chunk..self.next_chunk + chunks];
+        let (base, chunk_blocks) = (self.block_base, self.chunk_blocks);
+        let blocks = wins
+            .iter()
+            .flat_map(|w| (base..base + chunk_blocks).map(move |i| (*w, i)));
+        pdm.write_blocks(blocks, ks)?;
         self.next_chunk += chunks;
         Ok(())
     }
@@ -184,9 +184,8 @@ pub fn expected_three_pass<K: PdmKey, S: Storage<K>>(
     let mut cleaner = Cleaner::new(pdm, m)?;
     let mut emitter = RegionEmitter::new(out);
     let mut emit = |pd: &mut Pdm<K, S>, ks: &[K]| emitter.emit(pd, ks);
-    let blocks: Vec<usize> = (0..b).collect();
     for w in &wins {
-        cleaner.feed_blocks(pdm, w, &blocks)?;
+        cleaner.feed_blocks(pdm, (0..b).map(|i| (*w, i)))?;
         cleaner.process(pdm, &mut emit)?;
         if !cleaner.clean() {
             break;

@@ -1,8 +1,8 @@
 //! `ExpectedTwoPass` (paper §5, Theorem 5.1): sorts
 //! `N ≤ M√M/√((α+2)·ln M + 2)` keys in two passes on a `≥ 1 − M^{−α}`
 //! fraction of all inputs, falling back to the deterministic
-//! [`crate::three_pass2`] (three additional passes) when the online check
-//! detects a bad input.
+//! [`crate::three_pass2`](mod@crate::three_pass2) (three additional
+//! passes) when the online check detects a bad input.
 //!
 //! * **Pass 1 — runs.** Form `N₁ = N/M` sorted runs of `M` keys; write run
 //!   `i`'s `t`-th chunk (of `M/N₁` keys) into window region `t` — the
@@ -121,13 +121,11 @@ pub(crate) fn pass1_runs_shuffled<K: PdmKey, S: Storage<K>>(
         run.truncate(n.saturating_sub(lo * b).min(run_len));
         run.resize(run_len, K::MAX);
         run.sort_unstable();
-        let mut targets: Vec<(Region, usize)> = Vec::with_capacity(run_blocks);
-        for w in windows.iter() {
-            for cb in 0..chunk_blocks {
-                targets.push((*w, i * chunk_blocks + cb));
-            }
-        }
-        wb.write_multi(pdm, &targets, &run)?;
+        let base = i * chunk_blocks;
+        let blocks = windows
+            .iter()
+            .flat_map(|w| (base..base + chunk_blocks).map(move |j| (*w, j)));
+        wb.write(pdm, blocks, &run)?;
     }
     wb.finish(pdm) // drain before the caller's phase boundary
 }

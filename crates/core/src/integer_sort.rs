@@ -150,8 +150,8 @@ impl<'a> Source<'a> {
                 while blk < total_blocks {
                     let take = chunk_blocks.min(total_blocks - blk);
                     buf.clear();
-                    let idx: Vec<usize> = (blk..blk + take).collect();
-                    pdm.read_blocks(region, &idx, buf.as_vec_mut())?;
+                    let blocks = (blk..blk + take).map(|i| (**region, i));
+                    pdm.read_blocks(blocks, buf.as_vec_mut())?;
                     let valid = (take * b).min(n - done_keys);
                     f(pdm, &buf[..valid])?;
                     done_keys += valid;
@@ -166,9 +166,8 @@ impl<'a> Source<'a> {
                 while g < nblocks {
                     let take = chunk_blocks.min(nblocks - g);
                     buf.clear();
-                    let targets: Vec<(Region, usize)> =
-                        (g..g + take).map(|i| run.block_addr(i)).collect();
-                    pdm.read_blocks_multi(&targets, buf.as_vec_mut())?;
+                    let blocks = (g..g + take).map(|i| run.block_addr(i));
+                    pdm.read_blocks(blocks, buf.as_vec_mut())?;
                     // squeeze out the MAX padding of non-full blocks in
                     // place (forward copy is safe: write ≤ read position)
                     let mut w = 0usize;
@@ -224,7 +223,7 @@ pub fn distribute<K: PdmKey, S: Storage<K>>(
         count: usize,
     ) -> Result<()> {
         let (region, off) = run.ensure_next(pdm)?;
-        pdm.write_blocks(&region, &[off], data)?;
+        pdm.write_blocks([(region, off)], data)?;
         run.block_keys.push(count);
         run.total += count;
         Ok(())
@@ -303,8 +302,7 @@ pub fn gather<K: PdmKey, S: Storage<K>>(
         while g < run.blocks() {
             let take = d.min(run.blocks() - g);
             buf.clear();
-            let targets: Vec<(Region, usize)> = (g..g + take).map(|i| run.block_addr(i)).collect();
-            pdm.read_blocks_multi(&targets, buf.as_vec_mut())?;
+            pdm.read_blocks((g..g + take).map(|i| run.block_addr(i)), buf.as_vec_mut())?;
             for (i, gi) in (g..g + take).enumerate() {
                 writer.push_slice(pdm, &buf[i * b..i * b + run.block_keys[gi]])?;
             }

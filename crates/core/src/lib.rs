@@ -9,22 +9,25 @@
 //!
 //! | Algorithm | Paper | Passes | Capacity |
 //! |---|---|---|---|
-//! | [`three_pass1`] | §3.1, Thm 3.1 | 3 (worst case) | `M√M` |
-//! | [`exp_two_pass_mesh`] | §3.2, Thm 3.2 | 2 expected | `≈ M√M / (c·α·ln M)` |
-//! | [`three_pass2`] | §4, Lemma 4.1 | 3 (worst case) | `M√M` |
-//! | [`expected_two_pass`] | §5, Thm 5.1 | 2 expected | `M√M/√((α+2)ln M+2)` |
-//! | [`expected_three_pass`] | §6, Thm 6.1 | 3 expected | `≈ M^{1.75}` |
-//! | [`seven_pass`] | §6.1, Thm 6.2 | 7 (worst case) | `M²` |
+//! | [`three_pass1`](mod@three_pass1) | §3.1, Thm 3.1 | 3 (worst case) | `M√M` |
+//! | [`exp_two_pass_mesh`](mod@exp_two_pass_mesh) | §3.2, Thm 3.2 | 2 expected | `≈ M√M / (c·α·ln M)` |
+//! | [`three_pass2`](mod@three_pass2) | §4, Lemma 4.1 | 3 (worst case) | `M√M` |
+//! | [`expected_two_pass`](mod@expected_two_pass) | §5, Thm 5.1 | 2 expected | `M√M/√((α+2)ln M+2)` |
+//! | [`expected_three_pass`](mod@expected_three_pass) | §6, Thm 6.1 | 3 expected | `≈ M^{1.75}` |
+//! | [`seven_pass`](mod@seven_pass) | §6.1, Thm 6.2 | 7 (worst case) | `M²` |
 //! | [`expected_six_pass`] | §6.2, Thm 6.3 | 6 expected | `M²/√((α+2)ln M+2)` |
-//! | [`integer_sort`] | §7, Thm 7.1 | `2(1+µ)` | any `N`, keys in `[0, M/B)` |
-//! | [`radix_sort`] | §7, Thm 7.2 | `(1+ν)·log(N/M)/log(M/B)+1` | any `N`, integer keys |
-//! | [`merge_sort`] | baseline | `1 + ⌈log_f⌈N/M⌉⌉`, `f = M/(DB) − 1` | any `N` |
+//! | [`integer_sort`](mod@integer_sort) | §7, Thm 7.1 | `2(1+µ)` | any `N`, keys in `[0, M/B)` |
+//! | [`radix_sort`](mod@radix_sort) | §7, Thm 7.2 | `(1+ν)·log(N/M)/log(M/B)+1` | any `N`, integer keys |
+//! | [`merge_sort`](mod@merge_sort) | baseline | `1 + ⌈log_f⌈N/M⌉⌉`, `f = M/(DB) − 1` | any `N` |
 //! | [`updown_merge_sort`] | baseline | as `merge_sort`, fewer on presorted input | any `N` |
 //!
 //! [`pdm_sort`] runs the candidate with the fewest predicted passes at
-//! `N` — the paper's ladder (in-memory, [`expected_two_pass`],
-//! [`three_pass2`], [`expected_three_pass`], [`expected_six_pass`],
-//! [`seven_pass`]) and [`merge_sort`] — preferring, on a tie, a bound that
+//! `N` — the paper's ladder (in-memory,
+//! [`expected_two_pass`](mod@expected_two_pass),
+//! [`three_pass2`](mod@three_pass2),
+//! [`expected_three_pass`](mod@expected_three_pass),
+//! [`expected_six_pass`], [`seven_pass`](mod@seven_pass)) and
+//! [`merge_sort`](mod@merge_sort) — preferring, on a tie, a bound that
 //! holds on every input, then the paper's sorter ([`dispatch`]).
 //!
 //! "Expected" algorithms take the stated passes on a `≥ 1 − M^{−α}`

@@ -222,8 +222,7 @@ fn load_sort_store<K: PdmKey, S: Storage<K>>(
         buf.sort_unstable();
         buf.resize(blocks * b, K::MAX);
         let region = pdm.alloc_region_for_keys(keys)?;
-        let idx: Vec<usize> = (0..blocks).collect();
-        stores.write(pdm, &region, &idx, &buf)?;
+        stores.write(pdm, (0..blocks).map(|i| (region, i)), &buf)?;
         runs.push(Run {
             region,
             alloc: region,
@@ -324,7 +323,8 @@ fn up_down_runs<K: PdmKey, S: Storage<K>>(
                 break;
             }
             batch.clear();
-            pdm.read_range(input, next_block, nb, batch.as_vec_mut())?;
+            let blocks = (next_block..next_block + nb).map(|i| (*input, i));
+            pdm.read_blocks(blocks, batch.as_vec_mut())?;
             next_block += nb;
             // The final input block is padded; keep only the real keys.
             let real = (n - read_keys).min(batch.len());
@@ -390,7 +390,7 @@ type StripeRequest<K> = (Option<K>, usize, Vec<(Region, usize)>);
 /// is needed when the merge passes the last key the run has buffered, so
 /// runs empty in the order of those keys. Each run requests its next
 /// stripe as soon as it installs one; requests go out smallest key first,
-/// coalesced into one [`Pdm::start_read_blocks_group`] submission once
+/// coalesced into one [`Pdm::start_read_blocks`] submission once
 /// `grain` blocks have queued (half the window, or half the runs' stripes
 /// if that is fewer). They also go out at once when the run holding the
 /// smallest last key, which empties this round, still waits on its
@@ -501,10 +501,7 @@ impl<K: PdmKey> Forecast<K> {
             .drain(..take)
             .map(|(_, run, step)| (run, step))
             .unzip();
-        let read = match steps.as_slice() {
-            [one] => pdm.start_read_blocks_multi(one)?,
-            _ => pdm.start_read_blocks_group(&steps)?,
-        };
+        let read = pdm.start_read_blocks(&steps)?;
         let slot = self
             .groups
             .iter()

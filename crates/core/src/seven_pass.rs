@@ -104,12 +104,10 @@ impl<'a, K: PdmKey> UnshuffleEmitter<'a, K> {
                         v.push(window[k * b + j]);
                     }
                 }
-                let targets: Vec<(Region, usize)> = (group..ge)
-                    .map(|j| (self.parts[j], self.next_idx))
-                    .collect();
+                let blocks = (group..ge).map(|j| (self.parts[j], self.next_idx));
                 // Write-behind: the scratch payload is copied at issue, so
                 // refilling it for the next group is safe immediately.
-                self.wb.write_multi(pdm, &targets, &self.scratch)?;
+                self.wb.write(pdm, blocks, &self.scratch)?;
             }
             self.next_idx += 1;
         }
@@ -294,8 +292,7 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
                     }
                 }
             }
-            let targets: Vec<(Region, usize)> = (0..m_prime).map(|u| (sub[u], i)).collect();
-            wb.write_multi(pdm, &targets, &wbuf)?;
+            wb.write(pdm, (0..m_prime).map(|u| (sub[u], i)), &wbuf)?;
         }
     }
     wb.finish(pdm)?;
@@ -357,11 +354,10 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
         // one write batch: chunk t of L'_u (b keys) → inner window
         // (j, t), block u — same disk tiling as the reads
         let wins_row = &inner_win[*j];
-        let targets: Vec<(Region, usize)> = group
+        let blocks = group
             .iter()
-            .flat_map(|&u| (0..l).map(move |t| (wins_row[t], u)))
-            .collect();
-        wb.write_multi(pdm, &targets, &merged)?;
+            .flat_map(|&u| (0..l).map(move |t| (wins_row[t], u)));
+        wb.write(pdm, blocks, &merged)?;
     }
     wb.finish(pdm)?;
 
@@ -389,9 +385,8 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
             let mut c0 = 0usize;
             while c0 < chunks {
                 let c1 = (c0 + d).min(chunks);
-                let targets: Vec<(Region, usize)> =
-                    (c0..c1).map(|c| (wins[next_chunk + c], j)).collect();
-                wbr.write_multi(pd, &targets, &ks[c0 * b..c1 * b])?;
+                let blocks = (c0..c1).map(|c| (wins[next_chunk + c], j));
+                wbr.write(pd, blocks, &ks[c0 * b..c1 * b])?;
                 c0 = c1;
             }
             next_chunk += chunks;

@@ -19,7 +19,7 @@
 //!   deterministically.
 //!
 //! `ExpTwoPassMesh` (§3.2) is this algorithm minus pass 1 — see
-//! [`crate::exp_two_pass_mesh`].
+//! [`crate::exp_two_pass_mesh`](mod@crate::exp_two_pass_mesh).
 
 use crate::common::{
     alloc_staggered, require_square_cfg, Algorithm, Cleaner, RegionEmitter, SortReport,
@@ -137,8 +137,7 @@ pub fn three_pass1_with<K: PdmKey, S: Storage<K>>(
                 }
             }
         }
-        let targets: Vec<(Region, usize)> = cols.iter().map(|c| (*c, s)).collect();
-        wb.write_multi(pdm, &targets, &wbuf)?;
+        wb.write(pdm, cols.iter().map(|c| (*c, s)), &wbuf)?;
     }
     wb.finish(pdm)?; // drain before the phase boundary
 
@@ -156,8 +155,7 @@ pub fn three_pass1_with<K: PdmKey, S: Storage<K>>(
         ra.next_into(pdm, buf.as_vec_mut())?;
         buf.sort_unstable();
         // band t's segment is buf[t*b..(t+1)*b] — already contiguous.
-        let targets: Vec<(Region, usize)> = bands.iter().map(|t| (*t, c)).collect();
-        wb.write_multi(pdm, &targets, &buf)?;
+        wb.write(pdm, bands.iter().map(|t| (*t, c)), &buf)?;
     }
     wb.finish(pdm)?;
 
@@ -219,8 +217,7 @@ pub fn dirty_rows_after_pass2<K: PdmKey, S: Storage<K>>(
         let mut buf = pdm.alloc_buf(m)?;
         let lo = s * b;
         let hi = ((s + 1) * b).min(in_blocks);
-        let idx: Vec<usize> = (lo..hi).collect();
-        pdm.read_blocks(input, &idx, buf.as_vec_mut())?;
+        pdm.read_blocks((lo..hi).map(|i| (*input, i)), buf.as_vec_mut())?;
         buf.sort_unstable();
         let dir = if opts.alternate_directions && s % 2 == 1 {
             Direction::Desc
@@ -238,16 +235,14 @@ pub fn dirty_rows_after_pass2<K: PdmKey, S: Storage<K>>(
                 }
             }
         }
-        let targets: Vec<(Region, usize)> = cols.iter().map(|c| (*c, s)).collect();
-        pdm.write_blocks_multi(&targets, &wbuf)?;
+        pdm.write_blocks(cols.iter().map(|c| (*c, s)), &wbuf)?;
     }
     // pass 2, keeping the sorted columns to measure dirtiness
     let col_len = s_count * b;
     let mut sorted_cols: Vec<Vec<K>> = Vec::with_capacity(b);
     for col in &cols {
         let mut buf = pdm.alloc_buf(col_len)?;
-        let idx: Vec<usize> = (0..s_count).collect();
-        pdm.read_blocks(col, &idx, buf.as_vec_mut())?;
+        pdm.read_blocks((0..s_count).map(|i| (*col, i)), buf.as_vec_mut())?;
         buf.sort_unstable();
         sorted_cols.push(buf.as_vec().clone());
         // (measurement only — columns are not written back)

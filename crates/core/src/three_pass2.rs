@@ -106,8 +106,7 @@ pub(crate) fn pass1_runs_unshuffled<K: PdmKey, S: Storage<K>>(
                 }
             }
         }
-        let targets: Vec<(Region, usize)> = cols.iter().map(|c| (*c, i)).collect();
-        wb.write_multi(pdm, &targets, &wbuf)?;
+        wb.write(pdm, cols.iter().map(|c| (*c, i)), &wbuf)?;
     }
     wb.finish(pdm) // drain before the caller's phase boundary
 }
@@ -133,8 +132,7 @@ pub(crate) fn pass2_column_merges<K: PdmKey, S: Storage<K>>(
         let mut merged = pdm.alloc_buf(l * b)?;
         merge_equal_segments(&buf, b, merged.as_vec_mut());
         drop(buf);
-        let targets: Vec<(Region, usize)> = windows.iter().map(|w| (*w, j)).collect();
-        wb.write_multi(pdm, &targets, &merged)?;
+        wb.write(pdm, windows.iter().map(|w| (*w, j)), &merged)?;
     }
     wb.finish(pdm)
 }

@@ -124,8 +124,7 @@ pub(crate) fn load_sorted_col<K: PdmKey, S: Storage<K>>(
     let lo = j * col_blocks;
     let hi = ((j + 1) * col_blocks).min(in_blocks);
     if lo < hi {
-        let idx: Vec<usize> = (lo..hi).collect();
-        pdm.read_blocks(src, &idx, buf.as_vec_mut())?;
+        pdm.read_blocks((lo..hi).map(|i| (*src, i)), buf.as_vec_mut())?;
     }
     buf.truncate(n.saturating_sub(lo * (m / col_blocks)).min(m));
     buf.resize(m, K::MAX);
@@ -156,15 +155,12 @@ pub(crate) fn pass1_transpose<K: PdmKey, S: Storage<K>>(
                 }
             }
         }
-        let mut targets = Vec::with_capacity(d.col_blocks);
-        for (c, tc) in tcols.iter().enumerate() {
-            debug_assert!(c < d.s);
-            let _ = c;
-            for cb in 0..chunk_blocks {
-                targets.push((*tc, j * chunk_blocks + cb));
-            }
-        }
-        pdm.write_blocks_multi(&targets, &wbuf)?;
+        debug_assert!(tcols.len() <= d.s);
+        let base = j * chunk_blocks;
+        let blocks = tcols
+            .iter()
+            .flat_map(|tc| (base..base + chunk_blocks).map(move |i| (*tc, i)));
+        pdm.write_blocks(blocks, &wbuf)?;
     }
     Ok(())
 }
@@ -191,16 +187,12 @@ pub(crate) fn pass2_untranspose<K: PdmKey, S: Storage<K>>(
             d.m,
             &mut buf,
         )?;
-        let _ = c;
-        let mut targets = Vec::with_capacity(d.col_blocks);
-        for (jj, oc) in ocols.iter().enumerate() {
-            debug_assert!(jj < d.s);
-            let _ = jj;
-            for cb in 0..chunk_blocks {
-                targets.push((*oc, c * chunk_blocks + cb));
-            }
-        }
-        pdm.write_blocks_multi(&targets, &buf)?;
+        debug_assert!(ocols.len() <= d.s);
+        let base = c * chunk_blocks;
+        let blocks = ocols
+            .iter()
+            .flat_map(|oc| (base..base + chunk_blocks).map(move |i| (*oc, i)));
+        pdm.write_blocks(blocks, &buf)?;
     }
     Ok(())
 }
@@ -251,8 +243,8 @@ pub(crate) fn pass3_shift_merge_window<K: PdmKey, S: Storage<K>>(
         }
         *last_max = Some(carry[count - 1]);
         let nblocks = count / b;
-        let idx: Vec<usize> = (*next_block..*next_block + nblocks).collect();
-        pdm.write_blocks(&out, &idx, &carry[..count])?;
+        let blocks = (*next_block..*next_block + nblocks).map(|i| (out, i));
+        pdm.write_blocks(blocks, &carry[..count])?;
         *next_block += nblocks;
         carry.drain(..count);
         Ok(())
@@ -263,8 +255,7 @@ pub(crate) fn pass3_shift_merge_window<K: PdmKey, S: Storage<K>>(
         if full_column {
             // window = whole column: reading it into the carry and sorting
             // subsumes the step-5 column sort; peak stays at 2M
-            let idx: Vec<usize> = (0..d.col_blocks).collect();
-            pdm.read_blocks(oc, &idx, carry.as_vec_mut())?;
+            pdm.read_blocks((0..d.col_blocks).map(|i| (*oc, i)), carry.as_vec_mut())?;
             carry.sort_unstable();
             if carry.len() > w {
                 emit(
@@ -278,8 +269,7 @@ pub(crate) fn pass3_shift_merge_window<K: PdmKey, S: Storage<K>>(
             }
         } else {
             let mut buf = pdm.alloc_buf(d.m)?;
-            let idx: Vec<usize> = (0..d.col_blocks).collect();
-            pdm.read_blocks(oc, &idx, buf.as_vec_mut())?;
+            pdm.read_blocks((0..d.col_blocks).map(|i| (*oc, i)), buf.as_vec_mut())?;
             buf.sort_unstable(); // step 5
 
             // feed windows: sorting carry+window = the step-7 sort of a
@@ -382,19 +372,17 @@ pub fn cc_columnsort_skip12<K: PdmKey, S: Storage<K>>(
             let mut buf = pdm.alloc_buf(d.m)?;
             buf.clear();
             if tc.len_blocks() > 0 {
-                let idx: Vec<usize> = (0..tc.len_blocks()).collect();
-                pdm.read_blocks(tc, &idx, buf.as_vec_mut())?;
+                let blocks = (0..tc.len_blocks()).map(|i| (*tc, i));
+                pdm.read_blocks(blocks, buf.as_vec_mut())?;
             }
             buf.truncate(n.saturating_sub(c * d.m).min(d.m));
             buf.resize(d.m, K::MAX);
             buf.sort_unstable();
-            let mut targets = Vec::with_capacity(d.col_blocks);
-            for oc in &ocols {
-                for cb in 0..chunk_blocks {
-                    targets.push((*oc, c * chunk_blocks + cb));
-                }
-            }
-            pdm.write_blocks_multi(&targets, &buf)?;
+            let base = c * chunk_blocks;
+            let blocks = ocols
+                .iter()
+                .flat_map(|oc| (base..base + chunk_blocks).map(move |i| (*oc, i)));
+            pdm.write_blocks(blocks, &buf)?;
         }
     }
     // Pass B = steps 5-8 with verification.

@@ -3,9 +3,10 @@
 //! The systems the paper compares against, re-implemented on the same PDM
 //! simulator so capacity/pass comparisons are apples-to-apples:
 //!
-//! * [`cc_columnsort`] — Chaudhry–Cormen three-pass out-of-core columnsort
-//!   (Observation 4.1 comparator; capacity `≈ M√M/√2`), plus the
-//!   skip-steps-1-2 expected two-pass variant of Observation 5.1;
+//! * [`cc_columnsort`](mod@cc_columnsort) — Chaudhry–Cormen three-pass
+//!   out-of-core columnsort (Observation 4.1 comparator; capacity
+//!   `≈ M√M/√2`), plus the skip-steps-1-2 expected two-pass variant of
+//!   Observation 5.1;
 //! * [`subblock`] — subblock columnsort (Observation 6.1: four passes,
 //!   `≈ M^{5/3}/4^{2/3}` keys);
 //! * [`srm`] — Simple Randomized Mergesort (Barve–Grove–Vitter, the

@@ -93,8 +93,7 @@ pub fn srm_merge_sort<S: Storage<u64>>(
     while remaining > 0 {
         let take = run_blocks.min(in_blocks - blk);
         let mut buf = pdm.alloc_buf(m)?;
-        let idx: Vec<usize> = (blk..blk + take).collect();
-        pdm.read_blocks(input, &idx, buf.as_vec_mut())?;
+        pdm.read_blocks((blk..blk + take).map(|i| (*input, i)), buf.as_vec_mut())?;
         let valid = (take * b).min(remaining);
         buf.truncate(valid);
         buf.sort_unstable();
@@ -247,12 +246,11 @@ fn fetch_batch<S: Storage<u64>>(
             return Ok(());
         }
         // one parallel step: ≤ 1 block per disk by construction
-        let targets: Vec<(Region, usize)> = chosen
+        let blocks = chosen
             .iter()
-            .map(|&i| (states[i].region, states[i].next_block))
-            .collect();
+            .map(|&i| (states[i].region, states[i].next_block));
         block_buf.clear();
-        pdm.read_blocks_multi(&targets, block_buf)?;
+        pdm.read_blocks(blocks, block_buf)?;
         for (slot, &i) in chosen.iter().enumerate() {
             let st = &mut states[i];
             let lo = slot * b;

@@ -114,8 +114,7 @@ pub fn subblock_columnsort<K: PdmKey, S: Storage<K>>(
         let mut next_block = vec![0usize; s];
         for (c, tcol) in tcols.iter().enumerate() {
             let mut buf = pdm.alloc_buf(m)?;
-            let idx: Vec<usize> = (0..d.col_blocks).collect();
-            pdm.read_blocks(tcol, &idx, buf.as_vec_mut())?;
+            pdm.read_blocks((0..d.col_blocks).map(|i| (*tcol, i)), buf.as_vec_mut())?;
             buf.sort_unstable(); // step 3
             pdm.begin_io_group();
             let cc0 = c / rt;
@@ -130,7 +129,7 @@ pub fn subblock_columnsort<K: PdmKey, S: Storage<K>>(
                 let tc = ((i / rt) + cc0 * rt) % s;
                 tails[tc].push(k);
                 if tails[tc].len() == b {
-                    pdm.write_blocks(&ccols[tc], &[next_block[tc]], &tails[tc])?;
+                    pdm.write_blocks([(ccols[tc], next_block[tc])], &tails[tc])?;
                     next_block[tc] += 1;
                     tails[tc].clear();
                 }
@@ -331,15 +330,15 @@ mod diag {
         let mut next_block = vec![0usize; s];
         for (c, tcol) in tcols.iter().enumerate() {
             let mut buf = pdm.alloc_buf(m).unwrap();
-            let idx: Vec<usize> = (0..d.col_blocks).collect();
-            pdm.read_blocks(tcol, &idx, buf.as_vec_mut()).unwrap();
+            pdm.read_blocks((0..d.col_blocks).map(|i| (*tcol, i)), buf.as_vec_mut())
+                .unwrap();
             buf.sort_unstable();
             let cc0 = c / rt;
             for (i, &k) in buf.iter().enumerate() {
                 let tc = ((i / rt) + cc0 * rt) % s;
                 tails[tc].push(k);
                 if tails[tc].len() == b {
-                    pdm.write_blocks(&ccols[tc], &[next_block[tc]], &tails[tc])
+                    pdm.write_blocks([(ccols[tc], next_block[tc])], &tails[tc])
                         .unwrap();
                     next_block[tc] += 1;
                     tails[tc].clear();

@@ -1,6 +1,6 @@
 //! Orchestration: wire key files through the file-backed PDM machine.
 //!
-//! Every subcommand is generic over the key shape ([`CliKey`]): the file's
+//! Every subcommand is generic over the key shape (the `CliKey` trait): the file's
 //! `pdm-keys-v1` header (or its absence, meaning bare `u64`) picks the
 //! monomorphized code path, so `sort`, `verify`, and `compare` handle
 //! key–payload records and string keys without the caller saying anything.

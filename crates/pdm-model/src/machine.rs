@@ -5,9 +5,17 @@
 //! * region allocation on the striped disks ([`Pdm::alloc_region`]), and
 //!   the release of a region no later pass reads ([`Pdm::release_region`]),
 //!   whose levels the next allocations reuse,
-//! * **accounted** batch block I/O ([`Pdm::read_blocks`] /
-//!   [`Pdm::write_blocks`]) — every call updates [`IoStats`] with block
-//!   counts and parallel-step costs,
+//! * **accounted** batch block I/O — every call updates [`IoStats`] with
+//!   block counts and parallel-step costs. A batch is a list of
+//!   `(Region, logical block)` pairs, costing `max(per-disk blocks)`
+//!   steps: [`Pdm::read_blocks`] / [`Pdm::write_blocks`] move one batch
+//!   and block, [`Pdm::read_region`] / [`Pdm::write_region`] move a whole
+//!   region as one, and [`Pdm::start_read_blocks`] /
+//!   [`Pdm::start_write_blocks`] issue a list of batches as one overlapped
+//!   storage submission (plus [`Pdm::start_read_blocks_speculative`]),
+//!   retired by [`Pdm::finish_read_blocks`] / [`Pdm::finish_write_blocks`].
+//!   Each batch is charged as its own step once the storage call has
+//!   returned `Ok`, so a refused call charges nothing,
 //! * **tracked** internal-memory buffers ([`Pdm::alloc_buf`]),
 //! * unaccounted `ingest`/`inspect` escape hatches for placing the input on
 //!   disk and reading the output back (the input "already resides on the
@@ -23,7 +31,7 @@ use crate::overlap::{
     DeferredReadCharge, PendingGuard, TrackedRead, TrackedWrite, DEFAULT_QUEUE_DEPTH,
 };
 use crate::stats::{IoStats, SpanSink};
-use crate::storage::{MemStorage, Storage};
+use crate::storage::{check_batch_len, MemStorage, Storage};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -69,13 +77,6 @@ pub struct Pdm<K: PdmKey, S: Storage<K> = MemStorage<K>> {
     /// Live view of an attached retry layer's counters, folded into
     /// `stats.retry` at phase boundaries and sync points.
     retry: Option<crate::storage_retry::RetryCounters>,
-    /// When set, block-pool occupancy is sampled into `pool.*` probe
-    /// gauges at phase boundaries. Opt-in: pool traffic depends on the
-    /// backend, and gauges would break probe-stream equality across
-    /// backends for consumers that expect it.
-    pool_gauges: bool,
-    /// Last pool snapshot emitted as gauges, to skip no-change samples.
-    last_pool: crate::pool::PoolStats,
     /// Checkpoint wiring, when attached (see [`Checkpoint`]).
     ckpt: Option<Box<CheckpointState>>,
     /// Whether algorithm pipelines should issue overlapped I/O
@@ -127,8 +128,6 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
             disk_counts: vec![0; cfg.num_disks],
             addr_buf: Vec::new(),
             retry: None,
-            pool_gauges: false,
-            last_pool: crate::pool::PoolStats::default(),
             ckpt: None,
             overlap: false,
             overlap_window: None,
@@ -239,33 +238,11 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         }
     }
 
-    /// Block-buffer pool counters of the backend, when it has a pool
-    /// (currently [`crate::storage_threaded::ThreadedStorage`]).
+    /// Block-buffer pool counters of the backend, when it has a pool: the
+    /// worker-engine backends, [`crate::storage_threaded::ThreadedStorage`]
+    /// and [`crate::storage_async_file::AsyncFileStorage`].
     pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
         self.storage.pool_stats()
-    }
-
-    /// Sample `pool.hits` / `pool.misses` / `pool.free` probe gauges at
-    /// phase boundaries. Off by default so probe streams stay byte-equal
-    /// across backends; enable it when pool telemetry matters more.
-    pub fn enable_pool_gauges(&mut self) {
-        self.pool_gauges = true;
-    }
-
-    /// Emit pool gauges if enabled, the backend has a pool, and the
-    /// counters moved since the last sample.
-    fn refresh_pool_stats(&mut self) {
-        if !self.pool_gauges {
-            return;
-        }
-        if let Some(snap) = self.storage.pool_stats() {
-            if snap != self.last_pool {
-                self.last_pool = snap;
-                self.stats.probe_gauge("pool.hits", snap.hits as i64);
-                self.stats.probe_gauge("pool.misses", snap.misses as i64);
-                self.stats.probe_gauge("pool.free", snap.free as i64);
-            }
-        }
     }
 
     /// Whether the machine is replaying already-checkpointed phases: block
@@ -292,7 +269,6 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
             }
         }
         self.refresh_retry_stats();
-        self.refresh_pool_stats();
         self.refresh_wall_stats();
         self.roll_phase_span(Some(name.clone()));
         let (cur, peak) = (self.mem.current(), self.mem.peak());
@@ -314,7 +290,6 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
             return;
         }
         self.refresh_retry_stats();
-        self.refresh_pool_stats();
         self.refresh_wall_stats();
         self.roll_phase_span(None);
         let (cur, peak) = (self.mem.current(), self.mem.peak());
@@ -495,80 +470,48 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         self.alloc_region(self.cfg.blocks_for(n))
     }
 
-    fn gather_addrs(
-        &mut self,
-        region: &Region,
-        indices: impl IntoIterator<Item = usize>,
-    ) -> Result<()> {
+    /// Resolve `blocks` to physical addresses in `addr_buf`, in order.
+    fn gather(&mut self, blocks: impl IntoIterator<Item = (Region, usize)>) -> Result<()> {
         self.addr_buf.clear();
-        self.disk_counts.iter_mut().for_each(|c| *c = 0);
-        for i in indices {
+        for (region, i) in blocks {
             let a = region.addr(i)?;
             self.addr_buf.push((a.disk, a.slot));
-            self.disk_counts[a.disk] += 1;
         }
         Ok(())
     }
 
-    /// Read the given logical blocks of `region`, appending `B` keys per
-    /// block to `out` in request order. Accounted: the batch costs
-    /// `max(per-disk block count)` parallel read steps.
-    pub fn read_blocks(
-        &mut self,
-        region: &Region,
-        indices: &[usize],
-        out: &mut Vec<K>,
-    ) -> Result<()> {
-        if self.replaying() {
-            // Checkpoint replay: the phase already ran; hand back `K::MAX`
-            // filler (monotone, so downstream sortedness checks stay
-            // satisfied) without touching storage or stats.
-            out.resize(out.len() + indices.len() * self.cfg.block_size, K::MAX);
-            return Ok(());
+    /// Per-disk block counts of `addr_buf[at..at + len]` in `disk_counts`.
+    fn count_disks(&mut self, at: usize, len: usize) {
+        self.disk_counts.fill(0);
+        for &(disk, _) in &self.addr_buf[at..at + len] {
+            self.disk_counts[disk] += 1;
         }
-        self.gather_addrs(region, indices.iter().copied())?;
-        let b = self.cfg.block_size;
-        let start = out.len();
-        out.resize(start + indices.len() * b, K::MAX);
-        self.storage.read_batch(&self.addr_buf, &mut out[start..])?;
-        self.stats.record_read_batch(&self.disk_counts);
-        Ok(())
     }
 
-    /// Write `data` (exactly `indices.len() × B` keys) to the given logical
-    /// blocks of `region`. Accounted like [`Pdm::read_blocks`].
-    pub fn write_blocks(&mut self, region: &Region, indices: &[usize], data: &[K]) -> Result<()> {
-        if data.len() != indices.len() * self.cfg.block_size {
-            return Err(PdmError::BadBlockLen {
-                got: data.len(),
-                expected: indices.len() * self.cfg.block_size,
-            });
+    /// Charge `addr_buf` as consecutive batches of `lens` blocks, each
+    /// costing `max(per-disk blocks)` steps. Every entry point calls this
+    /// only once the storage call has returned `Ok`, so a refused batch
+    /// charges nothing.
+    fn charge(&mut self, write: bool, lens: impl IntoIterator<Item = usize>) {
+        let mut at = 0;
+        for len in lens {
+            self.count_disks(at, len);
+            at += len;
+            if write {
+                self.stats.record_write_batch(&self.disk_counts);
+            } else {
+                self.stats.record_read_batch(&self.disk_counts);
+            }
         }
-        if self.replaying() {
-            return Ok(()); // checkpoint replay: the write already happened
-        }
-        self.gather_addrs(region, indices.iter().copied())?;
-        self.storage.write_batch(&self.addr_buf, data)?;
-        self.stats.record_write_batch(&self.disk_counts);
-        Ok(())
     }
 
-    fn gather_addrs_multi(&mut self, targets: &[(Region, usize)]) -> Result<()> {
-        self.addr_buf.clear();
-        self.disk_counts.iter_mut().for_each(|c| *c = 0);
-        for &(region, i) in targets {
-            let a = region.addr(i)?;
-            self.addr_buf.push((a.disk, a.slot));
-            self.disk_counts[a.disk] += 1;
-        }
-        Ok(())
-    }
-
-    /// Read one batch of blocks drawn from *multiple* regions —
-    /// `sources[i]` is `(region, logical_block)`. Accounted as a single
-    /// batch (steps = max per-disk multiplicity), which is how algorithms
-    /// writing one block to each of many staggered regions keep full disk
-    /// parallelism.
+    /// Read one batch of blocks, each named as `(region, logical block)`,
+    /// appending `B` keys per block to `out` in request order. The blocks
+    /// may come from many regions; a single-region caller maps its range,
+    /// `(lo..hi).map(|i| (region, i))`. Accounted: the batch costs
+    /// `max(per-disk block count)` parallel read steps, which is how
+    /// algorithms reading one block from each of many staggered regions
+    /// keep full disk parallelism.
     ///
     /// # Example
     ///
@@ -579,83 +522,60 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     /// let regions: Vec<Region> = (0..4)
     ///     .map(|i| pdm.alloc_region_at(2, i).unwrap())
     ///     .collect();
-    /// let targets: Vec<(Region, usize)> = regions.iter().map(|r| (*r, 0)).collect();
-    /// pdm.write_blocks_multi(&targets, &vec![7u64; 32]).unwrap();
+    /// let blocks = || regions.iter().map(|r| (*r, 0));
+    /// pdm.write_blocks(blocks(), &vec![7u64; 32]).unwrap();
     /// // block 0 of each region is on a distinct disk → one parallel step
     /// assert_eq!(pdm.stats().write_steps, 1);
     /// let mut out = Vec::new();
-    /// pdm.read_blocks_multi(&targets, &mut out).unwrap();
+    /// pdm.read_blocks(blocks(), &mut out).unwrap();
     /// assert_eq!(pdm.stats().read_steps, 1);
     /// ```
-    pub fn read_blocks_multi(
+    pub fn read_blocks(
         &mut self,
-        sources: &[(Region, usize)],
+        blocks: impl IntoIterator<Item = (Region, usize)>,
         out: &mut Vec<K>,
     ) -> Result<()> {
+        let b = self.cfg.block_size;
         if self.replaying() {
-            out.resize(out.len() + sources.len() * self.cfg.block_size, K::MAX);
+            // Checkpoint replay: the phase already ran; hand back `K::MAX`
+            // filler (monotone, so downstream sortedness checks stay
+            // satisfied) without touching storage or stats.
+            let n = blocks.into_iter().count();
+            out.resize(out.len() + n * b, K::MAX);
             return Ok(());
         }
-        self.gather_addrs_multi(sources)?;
-        let b = self.cfg.block_size;
-        let start = out.len();
-        out.resize(start + sources.len() * b, K::MAX);
+        self.gather(blocks)?;
+        let (start, n) = (out.len(), self.addr_buf.len());
+        out.resize(start + n * b, K::MAX);
         self.storage.read_batch(&self.addr_buf, &mut out[start..])?;
-        self.stats.record_read_batch(&self.disk_counts);
+        self.charge(false, [n]);
         Ok(())
     }
 
-    /// Write one batch of blocks into multiple regions (see
-    /// [`Pdm::read_blocks_multi`]).
-    pub fn write_blocks_multi(&mut self, targets: &[(Region, usize)], data: &[K]) -> Result<()> {
-        if data.len() != targets.len() * self.cfg.block_size {
-            return Err(PdmError::BadBlockLen {
-                got: data.len(),
-                expected: targets.len() * self.cfg.block_size,
-            });
-        }
-        if self.replaying() {
-            return Ok(()); // checkpoint replay: the write already happened
-        }
-        self.gather_addrs_multi(targets)?;
-        self.storage.write_batch(&self.addr_buf, data)?;
-        self.stats.record_write_batch(&self.disk_counts);
-        Ok(())
-    }
-
-    /// Read logical blocks `start..start + count` of `region` (a *stripe
-    /// read*: consecutive blocks hit all `D` disks round-robin, so `count`
-    /// blocks cost `⌈count/D⌉` steps when `count` is stripe-aligned).
-    pub fn read_range(
+    /// Write `data` (exactly `B` keys per block) to one batch of blocks.
+    /// Accounted like [`Pdm::read_blocks`].
+    pub fn write_blocks(
         &mut self,
-        region: &Region,
-        start: usize,
-        count: usize,
-        out: &mut Vec<K>,
+        blocks: impl IntoIterator<Item = (Region, usize)>,
+        data: &[K],
     ) -> Result<()> {
-        let idx: Vec<usize> = (start..start + count).collect();
-        self.read_blocks(region, &idx, out)
-    }
-
-    /// Write `data` to logical blocks `start..` of `region`; `data` must be
-    /// block-aligned (whole blocks).
-    pub fn write_range(&mut self, region: &Region, start: usize, data: &[K]) -> Result<()> {
-        let b = self.cfg.block_size;
-        if data.len() % b != 0 {
-            return Err(PdmError::BadBlockLen {
-                got: data.len(),
-                expected: (data.len() / b + 1) * b,
-            });
+        if self.replaying() {
+            // Checkpoint replay: the write already happened.
+            let n = blocks.into_iter().count();
+            return check_batch_len(n, self.cfg.block_size, data.len());
         }
-        let count = data.len() / b;
-        let idx: Vec<usize> = (start..start + count).collect();
-        self.write_blocks(region, &idx, data)
+        self.gather(blocks)?;
+        let n = self.addr_buf.len();
+        check_batch_len(n, self.cfg.block_size, data.len())?;
+        self.storage.write_batch(&self.addr_buf, data)?;
+        self.charge(true, [n]);
+        Ok(())
     }
 
     /// Read the entire region (accounted). The caller is responsible for the
     /// result fitting in internal memory; pair with [`Pdm::alloc_buf`].
     pub fn read_region(&mut self, region: &Region, out: &mut Vec<K>) -> Result<()> {
-        self.read_range(region, 0, region.len_blocks(), out)
+        self.read_blocks((0..region.len_blocks()).map(|i| (*region, i)), out)
     }
 
     /// Write an entire region (accounted); `data` is padded to a whole number
@@ -668,7 +588,8 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
                 len: total,
             });
         }
-        self.write_range(region, 0, &pad_with_max(data, total))
+        let blocks = (0..region.len_blocks()).map(|i| (*region, i));
+        self.write_blocks(blocks, &pad_with_max(data, total))
     }
 
     /// Place input data into a region **without** I/O accounting: in the PDM
@@ -678,8 +599,8 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     ///
     /// The region moves in blocking [`Storage::write_batch`] calls of at
     /// most `D × DEFAULT_QUEUE_DEPTH` blocks: one service round per disk on
-    /// the worker engine, and a bounded copy into its block pool. Backends
-    /// without batch I/O, and the retry and fault-injection wrappers, still
+    /// the worker engine, and a bounded copy into its block pool. The
+    /// `file` backend, and the retry and fault-injection wrappers, still
     /// move each batch block by block. No stats, probe events or checkpoint
     /// replay apply.
     pub fn ingest(&mut self, region: &Region, data: &[K]) -> Result<()> {
@@ -694,7 +615,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         for blocks in self.unaccounted_batches(region) {
             let keys = &data[(blocks.start * b).min(n)..(blocks.end * b).min(n)];
             let payload = pad_with_max(keys, blocks.len() * b);
-            self.gather_addrs(region, blocks)?;
+            self.gather(blocks.map(|i| (*region, i)))?;
             self.storage.write_batch(&self.addr_buf, &payload)?;
         }
         Ok(())
@@ -709,7 +630,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         let mut out = vec![K::MAX; region.len_keys()];
         for blocks in self.unaccounted_batches(region) {
             let keys = blocks.start * b..blocks.end * b;
-            self.gather_addrs(region, blocks)?;
+            self.gather(blocks.map(|i| (*region, i)))?;
             self.storage.read_batch(&self.addr_buf, &mut out[keys])?;
         }
         Ok(out)
@@ -779,93 +700,37 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         self.pending_io.load(Ordering::Relaxed)
     }
 
-    /// Issue a batch of block reads without waiting for the data (see
-    /// [`crate::overlap`]). The parallel-step cost is charged now, with
-    /// the same batch rule as [`Pdm::read_blocks`]; the returned token
-    /// yields the blocks when retired via [`Pdm::finish_read_blocks`].
-    /// During checkpoint replay the token is a filler: retiring it yields
-    /// `K::MAX` keys and no storage or stats are touched.
-    pub fn start_read_blocks(
-        &mut self,
-        region: &Region,
-        indices: &[usize],
-    ) -> Result<TrackedRead<K>> {
-        let expected = indices.len() * self.cfg.block_size;
-        if self.replaying() {
-            return Ok(TrackedRead::replay(
-                expected,
-                PendingGuard::new(&self.pending_io),
-            ));
-        }
-        self.gather_addrs(region, indices.iter().copied())?;
-        self.issue_read(expected)
-    }
-
-    /// [`Pdm::start_read_blocks`] over multiple regions — `sources[i]` is
-    /// `(region, logical_block)`, accounted as a single batch like
-    /// [`Pdm::read_blocks_multi`].
-    pub fn start_read_blocks_multi(
-        &mut self,
-        sources: &[(Region, usize)],
-    ) -> Result<TrackedRead<K>> {
-        let expected = sources.len() * self.cfg.block_size;
-        if self.replaying() {
-            return Ok(TrackedRead::replay(
-                expected,
-                PendingGuard::new(&self.pending_io),
-            ));
-        }
-        self.gather_addrs_multi(sources)?;
-        self.issue_read(expected)
-    }
-
-    fn issue_read(&mut self, expected: usize) -> Result<TrackedRead<K>> {
-        let pending = self.storage.start_read_batch(&self.addr_buf)?;
-        self.stats.record_read_batch(&self.disk_counts);
-        let id = self.stats.overlap_issue(false, self.addr_buf.len() as u64);
-        Ok(TrackedRead::live(
-            pending,
-            expected,
-            id,
-            PendingGuard::new(&self.pending_io),
-        ))
-    }
-
-    /// Issue several schedule steps as **one** storage submission while
-    /// charging each step with the blocking batch rule, exactly as `k`
-    /// separate [`Pdm::start_read_blocks_multi`] calls would: `k` `Io`
-    /// probe events, `read_steps += Σ max(per-disk blocks)` over the
-    /// steps, per-disk totals summed per block. Only the *storage* layer
-    /// sees a single batch — emulated backends pay their per-batch seek
-    /// latency once for the whole group, and the real-disk backend gets
-    /// one deep submission instead of `k` shallow ones. The retired data
-    /// comes back concatenated in step order.
+    /// Issue one or more read batches without waiting for the data (see
+    /// [`crate::overlap`]). `steps[i]` is one batch as
+    /// [`Pdm::read_blocks`] takes it, and each is charged exactly as that
+    /// blocking call would charge it: one `Io` probe event and
+    /// `max(per-disk blocks)` read steps per batch, in step order, once
+    /// the storage call has returned. The storage layer sees the steps as
+    /// one submission, so emulated backends pay their per-batch latency
+    /// once per issue and the real-disk backend gets one deep submission.
+    /// The returned token yields the blocks, concatenated in step order,
+    /// when retired via [`Pdm::finish_read_blocks`]. During checkpoint
+    /// replay the token is a filler: retiring it yields `K::MAX` keys and
+    /// no storage or stats are touched.
     ///
-    /// This is the coalescing primitive behind [`crate::overlap::ReadAhead`];
-    /// speculative schedules must not use it (a data-dependent abort in
-    /// the middle of a group would have charged steps the blocking path
-    /// never reaches).
-    pub fn start_read_blocks_group(
-        &mut self,
-        steps: &[Vec<(Region, usize)>],
-    ) -> Result<TrackedRead<K>> {
-        debug_assert!(!steps.is_empty(), "empty read group");
-        let total_blocks: usize = steps.iter().map(|s| s.len()).sum();
-        let expected = total_blocks * self.cfg.block_size;
+    /// [`crate::overlap::ReadAhead`] reads through this call; speculative
+    /// schedules use [`Pdm::start_read_blocks_speculative`] instead (a
+    /// data-dependent abort after a multi-step issue would have charged
+    /// steps the blocking path never reaches).
+    pub fn start_read_blocks(&mut self, steps: &[Vec<(Region, usize)>]) -> Result<TrackedRead<K>> {
+        debug_assert!(!steps.is_empty(), "empty read issue");
+        let blocks: usize = steps.iter().map(Vec::len).sum();
+        let expected = blocks * self.cfg.block_size;
         if self.replaying() {
             return Ok(TrackedRead::replay(
                 expected,
                 PendingGuard::new(&self.pending_io),
             ));
         }
-        let mut addrs = Vec::with_capacity(total_blocks);
-        for step in steps {
-            self.gather_addrs_multi(step)?;
-            self.stats.record_read_batch(&self.disk_counts);
-            addrs.extend_from_slice(&self.addr_buf);
-        }
-        let pending = self.storage.start_read_batch(&addrs)?;
-        let id = self.stats.overlap_issue(false, total_blocks as u64);
+        self.gather(steps.iter().flatten().copied())?;
+        let pending = self.storage.start_read_batch(&self.addr_buf)?;
+        self.charge(false, steps.iter().map(Vec::len));
+        let id = self.stats.overlap_issue(false, blocks as u64);
         Ok(TrackedRead::live(
             pending,
             expected,
@@ -874,9 +739,9 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         ))
     }
 
-    /// Issue a batch of block reads *speculatively*: the physical reads
-    /// dispatch now, but **nothing is charged** — no step cost, no probe
-    /// event, no overlap counter — until the token is retired through
+    /// Issue one read batch *speculatively*: the physical reads dispatch
+    /// now, but **nothing is charged** — no step cost, no probe event, no
+    /// overlap counter — until the token is retired through
     /// [`Pdm::finish_read_blocks`], which then charges the batch exactly
     /// as a blocking read at the consumption point would have, followed by
     /// the usual overlap issue/complete pair. Dropping an unconsumed token
@@ -884,22 +749,23 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     /// this safe for schedules a data-dependent abort may cut short
     /// (`expected_two_pass`'s pass 2): the blocking path never charges
     /// batches past the abort, and neither does the speculative one.
-    pub fn start_read_blocks_multi_speculative(
+    pub fn start_read_blocks_speculative(
         &mut self,
-        sources: &[(Region, usize)],
+        step: &[(Region, usize)],
     ) -> Result<TrackedRead<K>> {
-        let expected = sources.len() * self.cfg.block_size;
+        let expected = step.len() * self.cfg.block_size;
         if self.replaying() {
             return Ok(TrackedRead::replay(
                 expected,
                 PendingGuard::new(&self.pending_io),
             ));
         }
-        self.gather_addrs_multi(sources)?;
+        self.gather(step.iter().copied())?;
         let pending = self.storage.start_read_batch(&self.addr_buf)?;
+        self.count_disks(0, step.len());
         let charge = DeferredReadCharge {
             counts: self.disk_counts.clone(),
-            blocks: self.addr_buf.len() as u64,
+            blocks: step.len() as u64,
         };
         Ok(TrackedRead::live_deferred(
             pending,
@@ -938,92 +804,30 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         Ok(())
     }
 
-    /// Issue a batch of block writes without waiting for completion (see
-    /// [`crate::overlap`]). Step cost is charged at issue, and so is the
-    /// data hand-off: [`Storage::start_write_batch`] copies (or writes)
-    /// the payload before returning, so `data`'s buffer is immediately
-    /// reusable. Retire the token with [`Pdm::finish_write_blocks`].
-    pub fn start_write_blocks(
-        &mut self,
-        region: &Region,
-        indices: &[usize],
-        data: &[K],
-    ) -> Result<TrackedWrite> {
-        if data.len() != indices.len() * self.cfg.block_size {
-            return Err(PdmError::BadBlockLen {
-                got: data.len(),
-                expected: indices.len() * self.cfg.block_size,
-            });
-        }
-        if self.replaying() {
-            return Ok(TrackedWrite::replay(PendingGuard::new(&self.pending_io)));
-        }
-        self.gather_addrs(region, indices.iter().copied())?;
-        self.issue_write(data)
-    }
-
-    /// [`Pdm::start_write_blocks`] into multiple regions (see
-    /// [`Pdm::write_blocks_multi`]).
-    pub fn start_write_blocks_multi(
-        &mut self,
-        targets: &[(Region, usize)],
-        data: &[K],
-    ) -> Result<TrackedWrite> {
-        if data.len() != targets.len() * self.cfg.block_size {
-            return Err(PdmError::BadBlockLen {
-                got: data.len(),
-                expected: targets.len() * self.cfg.block_size,
-            });
-        }
-        if self.replaying() {
-            return Ok(TrackedWrite::replay(PendingGuard::new(&self.pending_io)));
-        }
-        self.gather_addrs_multi(targets)?;
-        self.issue_write(data)
-    }
-
-    fn issue_write(&mut self, data: &[K]) -> Result<TrackedWrite> {
-        let pending = self.storage.start_write_batch(&self.addr_buf, data)?;
-        self.stats.record_write_batch(&self.disk_counts);
-        let id = self.stats.overlap_issue(true, self.addr_buf.len() as u64);
-        Ok(TrackedWrite::live(
-            pending,
-            id,
-            PendingGuard::new(&self.pending_io),
-        ))
-    }
-
-    /// Write-side twin of [`Pdm::start_read_blocks_group`]: `data` is the
+    /// Write-side twin of [`Pdm::start_read_blocks`]: `data` is the
     /// concatenation of the steps' payloads in step order, each step is
-    /// charged exactly as its own [`Pdm::start_write_blocks_multi`] call,
-    /// and the storage layer sees one batch. The payload is copied (or
-    /// written) before this returns, so the caller's buffer is immediately
-    /// reusable; per-disk issue order follows step order, keeping same-slot
-    /// writes as ordered as they were unbatched.
-    pub fn start_write_blocks_group(
+    /// charged exactly as its own [`Pdm::write_blocks`] call, and the
+    /// storage layer sees one batch. The payload is handed off at issue:
+    /// [`Storage::start_write_batch`] copies (or writes) it before
+    /// returning, so the caller's buffer is immediately reusable. Per-disk
+    /// issue order follows step order, keeping same-slot writes as
+    /// ordered as they were unbatched. Retire the token with
+    /// [`Pdm::finish_write_blocks`].
+    pub fn start_write_blocks(
         &mut self,
         steps: &[Vec<(Region, usize)>],
         data: &[K],
     ) -> Result<TrackedWrite> {
-        debug_assert!(!steps.is_empty(), "empty write group");
-        let total_blocks: usize = steps.iter().map(|s| s.len()).sum();
-        if data.len() != total_blocks * self.cfg.block_size {
-            return Err(PdmError::BadBlockLen {
-                got: data.len(),
-                expected: total_blocks * self.cfg.block_size,
-            });
-        }
+        debug_assert!(!steps.is_empty(), "empty write issue");
+        let blocks: usize = steps.iter().map(Vec::len).sum();
+        check_batch_len(blocks, self.cfg.block_size, data.len())?;
         if self.replaying() {
             return Ok(TrackedWrite::replay(PendingGuard::new(&self.pending_io)));
         }
-        let mut addrs = Vec::with_capacity(total_blocks);
-        for step in steps {
-            self.gather_addrs_multi(step)?;
-            self.stats.record_write_batch(&self.disk_counts);
-            addrs.extend_from_slice(&self.addr_buf);
-        }
-        let pending = self.storage.start_write_batch(&addrs, data)?;
-        let id = self.stats.overlap_issue(true, total_blocks as u64);
+        self.gather(steps.iter().flatten().copied())?;
+        let pending = self.storage.start_write_batch(&self.addr_buf, data)?;
+        self.charge(true, steps.iter().map(Vec::len));
+        let id = self.stats.overlap_issue(true, blocks as u64);
         Ok(TrackedWrite::live(
             pending,
             id,
@@ -1062,7 +866,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     /// pdm.begin_io_group();
     /// for i in 0..4 {
     ///     // four single-block writes — ungrouped they would cost 4 steps
-    ///     pdm.write_blocks(&r, &[i], &block).unwrap();
+    ///     pdm.write_blocks([(r, i)], &block).unwrap();
     /// }
     /// pdm.end_io_group();
     /// // striped round-robin, issued concurrently: one parallel step
@@ -1229,7 +1033,7 @@ mod tests {
         let mut pdm = machine();
         let r = pdm.alloc_region(4).unwrap();
         let mut out = Vec::new();
-        pdm.read_range(&r, 0, 4, &mut out).unwrap();
+        pdm.read_blocks((0..4).map(|i| (r, i)), &mut out).unwrap();
         assert_eq!(pdm.stats().read_steps, 1);
         assert_eq!(pdm.stats().blocks_read, 4);
     }
@@ -1240,7 +1044,7 @@ mod tests {
         let r = pdm.alloc_region(8).unwrap();
         // blocks 0 and 4 both live on disk 0
         let mut out = Vec::new();
-        pdm.read_blocks(&r, &[0, 4], &mut out).unwrap();
+        pdm.read_blocks([(r, 0), (r, 4)], &mut out).unwrap();
         assert_eq!(pdm.stats().read_steps, 2);
     }
 
@@ -1346,7 +1150,7 @@ mod tests {
     fn release_refuses_while_overlap_io_is_pending() {
         let mut pdm = machine();
         let r = pdm.alloc_region(4).unwrap();
-        let read = pdm.start_read_blocks(&r, &[0, 1]).unwrap();
+        let read = pdm.start_read_blocks(&[vec![(r, 0), (r, 1)]]).unwrap();
         assert!(matches!(
             pdm.release_region(&r),
             Err(PdmError::PendingIo { pending: 1 })
@@ -1486,11 +1290,11 @@ mod tests {
         let regions: Vec<_> = (0..4).map(|i| pdm.alloc_region_at(2, i).unwrap()).collect();
         let data: Vec<u64> = (0..32).collect();
         let targets: Vec<_> = regions.iter().map(|r| (*r, 0usize)).collect();
-        pdm.write_blocks_multi(&targets, &data).unwrap();
+        pdm.write_blocks(targets.iter().copied(), &data).unwrap();
         assert_eq!(pdm.stats().write_steps, 1);
         assert_eq!(pdm.stats().blocks_written, 4);
         let mut out = Vec::new();
-        pdm.read_blocks_multi(&targets, &mut out).unwrap();
+        pdm.read_blocks(targets, &mut out).unwrap();
         assert_eq!(out, data);
         assert_eq!(pdm.stats().read_steps, 1);
     }
@@ -1502,15 +1306,15 @@ mod tests {
         let targets: Vec<_> = regions.iter().map(|r| (*r, 0usize)).collect();
         // every region's block 0 is on disk 0 → 4 steps
         let data: Vec<u64> = (0..32).collect();
-        pdm.write_blocks_multi(&targets, &data).unwrap();
+        pdm.write_blocks(targets, &data).unwrap();
         assert_eq!(pdm.stats().write_steps, 4);
     }
 
     #[test]
-    fn write_blocks_multi_rejects_ragged_data() {
+    fn write_blocks_rejects_ragged_data() {
         let mut pdm = machine();
         let r = pdm.alloc_region(2).unwrap();
-        assert!(pdm.write_blocks_multi(&[(r, 0)], &[1u64; 5]).is_err());
+        assert!(pdm.write_blocks([(r, 0)], &[1u64; 5]).is_err());
     }
 
     #[test]
@@ -1523,13 +1327,6 @@ mod tests {
         drop(b1);
         assert!(pdm.alloc_buf(limit).is_ok());
         assert_eq!(pdm.mem().peak(), limit);
-    }
-
-    #[test]
-    fn write_range_rejects_ragged_data() {
-        let mut pdm = machine();
-        let r = pdm.alloc_region(2).unwrap();
-        assert!(pdm.write_range(&r, 0, &[1u64; 5]).is_err());
     }
 
     #[test]
@@ -1605,7 +1402,7 @@ mod tests {
         let block = vec![1u64; 8];
         pdm.begin_io_group();
         for i in 0..4 {
-            pdm.write_blocks(&r, &[i], &block).unwrap();
+            pdm.write_blocks([(r, i)], &block).unwrap();
         }
         pdm.end_io_group();
         pdm.end_phase();
@@ -1670,15 +1467,15 @@ mod tests {
         pdm.begin_phase("pass-1");
         let r1 = pdm.alloc_region(4).unwrap();
         let data: Vec<u64> = (100..132).collect();
-        pdm.write_blocks(&r1, &[0, 1, 2, 3], &data).unwrap();
+        pdm.write_blocks((0..4).map(|i| (r1, i)), &data).unwrap();
         pdm.end_phase();
 
         pdm.begin_phase("pass-2");
         let r2 = pdm.alloc_region(4).unwrap();
         let mut buf = Vec::new();
-        pdm.read_blocks(&r1, &[0, 1, 2, 3], &mut buf).unwrap();
+        pdm.read_blocks((0..4).map(|i| (r1, i)), &mut buf).unwrap();
         let out: Vec<u64> = buf.iter().map(|x| x.wrapping_add(1)).collect();
-        pdm.write_blocks(&r2, &[0, 1, 2, 3], &out).unwrap();
+        pdm.write_blocks((0..4).map(|i| (r2, i)), &out).unwrap();
         pdm.end_phase();
         r2
     }
@@ -1707,7 +1504,7 @@ mod tests {
         assert!(dir.join("pass-1.ckpt").is_file(), "per-pass history kept");
         assert!(dir.join("pass-2.ckpt").is_file());
         let mut check = Vec::new();
-        pdm.read_blocks(&r2, &[0], &mut check).unwrap();
+        pdm.read_blocks([(r2, 0)], &mut check).unwrap();
         assert_eq!(check[0], 101);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1722,7 +1519,7 @@ mod tests {
         pdm.begin_phase("pass-1");
         let r1 = pdm.alloc_region(4).unwrap();
         let data: Vec<u64> = (100..132).collect();
-        pdm.write_blocks(&r1, &[0, 1, 2, 3], &data).unwrap();
+        pdm.write_blocks((0..4).map(|i| (r1, i)), &data).unwrap();
         pdm.end_phase();
         assert!(pdm.take_checkpoint_error().is_none());
         let (storage, stats_before) = pdm.into_parts();
@@ -1747,7 +1544,8 @@ mod tests {
         assert_eq!(pdm.stats().blocks_written, 4);
         // Pass 2 read the *real* pass-1 output out of the resumed storage.
         let mut check = Vec::new();
-        pdm.read_blocks(&r2, &[0, 1, 2, 3], &mut check).unwrap();
+        pdm.read_blocks((0..4).map(|i| (r2, i)), &mut check)
+            .unwrap();
         let expect: Vec<u64> = (101..133).collect();
         assert_eq!(check, expect);
         let latest = store.load_latest().unwrap().unwrap();
@@ -1787,14 +1585,13 @@ mod tests {
         let b = pdm.alloc_region(4).unwrap();
         pdm.begin_io_group();
         let mut buf = Vec::new();
-        pdm.read_blocks_multi(&[(a, 0), (b, 0)], &mut buf).unwrap();
+        pdm.read_blocks([(a, 0), (b, 0)], &mut buf).unwrap();
         assert_eq!(buf.len(), 16, "replay reads still size their buffers");
         assert!(
             buf.iter().all(|&k| k == u64::MAX),
             "replay reads return MAX filler"
         );
-        pdm.write_blocks_multi(&[(a, 1), (b, 1)], &[0u64; 16])
-            .unwrap();
+        pdm.write_blocks([(a, 1), (b, 1)], &[0u64; 16]).unwrap();
         pdm.end_io_group();
         pdm.end_phase();
         assert_eq!(pdm.stats().blocks_read, 0);

@@ -13,8 +13,12 @@
 //! async-file) service the token on their read or write worker thread.
 //!
 //! Algorithms do not touch storage tokens directly — they go through
-//! [`Pdm::start_read_blocks`](crate::machine::Pdm::start_read_blocks) and
-//! friends, which wrap the token in a [`TrackedRead`] / [`TrackedWrite`].
+//! [`Pdm::start_read_blocks`](crate::machine::Pdm::start_read_blocks) /
+//! [`Pdm::start_write_blocks`](crate::machine::Pdm::start_write_blocks),
+//! which take a list of batches (each a list of `(Region, block)` pairs,
+//! as the blocking calls take them), charge each batch as its own step
+//! once the storage call has returned, and wrap the one storage token in
+//! a [`TrackedRead`] / [`TrackedWrite`].
 //! The tracked wrappers carry the machine's in-flight counter (checkpoint
 //! boundaries refuse to persist a manifest while it is non-zero) and the
 //! probe-event id pairing each `OverlapComplete` with its `OverlapIssue`.
@@ -22,11 +26,13 @@
 //! Pipeline-facing helpers, all gated on
 //! [`Pdm::overlap`](crate::machine::Pdm::overlap):
 //!
-//! - [`ReadAhead`]: runs a precomputed schedule of read batches one batch
-//!   ahead of the consumer. Each schedule entry is exactly one blocking
-//!   batch, so the step accounting is identical with overlap on or off.
-//! - [`WriteBehind`]: issues each write batch asynchronously and retires
-//!   it when the next one is ready (or at `finish`).
+//! - [`ReadAhead`]: runs a precomputed schedule of read batches a bounded
+//!   window ahead of the consumer. Each schedule entry is exactly one
+//!   blocking batch, so the step accounting is identical with overlap on
+//!   or off.
+//! - [`WriteBehind`]: stages write batches, issues them asynchronously in
+//!   coalesced groups and retires them as the window fills (or at
+//!   `finish`).
 //!
 //! Both bound their in-flight data by the machine's block window
 //! ([`Pdm::set_overlap_window`](crate::machine::Pdm::set_overlap_window));
@@ -149,7 +155,7 @@ pub struct TrackedRead<K> {
 }
 
 /// Accounting a *speculative* read postponed from issue to consumption
-/// (see [`Pdm::start_read_blocks_multi_speculative`]). The blocking path
+/// (see [`Pdm::start_read_blocks_speculative`]). The blocking path
 /// only ever charges batches it actually consumes — a data-dependent
 /// early abort (e.g. `expected_two_pass`'s pass-2 cleanliness check)
 /// never reads past the aborting window — so a speculative issue must
@@ -324,7 +330,7 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 32;
 /// compute.
 ///
 /// Consecutive entries are *coalesced* into one storage submission up to
-/// half the window budget ([`Pdm::start_read_blocks_group`]): emulated
+/// half the window budget ([`Pdm::start_read_blocks`]): emulated
 /// backends then pay their per-batch seek latency once per group instead
 /// of once per sliver, and the real-disk backend gets deep submissions.
 /// Half the budget keeps two groups alive — one being consumed while the
@@ -339,7 +345,7 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 32;
 ///
 /// With overlap disabled ([`Pdm::overlap`](crate::machine::Pdm::overlap)
 /// is false) every `next_into` degenerates to a blocking
-/// `read_blocks_multi`, so pipelines wire this in unconditionally.
+/// [`Pdm::read_blocks`], so pipelines wire this in unconditionally.
 ///
 /// Memory note: single-step groups wait the pending read directly into
 /// the *caller's* buffer; multi-step groups land in an untracked staging
@@ -448,11 +454,9 @@ impl<K: PdmKey> ReadAhead<K> {
                     .map(|s| s.len() * pdm.cfg().block_size)
                     .collect();
                 let pending = if self.speculative {
-                    pdm.start_read_blocks_multi_speculative(&group[0])?
-                } else if group.len() == 1 {
-                    pdm.start_read_blocks_multi(&group[0])?
+                    pdm.start_read_blocks_speculative(&group[0])?
                 } else {
-                    pdm.start_read_blocks_group(group)?
+                    pdm.start_read_blocks(group)?
                 };
                 (pending, step_keys)
             };
@@ -484,7 +488,7 @@ impl<K: PdmKey> ReadAhead<K> {
             if self.next >= self.steps.len() {
                 return Ok(false);
             }
-            pdm.read_blocks_multi(&self.steps[self.next], out)?;
+            pdm.read_blocks(self.steps[self.next].iter().copied(), out)?;
             self.next += 1;
             return Ok(true);
         }
@@ -523,7 +527,7 @@ impl<K: PdmKey> ReadAhead<K> {
 /// payload is copied immediately, so the caller's buffer is reusable the
 /// moment the call returns) and consecutive batches are *coalesced* into
 /// one storage submission up to half the window budget
-/// ([`Pdm::start_write_blocks_group`]) — every staged batch keeps its own
+/// ([`Pdm::start_write_blocks`]) — every staged batch keeps its own
 /// step charge, but emulated backends pay per-batch seek latency once per
 /// group and the real-disk backend gets deep submissions. Once the
 /// in-flight window exceeds the machine's block budget
@@ -543,7 +547,7 @@ impl<K: PdmKey> ReadAhead<K> {
 /// unchanged by enabling overlap.
 ///
 /// With overlap disabled every call degenerates to the blocking
-/// `write_blocks` / `write_blocks_multi`.
+/// [`Pdm::write_blocks`].
 pub struct WriteBehind<K: PdmKey> {
     /// In-flight submissions with their block counts.
     inflight: std::collections::VecDeque<(TrackedWrite, usize)>,
@@ -600,11 +604,7 @@ impl<K: PdmKey> WriteBehind<K> {
             return Ok(());
         }
         self.make_room(pdm, self.staged_blocks)?;
-        let pending = if self.staged_steps.len() == 1 {
-            pdm.start_write_blocks_multi(&self.staged_steps[0], &self.staged_data)?
-        } else {
-            pdm.start_write_blocks_group(&self.staged_steps, &self.staged_data)?
-        };
+        let pending = pdm.start_write_blocks(&self.staged_steps, &self.staged_data)?;
         self.inflight.push_back((pending, self.staged_blocks));
         self.inflight_blocks += self.staged_blocks;
         self.staged_steps.clear();
@@ -634,34 +634,17 @@ impl<K: PdmKey> WriteBehind<K> {
         Ok(())
     }
 
-    /// Write one batch into `region` (see
-    /// [`Pdm::write_blocks`](crate::machine::Pdm::write_blocks)).
+    /// Write one batch, named as [`Pdm::write_blocks`] takes it.
     pub fn write<S: Storage<K>>(
         &mut self,
         pdm: &mut Pdm<K, S>,
-        region: &Region,
-        indices: &[usize],
+        blocks: impl IntoIterator<Item = (Region, usize)>,
         data: &[K],
     ) -> Result<()> {
         if !self.enabled {
-            return pdm.write_blocks(region, indices, data);
+            return pdm.write_blocks(blocks, data);
         }
-        let step: Vec<(Region, usize)> = indices.iter().map(|&i| (*region, i)).collect();
-        self.push_step(pdm, step, data)
-    }
-
-    /// Write one batch across multiple regions (see
-    /// [`Pdm::write_blocks_multi`](crate::machine::Pdm::write_blocks_multi)).
-    pub fn write_multi<S: Storage<K>>(
-        &mut self,
-        pdm: &mut Pdm<K, S>,
-        targets: &[(Region, usize)],
-        data: &[K],
-    ) -> Result<()> {
-        if !self.enabled {
-            return pdm.write_blocks_multi(targets, data);
-        }
-        self.push_step(pdm, targets.to_vec(), data)
+        self.push_step(pdm, blocks.into_iter().collect(), data)
     }
 
     /// Submit any staged batches and retire every in-flight submission
@@ -835,8 +818,8 @@ mod tests {
             let t0 = Instant::now();
             let mut wb = WriteBehind::new(&pdm2);
             for (step, chunk) in data.chunks(d * b).enumerate() {
-                let idx: Vec<usize> = (step * d..(step + 1) * d).collect();
-                wb.write(&mut pdm2, &r2, &idx, chunk).unwrap();
+                let blocks = (step * d..(step + 1) * d).map(|i| (r2, i));
+                wb.write(&mut pdm2, blocks, chunk).unwrap();
                 std::thread::sleep(TICK);
             }
             wb.finish(&mut pdm2).unwrap();
@@ -880,8 +863,8 @@ mod tests {
         let r2 = pdm.alloc_region_for_keys(n).unwrap();
         let mut wb = WriteBehind::new(&pdm);
         for (step, chunk) in data.chunks(4 * 8).enumerate() {
-            let idx: Vec<usize> = (step * 4..step * 4 + 4).collect();
-            wb.write(&mut pdm, &r2, &idx, chunk).unwrap();
+            let blocks = (step * 4..step * 4 + 4).map(|i| (r2, i));
+            wb.write(&mut pdm, blocks, chunk).unwrap();
         }
         wb.finish(&mut pdm).unwrap();
         let ov = pdm.stats().overlap;
@@ -956,8 +939,8 @@ mod tests {
             let r = pdm.alloc_region_for_keys(n).unwrap();
             let mut wb = WriteBehind::new(&pdm);
             for (step, chunk) in data.chunks(4 * 8).enumerate() {
-                let idx: Vec<usize> = (step * 4..step * 4 + 4).collect();
-                wb.write(&mut pdm, &r, &idx, chunk).unwrap();
+                let blocks = (step * 4..step * 4 + 4).map(|i| (r, i));
+                wb.write(&mut pdm, blocks, chunk).unwrap();
             }
             wb.finish(&mut pdm).unwrap();
             assert_eq!(pdm.pending_io(), 0, "finish drains the last batch");
@@ -987,7 +970,7 @@ mod tests {
         let r = pdm.alloc_region_for_keys(n).unwrap();
         pdm.ingest(&r, &data).unwrap();
 
-        let tok = pdm.start_read_blocks(&r, &[0, 1]).unwrap();
+        let tok = pdm.start_read_blocks(&[vec![(r, 0), (r, 1)]]).unwrap();
         assert_eq!(pdm.pending_io(), 1);
         let mut out = vec![0u64; 8];
         pdm.finish_read_blocks(tok, &mut out).unwrap();
@@ -995,7 +978,7 @@ mod tests {
         assert_eq!(out, data);
 
         // abandoned tokens (error-path teardown) also release their slot
-        let tok = pdm.start_write_blocks(&r, &[0], &[9u64; 4]).unwrap();
+        let tok = pdm.start_write_blocks(&[vec![(r, 0)]], &[9u64; 4]).unwrap();
         assert_eq!(pdm.pending_io(), 1);
         drop(tok);
         assert_eq!(pdm.pending_io(), 0);

@@ -51,37 +51,28 @@ pub struct BlockPool<K> {
     /// via [`BlockPool::reserve_retained`] as callers observe how many
     /// buffers a dispatch actually keeps in flight.
     max_retained: AtomicUsize,
-    /// The one buffer capacity this pool recycles; 0 until the first `get`
-    /// pins it (or [`BlockPool::for_blocks`] sets it up front). A `put` of a
-    /// buffer with any other capacity drops it instead of retaining it, so
-    /// two machines with different block sizes sharing a process can never
-    /// hand each other mis-sized blocks or over-retain memory.
-    expected: AtomicUsize,
+    /// The one buffer capacity this pool recycles. A `put` of a buffer with
+    /// any other capacity drops it instead of retaining it, so two machines
+    /// with different block sizes sharing a process can never hand each
+    /// other mis-sized blocks or over-retain memory.
+    expected: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     returns: AtomicU64,
 }
 
 impl<K> BlockPool<K> {
-    /// Pool retaining at most `max_retained` idle buffers. The recycled
-    /// capacity is pinned by the first `get`.
-    pub fn new(max_retained: usize) -> Self {
+    /// Pool retaining at most `max_retained` idle buffers, all of exactly
+    /// `block_capacity` keys. Mis-sized buffers are dropped on `put`.
+    pub fn for_blocks(max_retained: usize, block_capacity: usize) -> Self {
         Self {
             free: Mutex::new(Vec::new()),
             max_retained: AtomicUsize::new(max_retained),
-            expected: AtomicUsize::new(0),
+            expected: block_capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             returns: AtomicU64::new(0),
         }
-    }
-
-    /// Pool retaining at most `max_retained` idle buffers, all of exactly
-    /// `block_capacity` keys. Mis-sized buffers are dropped on `put`.
-    pub fn for_blocks(max_retained: usize, block_capacity: usize) -> Self {
-        let pool = Self::new(max_retained);
-        pool.expected.store(block_capacity, Ordering::Relaxed);
-        pool
     }
 
     /// Grow the retention cap to at least `n` buffers (never shrinks).
@@ -97,10 +88,6 @@ impl<K> BlockPool<K> {
     /// Take an empty buffer with at least `capacity` reserved. Served from
     /// the free list when possible; the returned buffer always has len 0.
     pub fn get(&self, capacity: usize) -> Vec<K> {
-        // First caller pins the recycled capacity for the pool's lifetime.
-        let _ = self
-            .expected
-            .compare_exchange(0, capacity, Ordering::Relaxed, Ordering::Relaxed);
         let recycled = self.free.lock().expect("pool lock").pop();
         match recycled {
             Some(mut v) => {
@@ -120,12 +107,11 @@ impl<K> BlockPool<K> {
 
     /// Return a buffer to the free list (cleared), or drop it if the list
     /// is already at `max_retained` or the buffer's capacity doesn't match
-    /// the pool's pinned block capacity (a foreign-geometry buffer).
+    /// the pool's block capacity (a foreign-geometry buffer).
     pub fn put(&self, mut v: Vec<K>) {
         self.returns.fetch_add(1, Ordering::Relaxed);
         v.clear();
-        let exp = self.expected.load(Ordering::Relaxed);
-        if exp != 0 && v.capacity() != exp {
+        if v.capacity() != self.expected {
             return;
         }
         let mut free = self.free.lock().expect("pool lock");
@@ -151,7 +137,7 @@ mod tests {
 
     #[test]
     fn get_put_recycles_allocations() {
-        let pool = BlockPool::<u64>::new(8);
+        let pool = BlockPool::<u64>::for_blocks(8, 16);
         let a = pool.get(16);
         let cap = a.capacity();
         assert!(cap >= 16);
@@ -165,7 +151,7 @@ mod tests {
 
     #[test]
     fn retention_cap_bounds_idle_memory() {
-        let pool = BlockPool::<u64>::new(2);
+        let pool = BlockPool::<u64>::for_blocks(2, 8);
         let bufs: Vec<_> = (0..4).map(|_| pool.get(8)).collect();
         for b in bufs {
             pool.put(b);
@@ -177,7 +163,7 @@ mod tests {
 
     #[test]
     fn reserve_retained_grows_but_never_shrinks() {
-        let pool = BlockPool::<u64>::new(1);
+        let pool = BlockPool::<u64>::for_blocks(1, 8);
         pool.reserve_retained(3);
         pool.reserve_retained(2); // no-op: cap only grows
         let bufs: Vec<_> = (0..5).map(|_| pool.get(8)).collect();
@@ -209,20 +195,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_pool_pins_capacity_on_first_get() {
-        let pool = BlockPool::<u64>::new(4);
-        let a = pool.get(16);
-        assert_eq!(a.capacity(), 16);
-        pool.put(a);
-        assert_eq!(pool.stats().free, 1);
-        // A later, differently-sized buffer is rejected.
-        pool.put(Vec::with_capacity(32));
-        assert_eq!(pool.stats().free, 1);
-    }
-
-    #[test]
     fn buffers_come_back_empty() {
-        let pool = BlockPool::<u64>::new(4);
+        let pool = BlockPool::<u64>::for_blocks(4, 4);
         let mut v = pool.get(4);
         v.extend_from_slice(&[1, 2, 3]);
         pool.put(v);

@@ -1,8 +1,14 @@
 //! Storage backends: where simulated disk blocks actually live.
 //!
-//! The trait is deliberately synchronous and block-granular — all policy
-//! (batching, step accounting, memory enforcement) lives in the machine
-//! layer. Backends only move bytes.
+//! The trait moves batches only: a batch is a list of `(disk, slot)`
+//! addresses with `B` keys each, read or written in one blocking call
+//! ([`Storage::read_batch`] / [`Storage::write_batch`]) or issued as one
+//! overlapped submission ([`Storage::start_read_batch`] /
+//! [`Storage::start_write_batch`]). All policy (step accounting, memory
+//! enforcement) lives in the machine layer; backends only move bytes. A
+//! backend that moves blocks one at a time loops over the batch itself,
+//! and the fault and retry wrappers apply their per-block policy by
+//! forwarding one-block batches.
 
 use crate::error::{PdmError, Result};
 use crate::key::PdmKey;
@@ -35,6 +41,18 @@ pub struct StorageCaps {
     pub checksums: bool,
 }
 
+/// `keys` must be exactly `blocks` whole blocks of `block_size` keys.
+pub(crate) fn check_batch_len(blocks: usize, block_size: usize, keys: usize) -> Result<()> {
+    let expected = blocks * block_size;
+    if keys != expected {
+        return Err(PdmError::BadBlockLen {
+            got: keys,
+            expected,
+        });
+    }
+    Ok(())
+}
+
 /// A physical store of `D` disks, each an array of block slots of `B` keys.
 pub trait Storage<K: PdmKey>: Send {
     /// Number of disks.
@@ -46,34 +64,15 @@ pub trait Storage<K: PdmKey>: Send {
     /// Grow disk `disk` to at least `slots` block slots (zero/`MAX`-filled).
     fn ensure_capacity(&mut self, disk: usize, slots: usize) -> Result<()>;
 
-    /// Read block `(disk, slot)` into `out` (`out.len() == B`).
-    fn read_block(&mut self, disk: usize, slot: usize, out: &mut [K]) -> Result<()>;
-
-    /// Write `data` (`data.len() == B`) to block `(disk, slot)`.
-    fn write_block(&mut self, disk: usize, slot: usize, data: &[K]) -> Result<()>;
-
     /// Read a batch of blocks; `reqs[i]` is `(disk, slot)` and fills
-    /// `out[i*B..(i+1)*B]`. Backends with real per-disk parallelism override
-    /// this to service different disks concurrently.
-    fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()> {
-        let b = self.block_size();
-        debug_assert_eq!(out.len(), reqs.len() * b);
-        for (i, &(disk, slot)) in reqs.iter().enumerate() {
-            self.read_block(disk, slot, &mut out[i * b..(i + 1) * b])?;
-        }
-        Ok(())
-    }
+    /// `out[i*B..(i+1)*B]` (`out.len() == reqs.len() × B`). A failed block
+    /// fails the call; blocks before it may already have been read.
+    fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()>;
 
     /// Write a batch of blocks; `reqs[i]` is `(disk, slot)` taking
-    /// `data[i*B..(i+1)*B]`.
-    fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[K]) -> Result<()> {
-        let b = self.block_size();
-        debug_assert_eq!(data.len(), reqs.len() * b);
-        for (i, &(disk, slot)) in reqs.iter().enumerate() {
-            self.write_block(disk, slot, &data[i * b..(i + 1) * b])?;
-        }
-        Ok(())
-    }
+    /// `data[i*B..(i+1)*B]` (`data.len() == reqs.len() × B`). A failed
+    /// block fails the call; blocks before it may already be written.
+    fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[K]) -> Result<()>;
 
     /// Flush any buffered state to the underlying medium.
     fn sync(&mut self) -> Result<()> {
@@ -165,14 +164,6 @@ impl<K: PdmKey, S: Storage<K> + ?Sized> Storage<K> for Box<S> {
         (**self).ensure_capacity(disk, slots)
     }
 
-    fn read_block(&mut self, disk: usize, slot: usize, out: &mut [K]) -> Result<()> {
-        (**self).read_block(disk, slot, out)
-    }
-
-    fn write_block(&mut self, disk: usize, slot: usize, data: &[K]) -> Result<()> {
-        (**self).write_block(disk, slot, data)
-    }
-
     fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()> {
         (**self).read_batch(reqs, out)
     }
@@ -247,7 +238,10 @@ impl<K: PdmKey> MemStorage<K> {
         Ok(())
     }
 
-    fn check_slot(&self, disk: usize, slot: usize) -> Result<()> {
+    /// Key offset of block `(disk, slot)` on its disk, once the address
+    /// is checked.
+    fn offset(&self, disk: usize, slot: usize) -> Result<usize> {
+        self.check_disk(disk)?;
         let allocated = self.disks[disk].len() / self.block_size;
         if slot >= allocated {
             return Err(PdmError::BadSlot {
@@ -256,7 +250,7 @@ impl<K: PdmKey> MemStorage<K> {
                 allocated,
             });
         }
-        Ok(())
+        Ok(slot * self.block_size)
     }
 }
 
@@ -278,31 +272,23 @@ impl<K: PdmKey> Storage<K> for MemStorage<K> {
         Ok(())
     }
 
-    fn read_block(&mut self, disk: usize, slot: usize, out: &mut [K]) -> Result<()> {
-        self.check_disk(disk)?;
-        self.check_slot(disk, slot)?;
-        if out.len() != self.block_size {
-            return Err(PdmError::BadBlockLen {
-                got: out.len(),
-                expected: self.block_size,
-            });
+    fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()> {
+        check_batch_len(reqs.len(), self.block_size, out.len())?;
+        let b = self.block_size;
+        for (&(disk, slot), block) in reqs.iter().zip(out.chunks_exact_mut(b)) {
+            let off = self.offset(disk, slot)?;
+            block.copy_from_slice(&self.disks[disk][off..off + b]);
         }
-        let off = slot * self.block_size;
-        out.copy_from_slice(&self.disks[disk][off..off + self.block_size]);
         Ok(())
     }
 
-    fn write_block(&mut self, disk: usize, slot: usize, data: &[K]) -> Result<()> {
-        self.check_disk(disk)?;
-        self.check_slot(disk, slot)?;
-        if data.len() != self.block_size {
-            return Err(PdmError::BadBlockLen {
-                got: data.len(),
-                expected: self.block_size,
-            });
+    fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[K]) -> Result<()> {
+        check_batch_len(reqs.len(), self.block_size, data.len())?;
+        let b = self.block_size;
+        for (&(disk, slot), block) in reqs.iter().zip(data.chunks_exact(b)) {
+            let off = self.offset(disk, slot)?;
+            self.disks[disk][off..off + b].copy_from_slice(block);
         }
-        let off = slot * self.block_size;
-        self.disks[disk][off..off + self.block_size].copy_from_slice(data);
         Ok(())
     }
 }
@@ -315,9 +301,9 @@ mod tests {
     fn round_trip_block() {
         let mut s: MemStorage<u64> = MemStorage::new(2, 4);
         s.ensure_capacity(1, 3).unwrap();
-        s.write_block(1, 2, &[5, 6, 7, 8]).unwrap();
+        s.write_batch(&[(1, 2)], &[5, 6, 7, 8]).unwrap();
         let mut out = [0u64; 4];
-        s.read_block(1, 2, &mut out).unwrap();
+        s.read_batch(&[(1, 2)], &mut out).unwrap();
         assert_eq!(out, [5, 6, 7, 8]);
     }
 
@@ -326,7 +312,7 @@ mod tests {
         let mut s: MemStorage<u32> = MemStorage::new(1, 2);
         s.ensure_capacity(0, 1).unwrap();
         let mut out = [0u32; 2];
-        s.read_block(0, 0, &mut out).unwrap();
+        s.read_batch(&[(0, 0)], &mut out).unwrap();
         assert_eq!(out, [u32::MAX, u32::MAX]);
     }
 
@@ -336,20 +322,20 @@ mod tests {
         s.ensure_capacity(0, 1).unwrap();
         let mut out = [0u64; 4];
         assert!(matches!(
-            s.read_block(5, 0, &mut out),
+            s.read_batch(&[(5, 0)], &mut out),
             Err(PdmError::BadDisk { .. })
         ));
         assert!(matches!(
-            s.read_block(0, 9, &mut out),
+            s.read_batch(&[(0, 9)], &mut out),
             Err(PdmError::BadSlot { .. })
         ));
         let mut small = [0u64; 3];
         assert!(matches!(
-            s.read_block(0, 0, &mut small),
+            s.read_batch(&[(0, 0)], &mut small),
             Err(PdmError::BadBlockLen { .. })
         ));
         assert!(matches!(
-            s.write_block(0, 0, &[1, 2, 3]),
+            s.write_batch(&[(0, 0)], &[1, 2, 3]),
             Err(PdmError::BadBlockLen { .. })
         ));
     }
@@ -372,11 +358,11 @@ mod tests {
     fn ensure_capacity_is_monotone() {
         let mut s: MemStorage<u64> = MemStorage::new(1, 4);
         s.ensure_capacity(0, 2).unwrap();
-        s.write_block(0, 1, &[1, 2, 3, 4]).unwrap();
+        s.write_batch(&[(0, 1)], &[1, 2, 3, 4]).unwrap();
         // shrinking request must not lose data
         s.ensure_capacity(0, 1).unwrap();
         let mut out = [0u64; 4];
-        s.read_block(0, 1, &mut out).unwrap();
+        s.read_batch(&[(0, 1)], &mut out).unwrap();
         assert_eq!(out, [1, 2, 3, 4]);
     }
 }

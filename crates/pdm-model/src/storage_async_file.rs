@@ -198,7 +198,8 @@ struct FileDisk {
 }
 
 /// One worker thread's service state over every file disk: each disk's
-/// [`FileDisk`], and one kernel submission path for all of them.
+/// handle, staging buffer and checksum table, and one kernel submission
+/// path for all of them.
 pub struct FileWorker {
     disks: Vec<FileDisk>,
     /// Keys per block.
@@ -573,7 +574,7 @@ impl<K: PdmKey> MediumWorker<K> for FileWorker {
 
     /// Writes go to the kernel at most `depth` blocks per disk per round,
     /// and a disk's round is also cut before a slot it already stages (see
-    /// [`write_cuts`]).
+    /// `write_cuts`).
     fn write(
         &mut self,
         station: &Station<K>,
@@ -1183,9 +1184,9 @@ mod tests {
         let mut s = AsyncFileStorage::<u64>::create_temp(1, 4).unwrap();
         assert!(!s.caps().direct_io, "32-byte blocks cannot be O_DIRECT");
         s.ensure_capacity(0, 2).unwrap();
-        s.write_block(0, 1, &[9, 8, 7, 6]).unwrap();
+        s.write_batch(&[(0, 1)], &[9, 8, 7, 6]).unwrap();
         let mut out = [0u64; 4];
-        s.read_block(0, 1, &mut out).unwrap();
+        s.read_batch(&[(0, 1)], &mut out).unwrap();
         assert_eq!(out, [9, 8, 7, 6]);
     }
 
@@ -1215,7 +1216,7 @@ mod tests {
             let mut s = AsyncFileStorage::<u64>::create(&dir, 2, 4).unwrap();
             s.ensure_capacity(0, 3).unwrap();
             s.ensure_capacity(1, 2).unwrap();
-            s.write_block(0, 2, &[5, 5, 5, 5]).unwrap();
+            s.write_batch(&[(0, 2)], &[5, 5, 5, 5]).unwrap();
             s.sync().unwrap();
         }
         assert!(dir.join("meta.pdm").is_file());
@@ -1223,15 +1224,15 @@ mod tests {
         let mut back =
             crate::storage_file::FileStorage::<u64>::create_readback(&dir, 2, 4).unwrap();
         let mut out = [0u64; 4];
-        back.read_block(0, 2, &mut out).unwrap();
+        back.read_batch(&[(0, 2)], &mut out).unwrap();
         assert_eq!(out, [5, 5, 5, 5]);
         drop(back);
         // And so does a fresh async handle.
         let mut s = AsyncFileStorage::<u64>::create_readback(&dir, 2, 4).unwrap();
-        s.read_block(0, 2, &mut out).unwrap();
+        s.read_batch(&[(0, 2)], &mut out).unwrap();
         assert_eq!(out, [5, 5, 5, 5]);
         assert!(matches!(
-            s.read_block(0, 3, &mut out),
+            s.read_batch(&[(0, 3)], &mut out),
             Err(PdmError::BadSlot { .. })
         ));
         drop(s);

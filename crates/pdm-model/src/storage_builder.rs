@@ -420,7 +420,7 @@ mod tests {
                 .unwrap();
             let mut s = built.storage;
             s.ensure_capacity(0, 1).unwrap();
-            s.write_block(0, 0, &[7; 8]).unwrap();
+            s.write_batch(&[(0, 0)], &[7; 8]).unwrap();
             s.sync().unwrap();
         }
         // Read the same directory back through the *async* backend: the
@@ -432,7 +432,7 @@ mod tests {
             .unwrap();
         let mut s = built.storage;
         let mut out = [0u64; 8];
-        s.read_block(0, 0, &mut out).unwrap();
+        s.read_batch(&[(0, 0)], &mut out).unwrap();
         assert_eq!(out, [7; 8]);
         drop(s);
         let _ = std::fs::remove_dir_all(&dir);

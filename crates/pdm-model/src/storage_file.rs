@@ -25,10 +25,10 @@
 //! [`FileStorage::create_readback`] restores the allocation and the
 //! checksums a synced directory records.
 
-use crate::error::{PdmError, Result};
+use crate::error::Result;
 use crate::file_faults::FileFaults;
 use crate::key::PdmKey;
-use crate::storage::{Storage, StorageCaps};
+use crate::storage::{check_batch_len, Storage, StorageCaps};
 use crate::storage_async_file::FileDisks;
 use crate::storage_worker::{check_slot, grow, Medium};
 use std::path::{Path, PathBuf};
@@ -86,24 +86,13 @@ impl<K: PdmKey> FileStorage<K> {
         self.disks.paths()
     }
 
-    /// Arm real-file fault injection: subsequent `read_block` /
-    /// `write_block` / `sync` calls consult `faults` and can surface
+    /// Arm real-file fault injection: subsequent block transfers and
+    /// `sync` calls consult `faults` and can surface
     /// injected EIO, short transfers, torn writes, and fsync failures.
     /// [`crate::storage_builder::StorageBuilder::inject_file`] calls this
     /// right after construction, before any I/O; a second call is ignored.
     pub fn set_file_faults(&mut self, faults: Arc<FileFaults>) {
         self.disks.set_file_faults(faults);
-    }
-
-    fn check(&self, disk: usize, slot: usize, keys: usize) -> Result<()> {
-        check_slot(&self.allocated, disk, slot)?;
-        if keys != self.disks.block_size {
-            return Err(PdmError::BadBlockLen {
-                got: keys,
-                expected: self.disks.block_size,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -120,23 +109,30 @@ impl<K: PdmKey> Storage<K> for FileStorage<K> {
         grow::<K, _>(&mut self.disks, &mut self.allocated, disk, slots)
     }
 
-    fn read_block(&mut self, disk: usize, slot: usize, out: &mut [K]) -> Result<()> {
-        self.check(disk, slot, out.len())?;
-        self.disks
-            .transfer_block(disk, slot, &mut self.staging, false)?;
-        for (k, bytes) in out.iter_mut().zip(self.staging.chunks_exact(K::WIDTH)) {
-            *k = K::read_bytes(bytes);
+    fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()> {
+        check_batch_len(reqs.len(), self.disks.block_size, out.len())?;
+        for (&(disk, slot), block) in reqs.iter().zip(out.chunks_exact_mut(self.disks.block_size)) {
+            check_slot(&self.allocated, disk, slot)?;
+            self.disks
+                .transfer_block(disk, slot, &mut self.staging, false)?;
+            for (k, bytes) in block.iter_mut().zip(self.staging.chunks_exact(K::WIDTH)) {
+                *k = K::read_bytes(bytes);
+            }
         }
         Ok(())
     }
 
-    fn write_block(&mut self, disk: usize, slot: usize, data: &[K]) -> Result<()> {
-        self.check(disk, slot, data.len())?;
-        for (k, bytes) in data.iter().zip(self.staging.chunks_exact_mut(K::WIDTH)) {
-            k.write_bytes(bytes);
+    fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[K]) -> Result<()> {
+        check_batch_len(reqs.len(), self.disks.block_size, data.len())?;
+        for (&(disk, slot), block) in reqs.iter().zip(data.chunks_exact(self.disks.block_size)) {
+            check_slot(&self.allocated, disk, slot)?;
+            for (k, bytes) in block.iter().zip(self.staging.chunks_exact_mut(K::WIDTH)) {
+                k.write_bytes(bytes);
+            }
+            self.disks
+                .transfer_block(disk, slot, &mut self.staging, true)?;
         }
-        self.disks
-            .transfer_block(disk, slot, &mut self.staging, true)
+        Ok(())
     }
 
     /// One fsync-fault draw and every disk file fsynced, then the medium's
@@ -160,6 +156,7 @@ impl<K: PdmKey> Storage<K> for FileStorage<K> {
 mod tests {
     use super::*;
     use crate::config::PdmConfig;
+    use crate::error::PdmError;
     use crate::key::Tagged;
     use crate::machine::Pdm;
     #[cfg(feature = "block-checksums")]
@@ -178,12 +175,12 @@ mod tests {
         let mut s: FileStorage<u64> = FileStorage::create_temp(2, 4).unwrap();
         s.ensure_capacity(0, 2).unwrap();
         s.ensure_capacity(1, 2).unwrap();
-        s.write_block(0, 1, &[9, 8, 7, 6]).unwrap();
-        s.write_block(1, 0, &[1, 2, 3, 4]).unwrap();
+        s.write_batch(&[(0, 1)], &[9, 8, 7, 6]).unwrap();
+        s.write_batch(&[(1, 0)], &[1, 2, 3, 4]).unwrap();
         let mut out = [0u64; 4];
-        s.read_block(0, 1, &mut out).unwrap();
+        s.read_batch(&[(0, 1)], &mut out).unwrap();
         assert_eq!(out, [9, 8, 7, 6]);
-        s.read_block(1, 0, &mut out).unwrap();
+        s.read_batch(&[(1, 0)], &mut out).unwrap();
         assert_eq!(out, [1, 2, 3, 4]);
     }
 
@@ -192,9 +189,9 @@ mod tests {
         let mut s: FileStorage<Tagged> = FileStorage::create_temp(1, 2).unwrap();
         s.ensure_capacity(0, 1).unwrap();
         let blk = [Tagged::new(3, 30), Tagged::new(1, 10)];
-        s.write_block(0, 0, &blk).unwrap();
+        s.write_batch(&[(0, 0)], &blk).unwrap();
         let mut out = [Tagged::new(0, 0); 2];
-        s.read_block(0, 0, &mut out).unwrap();
+        s.read_batch(&[(0, 0)], &mut out).unwrap();
         assert_eq!(out, blk);
     }
 
@@ -203,10 +200,10 @@ mod tests {
         let mut s: FileStorage<u64> = FileStorage::create_temp(1, 4).unwrap();
         s.ensure_capacity(0, 1).unwrap();
         let mut out = [0u64; 4];
-        assert!(s.read_block(3, 0, &mut out).is_err());
-        assert!(s.read_block(0, 5, &mut out).is_err());
+        assert!(s.read_batch(&[(3, 0)], &mut out).is_err());
+        assert!(s.read_batch(&[(0, 5)], &mut out).is_err());
         let mut bad = [0u64; 2];
-        assert!(s.read_block(0, 0, &mut bad).is_err());
+        assert!(s.read_batch(&[(0, 0)], &mut bad).is_err());
     }
 
     #[test]
@@ -242,7 +239,7 @@ mod tests {
             let mut s: FileStorage<u64> = FileStorage::create(&dir, 2, 4).unwrap();
             s.ensure_capacity(0, 3).unwrap();
             s.ensure_capacity(1, 2).unwrap();
-            s.write_block(0, 2, &[5, 5, 5, 5]).unwrap();
+            s.write_batch(&[(0, 2)], &[5, 5, 5, 5]).unwrap();
             s.sync().unwrap();
         }
         assert!(dir.join("meta.pdm").is_file());
@@ -250,10 +247,13 @@ mod tests {
         // Exact allocation is restored from the manifest.
         let mut s: FileStorage<u64> = FileStorage::create_readback(&dir, 2, 4).unwrap();
         let mut out = [0u64; 4];
-        s.read_block(0, 2, &mut out).unwrap();
+        s.read_batch(&[(0, 2)], &mut out).unwrap();
         assert_eq!(out, [5, 5, 5, 5]);
         assert!(
-            matches!(s.read_block(0, 3, &mut out), Err(PdmError::BadSlot { .. })),
+            matches!(
+                s.read_batch(&[(0, 3)], &mut out),
+                Err(PdmError::BadSlot { .. })
+            ),
             "allocation boundary survives reopen"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -280,13 +280,13 @@ mod tests {
         {
             let mut s: FileStorage<u64> = FileStorage::create(&dir, 1, 4).unwrap();
             s.ensure_capacity(0, 2).unwrap();
-            s.write_block(0, 1, &[1, 2, 3, 4]).unwrap();
+            s.write_batch(&[(0, 1)], &[1, 2, 3, 4]).unwrap();
             // No sync: no meta.pdm is ever written.
         }
         assert!(!dir.join("meta.pdm").exists());
         let mut s: FileStorage<u64> = FileStorage::create_readback(&dir, 1, 4).unwrap();
         let mut out = [0u64; 4];
-        s.read_block(0, 1, &mut out).unwrap();
+        s.read_batch(&[(0, 1)], &mut out).unwrap();
         assert_eq!(out, [1, 2, 3, 4]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -296,8 +296,8 @@ mod tests {
     fn bit_rot_is_detected_and_rewrites_heal() {
         let mut s: FileStorage<u64> = FileStorage::create_temp(1, 4).unwrap();
         s.ensure_capacity(0, 2).unwrap();
-        s.write_block(0, 0, &[1, 2, 3, 4]).unwrap();
-        s.write_block(0, 1, &[5, 6, 7, 8]).unwrap();
+        s.write_batch(&[(0, 0)], &[1, 2, 3, 4]).unwrap();
+        s.write_batch(&[(0, 1)], &[5, 6, 7, 8]).unwrap();
         s.sync().unwrap();
         // Flip a byte of slot 1 behind the backend's back.
         {
@@ -306,9 +306,9 @@ mod tests {
             f.write_all(&[0xFF]).unwrap();
         }
         let mut out = [0u64; 4];
-        s.read_block(0, 0, &mut out).unwrap();
+        s.read_batch(&[(0, 0)], &mut out).unwrap();
         assert_eq!(out, [1, 2, 3, 4], "untouched block still verifies");
-        let err = s.read_block(0, 1, &mut out).unwrap_err();
+        let err = s.read_batch(&[(0, 1)], &mut out).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -322,8 +322,8 @@ mod tests {
         );
         assert!(!err.is_transient(), "corruption must not be retried");
         // Rewriting the block refreshes the checksum.
-        s.write_block(0, 1, &[5, 6, 7, 8]).unwrap();
-        s.read_block(0, 1, &mut out).unwrap();
+        s.write_batch(&[(0, 1)], &[5, 6, 7, 8]).unwrap();
+        s.read_batch(&[(0, 1)], &mut out).unwrap();
         assert_eq!(out, [5, 6, 7, 8]);
     }
 
@@ -335,7 +335,7 @@ mod tests {
         let mut out = [0u64; 4];
         // Slot 0 was allocated (zero-filled) but never written: readable,
         // sidecar entry is the zero sentinel.
-        s.read_block(0, 0, &mut out).unwrap();
+        s.read_batch(&[(0, 0)], &mut out).unwrap();
         assert_eq!(out, [0, 0, 0, 0]);
     }
 
@@ -344,16 +344,16 @@ mod tests {
         use crate::file_faults::{FileFaultMode, FileFaults};
         let mut s: FileStorage<u64> = FileStorage::create_temp(1, 4).unwrap();
         s.ensure_capacity(0, 1).unwrap();
-        s.write_block(0, 0, &[1, 2, 3, 4]).unwrap();
+        s.write_batch(&[(0, 0)], &[1, 2, 3, 4]).unwrap();
         let faults = Arc::new(FileFaults::new(FileFaultMode::Eio(1)));
         s.set_file_faults(Arc::clone(&faults));
         let mut out = [0u64; 4];
-        s.read_block(0, 0, &mut out).unwrap();
-        let err = s.read_block(0, 0, &mut out).unwrap_err();
+        s.read_batch(&[(0, 0)], &mut out).unwrap();
+        let err = s.read_batch(&[(0, 0)], &mut out).unwrap_err();
         assert!(!err.is_transient(), "EIO is permanent: {err}");
         assert_eq!(faults.injected(), 1);
         // The op index advanced past the scheduled fault: retries succeed.
-        s.read_block(0, 0, &mut out).unwrap();
+        s.read_batch(&[(0, 0)], &mut out).unwrap();
         assert_eq!(out, [1, 2, 3, 4]);
     }
 
@@ -367,7 +367,7 @@ mod tests {
             seed: 1,
             rate_ppm: 1_000_000,
         })));
-        let err = s.write_block(0, 0, &[1, 2, 3, 4]).unwrap_err();
+        let err = s.write_batch(&[(0, 0)], &[1, 2, 3, 4]).unwrap_err();
         assert!(err.is_transient(), "short transfers retry: {err}");
     }
 
@@ -388,12 +388,12 @@ mod tests {
         use crate::file_faults::{FileFaultMode, FileFaults};
         let mut s: FileStorage<u64> = FileStorage::create_temp(1, 4).unwrap();
         s.ensure_capacity(0, 1).unwrap();
-        s.write_block(0, 0, &[1, 2, 3, 4]).unwrap();
+        s.write_batch(&[(0, 0)], &[1, 2, 3, 4]).unwrap();
         s.set_file_faults(Arc::new(FileFaults::new(FileFaultMode::TornWrite(0))));
         // The torn write itself reports success — that is the failure model.
-        s.write_block(0, 0, &[9, 9, 9, 9]).unwrap();
+        s.write_batch(&[(0, 0)], &[9, 9, 9, 9]).unwrap();
         let mut out = [0u64; 4];
-        let err = s.read_block(0, 0, &mut out).unwrap_err();
+        let err = s.read_batch(&[(0, 0)], &mut out).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -406,8 +406,8 @@ mod tests {
             "got: {err}"
         );
         // Rewriting (no fault scheduled at this index) heals the slot.
-        s.write_block(0, 0, &[9, 9, 9, 9]).unwrap();
-        s.read_block(0, 0, &mut out).unwrap();
+        s.write_batch(&[(0, 0)], &[9, 9, 9, 9]).unwrap();
+        s.read_batch(&[(0, 0)], &mut out).unwrap();
         assert_eq!(out, [9, 9, 9, 9]);
     }
 }

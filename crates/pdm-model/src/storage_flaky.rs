@@ -119,7 +119,7 @@ impl<S> FlakyStorage<S> {
     }
 
     /// Advance the read schedule by one block and apply it. Called once per
-    /// block whether the block travels through `read_block` or inside a
+    /// block whether the block travels in a `read_batch` or a
     /// `start_read_batch`, so overlapped and blocking runs draw identical
     /// fault schedules.
     fn check_read_op(&mut self, disk: usize) -> Result<()> {
@@ -162,14 +162,28 @@ impl<K: PdmKey, S: Storage<K>> Storage<K> for FlakyStorage<S> {
         self.inner.ensure_capacity(disk, slots)
     }
 
-    fn read_block(&mut self, disk: usize, slot: usize, out: &mut [K]) -> Result<()> {
-        self.check_read_op(disk)?;
-        self.inner.read_block(disk, slot, out)
+    /// One schedule draw per block, each block forwarded as its own
+    /// one-block batch, so a fault stops the batch at that block: the
+    /// blocks before it are read and nothing from it on.
+    fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()> {
+        let b = self.inner.block_size();
+        for (i, &req) in reqs.iter().enumerate() {
+            self.check_read_op(req.0)?;
+            self.inner
+                .read_batch(&[req], &mut out[i * b..(i + 1) * b])?;
+        }
+        Ok(())
     }
 
-    fn write_block(&mut self, disk: usize, slot: usize, data: &[K]) -> Result<()> {
-        self.check_write_op(disk)?;
-        self.inner.write_block(disk, slot, data)
+    /// See [`FlakyStorage`]'s `read_batch`: the blocks before a faulted
+    /// one are written and nothing from it on.
+    fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[K]) -> Result<()> {
+        let b = self.inner.block_size();
+        for (i, &req) in reqs.iter().enumerate() {
+            self.check_write_op(req.0)?;
+            self.inner.write_batch(&[req], &data[i * b..(i + 1) * b])?;
+        }
+        Ok(())
     }
 
     fn sync(&mut self) -> Result<()> {
@@ -229,6 +243,7 @@ mod tests {
     use super::*;
     use crate::config::PdmConfig;
     use crate::machine::Pdm;
+    use crate::probe::ProbeEvent;
     use crate::storage::MemStorage;
     use crate::storage_threaded::ThreadedStorage;
 
@@ -255,13 +270,60 @@ mod tests {
         pdm.ingest(&r, &(0..64u64).collect::<Vec<_>>()).unwrap();
         let mut out = Vec::new();
         // blocks 0,1 fine; block 2 fails
-        assert!(pdm.read_range(&r, 0, 2, &mut out).is_ok());
+        assert!(pdm.read_blocks([(r, 0), (r, 1)], &mut out).is_ok());
         assert!(matches!(
-            pdm.read_range(&r, 2, 1, &mut out),
+            pdm.read_blocks([(r, 2)], &mut out),
             Err(PdmError::Io(_))
         ));
         // subsequent reads succeed (one-shot failure)
-        assert!(pdm.read_range(&r, 3, 1, &mut out).is_ok());
+        assert!(pdm.read_blocks([(r, 3)], &mut out).is_ok());
+    }
+
+    #[test]
+    fn a_refused_batch_or_issue_charges_nothing() {
+        // The fault refuses each call's first block, so nothing moved and
+        // nothing may be charged: not a blocking batch, not a one-step
+        // overlapped issue, not a two-step one.
+        for mode in [FailMode::NthRead(0), FailMode::NthWrite(0)] {
+            for call in 0..3 {
+                let mut pdm = flaky_machine(mode);
+                pdm.set_overlap(true);
+                pdm.enable_probe(64);
+                let r = pdm.alloc_region(4).unwrap();
+                let step = |lo: usize| vec![(r, lo), (r, lo + 1)];
+                let data = [7u64; 32];
+                let refused = match (mode, call) {
+                    (FailMode::NthRead(_), 0) => pdm.read_blocks(step(0), &mut Vec::new()),
+                    (FailMode::NthRead(_), 1) => pdm.start_read_blocks(&[step(0)]).map(drop),
+                    (FailMode::NthRead(_), _) => {
+                        pdm.start_read_blocks(&[step(0), step(2)]).map(drop)
+                    }
+                    (_, 0) => pdm.write_blocks(step(0), &data[..16]),
+                    (_, 1) => pdm.start_write_blocks(&[step(0)], &data[..16]).map(drop),
+                    _ => pdm.start_write_blocks(&[step(0), step(2)], &data).map(drop),
+                };
+                assert!(
+                    matches!(refused, Err(PdmError::Io(_))),
+                    "{mode:?}, call {call}"
+                );
+                let st = pdm.stats();
+                assert_eq!(
+                    (
+                        st.blocks_read,
+                        st.read_steps,
+                        st.blocks_written,
+                        st.write_steps
+                    ),
+                    (0, 0, 0, 0),
+                    "{mode:?}, call {call}"
+                );
+                let events = st.probe().unwrap().events();
+                assert!(
+                    !events.iter().any(|e| matches!(e, ProbeEvent::Io { .. })),
+                    "{mode:?}, call {call}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -270,8 +332,8 @@ mod tests {
         let r = pdm.alloc_region_for_keys(64).unwrap();
         // block 0 → disk 0 (ok), block 1 → disk 1 (fails)
         let mut out = Vec::new();
-        assert!(pdm.read_range(&r, 0, 1, &mut out).is_ok());
-        assert!(pdm.read_range(&r, 1, 1, &mut out).is_err());
+        assert!(pdm.read_blocks([(r, 0)], &mut out).is_ok());
+        assert!(pdm.read_blocks([(r, 1)], &mut out).is_err());
     }
 
     #[test]
@@ -306,15 +368,15 @@ mod tests {
         s.ensure_capacity(1, 4).unwrap();
         let mut out = [0u64; 4];
         // ops 0,1,2 on disk 1 succeed; from op 3 the disk is gone for good
-        assert!(s.read_block(1, 0, &mut out).is_ok());
-        assert!(s.read_block(1, 1, &mut out).is_ok());
-        assert!(s.read_block(1, 2, &mut out).is_ok());
-        let e = s.read_block(1, 3, &mut out).unwrap_err();
+        assert!(s.read_batch(&[(1, 0)], &mut out).is_ok());
+        assert!(s.read_batch(&[(1, 1)], &mut out).is_ok());
+        assert!(s.read_batch(&[(1, 2)], &mut out).is_ok());
+        let e = s.read_batch(&[(1, 3)], &mut out).unwrap_err();
         assert!(!e.is_transient(), "DiskAfter faults are permanent");
-        assert!(s.read_block(1, 0, &mut out).is_err());
-        assert!(s.write_block(1, 0, &[0; 4]).is_err());
+        assert!(s.read_batch(&[(1, 0)], &mut out).is_err());
+        assert!(s.write_batch(&[(1, 0)], &[0; 4]).is_err());
         // the other disk is unaffected
-        assert!(s.read_block(0, 0, &mut out).is_ok());
+        assert!(s.read_batch(&[(0, 0)], &mut out).is_ok());
         assert_eq!(s.injected, 3);
     }
 
@@ -334,7 +396,7 @@ mod tests {
             let mut out = [0u64; 4];
             let mut fails = Vec::new();
             for i in 0..2_000u64 {
-                if let Err(e) = s.read_block(0, (i % 8) as usize, &mut out) {
+                if let Err(e) = s.read_batch(&[(0, (i % 8) as usize)], &mut out) {
                     assert!(e.is_transient());
                     fails.push(i);
                 }
@@ -353,11 +415,11 @@ mod tests {
         s.ensure_capacity(0, 4).unwrap();
         let mut out = [0u64; 4];
         // op 0 fails, ops 1,2 succeed, op 3 fails, …
-        let e = s.read_block(0, 0, &mut out).unwrap_err();
+        let e = s.read_batch(&[(0, 0)], &mut out).unwrap_err();
         assert!(e.is_transient());
-        assert!(s.read_block(0, 0, &mut out).is_ok(), "retry heals");
-        assert!(s.write_block(0, 0, &[1; 4]).is_ok());
-        assert!(s.read_block(0, 1, &mut out).is_err());
+        assert!(s.read_batch(&[(0, 0)], &mut out).is_ok(), "retry heals");
+        assert!(s.write_batch(&[(0, 0)], &[1; 4]).is_ok());
+        assert!(s.read_batch(&[(0, 1)], &mut out).is_err());
         assert_eq!(s.injected, 2);
     }
 }

@@ -1,11 +1,12 @@
 //! Transient-fault retry layer over any storage backend.
 //!
 //! [`RetryingStorage`] wraps a backend and reissues block operations that
-//! fail with a *transient* error ([`PdmError::is_transient`]): interrupted
-//! syscalls, timeouts, injected [`crate::storage_flaky::FailMode`]
-//! transient faults. Permanent errors (bad addresses, dead disks,
-//! [`PdmError::Corrupt`]) propagate immediately — retrying them would
-//! return the same failure and hide the bug.
+//! fail with a *transient* error
+//! ([`crate::error::PdmError::is_transient`]): interrupted syscalls,
+//! timeouts, injected [`crate::storage_flaky::FailMode`] transient faults.
+//! Permanent errors (bad addresses, dead disks,
+//! [`crate::error::PdmError::Corrupt`]) propagate immediately — retrying
+//! them would return the same failure and hide the bug.
 //!
 //! Retries are charged *deterministic simulated backoff*: retry `k` of an
 //! operation costs `k · backoff_steps` parallel steps, accumulated in a
@@ -136,9 +137,9 @@ impl RetryCounters {
 
 /// A storage wrapper that retries transient block-operation failures.
 ///
-/// Batch operations deliberately use the trait's block-by-block default
-/// so each block gets its own retry budget; a single bad block in a batch
-/// costs one reissue, not a whole-batch replay.
+/// Blocking batches move block by block, each block forwarded as a
+/// one-block batch with its own retry budget; a single bad block in a
+/// batch costs one reissue, not a whole-batch replay.
 pub struct RetryingStorage<S> {
     inner: S,
     policy: RetryPolicy,
@@ -218,12 +219,26 @@ impl<K: PdmKey, S: Storage<K>> Storage<K> for RetryingStorage<S> {
         self.with_retry(true, Some(disk), |s| s.ensure_capacity(disk, slots))
     }
 
-    fn read_block(&mut self, disk: usize, slot: usize, out: &mut [K]) -> Result<()> {
-        self.with_retry(false, Some(disk), |s| s.read_block(disk, slot, out))
+    /// Each block is forwarded as its own one-block batch with its own
+    /// retry budget: a single bad block in a batch costs one reissue, not
+    /// a whole-batch replay.
+    fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()> {
+        let b = self.inner.block_size();
+        for (i, &req) in reqs.iter().enumerate() {
+            let block = &mut out[i * b..(i + 1) * b];
+            self.with_retry(false, Some(req.0), |s| s.read_batch(&[req], block))?;
+        }
+        Ok(())
     }
 
-    fn write_block(&mut self, disk: usize, slot: usize, data: &[K]) -> Result<()> {
-        self.with_retry(true, Some(disk), |s| s.write_block(disk, slot, data))
+    /// See [`RetryingStorage`]'s `read_batch`; same protocol for writes.
+    fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[K]) -> Result<()> {
+        let b = self.inner.block_size();
+        for (i, &req) in reqs.iter().enumerate() {
+            let block = &data[i * b..(i + 1) * b];
+            self.with_retry(true, Some(req.0), |s| s.write_batch(&[req], block))?;
+        }
+        Ok(())
     }
 
     fn sync(&mut self) -> Result<()> {
@@ -258,9 +273,9 @@ impl<K: PdmKey, S: Storage<K>> Storage<K> for RetryingStorage<S> {
     /// start would re-draw *every* block's fault schedule per attempt —
     /// the effective failure rate scales with the batch size and a budget
     /// that is bulletproof per block can exhaust per batch. Instead the
-    /// one faulted batch degrades to the blocking per-block path (the
-    /// batch default decomposes through `read_block`, giving each block
-    /// its own budget) behind an eager completion token; only that batch
+    /// one faulted batch degrades to the blocking per-block path (this
+    /// layer's `read_batch`, which gives each block its own budget)
+    /// behind an eager completion token; only that batch
     /// loses latency hiding. The degradation itself is recorded as one
     /// unattributed retry so healing stays visible in the counters.
     fn start_read_batch(
@@ -321,7 +336,7 @@ mod tests {
         let mut s = store(FailMode::EveryNth(2), RetryPolicy::default());
         let mut out = [0u64; 4];
         for i in 0..10 {
-            s.read_block(0, i % 8, &mut out).unwrap();
+            s.read_batch(&[(0, i % 8)], &mut out).unwrap();
         }
         let snap = s.counters().snapshot();
         assert!(snap.reads_retried >= 1);
@@ -336,7 +351,7 @@ mod tests {
     fn permanent_faults_are_not_retried() {
         let mut s = store(FailMode::NthRead(0), RetryPolicy::default());
         let mut out = [0u64; 4];
-        assert!(s.read_block(0, 0, &mut out).is_err());
+        assert!(s.read_batch(&[(0, 0)], &mut out).is_err());
         let snap = s.counters().snapshot();
         assert_eq!(snap.total_retries(), 0);
         assert_eq!(
@@ -344,7 +359,7 @@ mod tests {
             "permanent failure is not an exhausted retry"
         );
         // the schedule fired once; the very next attempt (op 1) succeeds
-        assert!(s.read_block(0, 0, &mut out).is_ok());
+        assert!(s.read_batch(&[(0, 0)], &mut out).is_ok());
     }
 
     #[test]
@@ -356,7 +371,7 @@ mod tests {
         };
         let mut s = store(FailMode::EveryNth(1), policy);
         let mut out = [0u64; 4];
-        let e = s.read_block(0, 0, &mut out).unwrap_err();
+        let e = s.read_batch(&[(0, 0)], &mut out).unwrap_err();
         assert!(e.is_transient());
         let snap = s.counters().snapshot();
         assert_eq!(snap.reads_retried, 2, "3 attempts = 2 retries");
@@ -368,7 +383,7 @@ mod tests {
     #[test]
     fn writes_count_separately_from_reads() {
         let mut s = store(FailMode::EveryNth(2), RetryPolicy::default());
-        s.write_block(0, 0, &[1, 2, 3, 4]).unwrap();
+        s.write_batch(&[(0, 0)], &[1, 2, 3, 4]).unwrap();
         let snap = s.counters().snapshot();
         assert_eq!(snap.writes_retried, 1);
         assert_eq!(snap.reads_retried, 0);
@@ -426,11 +441,11 @@ mod tests {
             fn ensure_capacity(&mut self, disk: usize, slots: usize) -> Result<()> {
                 self.inner.ensure_capacity(disk, slots)
             }
-            fn read_block(&mut self, disk: usize, slot: usize, out: &mut [u64]) -> Result<()> {
-                self.inner.read_block(disk, slot, out)
+            fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [u64]) -> Result<()> {
+                self.inner.read_batch(reqs, out)
             }
-            fn write_block(&mut self, disk: usize, slot: usize, data: &[u64]) -> Result<()> {
-                self.inner.write_block(disk, slot, data)
+            fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[u64]) -> Result<()> {
+                self.inner.write_batch(reqs, data)
             }
             fn sync(&mut self) -> Result<()> {
                 if !self.failed_once {
@@ -464,6 +479,6 @@ mod tests {
         };
         let mut s = store(FailMode::Never, policy);
         let mut out = [0u64; 4];
-        assert!(s.read_block(0, 0, &mut out).is_ok());
+        assert!(s.read_batch(&[(0, 0)], &mut out).is_ok());
     }
 }

@@ -223,7 +223,7 @@ mod tests {
     fn fresh_blocks_read_as_max_padding() {
         let mut s = ThreadedStorage::<u32>::new(1, 2);
         s.ensure_capacity(0, 2).unwrap();
-        s.write_block(0, 0, &[1, 2]).unwrap();
+        s.write_batch(&[(0, 0)], &[1, 2]).unwrap();
         // growing keeps the data and pads the new slots
         s.ensure_capacity(0, 3).unwrap();
         let mut out = [0u32; 6];

@@ -55,7 +55,7 @@ use crate::key::PdmKey;
 use crate::overlap::{PendingRead, PendingWrite};
 use crate::pool::{BlockPool, PoolStats};
 use crate::stats::{DiskWallRec, SpanSink, StorageWallSnapshot, UringWall};
-use crate::storage::{Storage, StorageCaps};
+use crate::storage::{check_batch_len, Storage, StorageCaps};
 use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -102,7 +102,7 @@ pub trait Medium<K: PdmKey>: Send + 'static {
 pub trait MediumWorker<K: PdmKey>: Send + 'static {
     /// Read every share's slots (already bounds-checked) into pooled
     /// buffers, pushing one result per slot onto `out`, shares in order.
-    /// Each service round runs inside [`Station::round`].
+    /// Each service round runs inside the station's `round`.
     fn read(&mut self, station: &Station<K>, shares: &[Share<usize>], out: &mut BlockResults<K>);
 
     /// Commit every share's `(slot, payload)` pairs (in issue order within
@@ -544,14 +544,6 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
         grow(&mut self.medium, &mut self.allocated, disk, slots)
     }
 
-    fn read_block(&mut self, disk: usize, slot: usize, out: &mut [K]) -> Result<()> {
-        self.read_batch(&[(disk, slot)], out)
-    }
-
-    fn write_block(&mut self, disk: usize, slot: usize, data: &[K]) -> Result<()> {
-        self.write_batch(&[(disk, slot)], data)
-    }
-
     fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()> {
         self.start_read_batch(reqs)?.wait(out)
     }
@@ -647,12 +639,7 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
         data: &[K],
     ) -> Result<Box<dyn PendingWrite + Send>> {
         let b = self.block_size;
-        if data.len() != reqs.len() * b {
-            return Err(PdmError::BadBlockLen {
-                got: data.len(),
-                expected: reqs.len() * b,
-            });
-        }
+        check_batch_len(reqs.len(), b, data.len())?;
         for &(disk, slot) in reqs {
             check_slot(&self.allocated, disk, slot)?;
         }
@@ -1022,11 +1009,11 @@ mod tests {
         ));
         let mut out = [0u64; 4];
         assert!(matches!(
-            s.read_block(3, 0, &mut out),
+            s.read_batch(&[(3, 0)], &mut out),
             Err(PdmError::BadDisk { disk: 3, .. })
         ));
         assert!(matches!(
-            s.read_block(0, 5, &mut out),
+            s.read_batch(&[(0, 5)], &mut out),
             Err(PdmError::BadSlot {
                 disk: 0,
                 slot: 5,
@@ -1034,7 +1021,7 @@ mod tests {
             })
         ));
         assert!(matches!(
-            s.write_block(1, 0, &[1, 2, 3, 4]),
+            s.write_batch(&[(1, 0)], &[1, 2, 3, 4]),
             Err(PdmError::BadSlot {
                 disk: 1,
                 slot: 0,
@@ -1043,14 +1030,14 @@ mod tests {
         ));
         let mut bad = [0u64; 2];
         assert!(matches!(
-            s.read_block(0, 0, &mut bad),
+            s.read_batch(&[(0, 0)], &mut bad),
             Err(PdmError::BadBlockLen {
                 got: 2,
                 expected: 4
             })
         ));
         assert!(matches!(
-            s.write_block(0, 0, &[1, 2]),
+            s.write_batch(&[(0, 0)], &[1, 2]),
             Err(PdmError::BadBlockLen {
                 got: 2,
                 expected: 4
@@ -1062,7 +1049,7 @@ mod tests {
         make: impl Fn(usize, usize, Duration) -> S,
     ) {
         let mut s = sized(make(2, 4, Duration::ZERO), 1);
-        s.write_block(0, 0, &[1, 2, 3, 4]).unwrap();
+        s.write_batch(&[(0, 0)], &[1, 2, 3, 4]).unwrap();
         match s.start_read_batch(&[(1, 0), (1, 5)]) {
             Err(PdmError::BadSlot {
                 disk: 1,
@@ -1089,7 +1076,7 @@ mod tests {
         );
         // Nothing of the refused write reached the disk.
         let mut out = [0u64; 4];
-        s.read_block(0, 0, &mut out).unwrap();
+        s.read_batch(&[(0, 0)], &mut out).unwrap();
         assert_eq!(out, [1, 2, 3, 4]);
     }
 

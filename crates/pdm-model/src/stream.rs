@@ -3,9 +3,12 @@
 //! [`RunReader`] and [`RunWriter`] turn a striped [`Region`] into a
 //! key-granular sequential stream while doing block-granular, stripe-aligned
 //! I/O underneath (default batch: one full stripe of `D` blocks per parallel
-//! step). Their staging buffers are registered against the machine's
-//! internal memory, so holding `l` open readers costs `l · D · B` tracked
-//! keys — exactly the memory a real multiway merge would pin.
+//! step). Each refill or flush is one machine batch, its block range mapped
+//! to `(region, block)` pairs as [`Pdm::read_blocks`] and
+//! [`Pdm::write_blocks`] take them. Their staging buffers are registered
+//! against the machine's internal memory, so holding `l` open readers costs
+//! `l · D · B` tracked keys — exactly the memory a real multiway merge
+//! would pin.
 //!
 //! A reader streams its keys forward, or — from [`RunReader::backward`] —
 //! back to front, so a run stored in descending order reads as ascending.
@@ -79,9 +82,8 @@ impl<K: PdmKey> RunWriter<K> {
         if full == 0 {
             return Ok(());
         }
-        let idx: Vec<usize> = (self.next_block..self.next_block + full).collect();
-        self.behind
-            .write(pdm, &self.region, &idx, &self.buf[..full * b])?;
+        let blocks = (self.next_block..self.next_block + full).map(|i| (self.region, i));
+        self.behind.write(pdm, blocks, &self.buf[..full * b])?;
         self.next_block += full;
         // move the ragged tail to the front
         let rem = self.buf.len() - full * b;
@@ -268,7 +270,8 @@ impl<K: PdmKey> RunReader<K> {
         if take == 0 {
             return Ok(());
         }
-        pdm.read_range(&self.region, first, take, self.buf.as_vec_mut())?;
+        let blocks = (first..first + take).map(|i| (self.region, i));
+        pdm.read_blocks(blocks, self.buf.as_vec_mut())?;
         self.settle(take);
         Ok(())
     }
@@ -484,7 +487,7 @@ mod tests {
                     break;
                 }
                 let mut data = Vec::new();
-                pdm.read_blocks_multi(&step, &mut data).unwrap();
+                pdm.read_blocks(step, &mut data).unwrap();
                 installed.install(&data);
                 got.extend_from_slice(installed.buffered());
                 installed.consume(installed.buffered().len());

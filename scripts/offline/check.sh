@@ -1,7 +1,8 @@
 #!/bin/bash
 # The repository's gate. Every cargo call passes --offline, so a registry
 # crate that creeps back in fails here, as it does in CI.
-#   scripts/offline/check.sh        # check formatting, build every leg, print BUILD OK
+#   scripts/offline/check.sh        # check formatting and the API docs, build
+#                                   # every leg, print BUILD OK
 #   scripts/offline/check.sh --run  # run them, then the examples, the golden,
 #                                   # trace and bench gates and the yardstick's
 #                                   # self-test, print ALL TESTS OK
@@ -11,6 +12,7 @@ NORUN=--no-run
 [ "${1:-}" = --run ] && NORUN=
 step() { echo "== $*"; "$@"; }
 step cargo fmt --all --check
+step env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 step cargo build --release --offline
 step cargo test -q --offline $NORUN
 step cargo test -q --offline -p pdm-model --features uring --lib $NORUN

@@ -346,7 +346,7 @@ fn file_backend_data_is_really_on_disk() {
     {
         let mut storage = FileStorage::<u64>::create_readback(&dir, 2, b).unwrap();
         let mut out = vec![0u64; b];
-        storage.read_block(0, 0, &mut out).unwrap();
+        storage.read_batch(&[(0, 0)], &mut out).unwrap();
         // block 0 of a region starting at disk 0 = first B keys
         assert_eq!(out, (0..b as u64).collect::<Vec<_>>());
     }
@@ -366,7 +366,8 @@ fn threaded_backend_handles_concurrent_batches() {
     let mut out = Vec::new();
     for chunk_start in (0..r.len_blocks()).step_by(8) {
         let take = 8.min(r.len_blocks() - chunk_start);
-        pdm.read_range(&r, chunk_start, take, &mut out).unwrap();
+        let blocks = (chunk_start..chunk_start + take).map(|i| (r, i));
+        pdm.read_blocks(blocks, &mut out).unwrap();
     }
     assert_eq!(out[..n], data[..]);
 }
