@@ -731,30 +731,10 @@ fn run_real_disk_suite(quick: bool, dir: Option<&str>, out_path: &str) {
     let mut rows = Vec::new();
     let mut direct_io = bench_real_disk(Algorithm::SevenPass, b, n, dir, reps, &mut rows);
     direct_io |= bench_real_disk(Algorithm::ThreePass2, b, n, dir, reps, &mut rows);
-    // Naive external mergesort on the same backend, overlap off: the
+    // Naive external mergesort on the same backend and the same A/B: the
     // honest "what a straightforward external sort costs" yardstick.
-    let data = pdm_bench::data::permutation(n, 47);
-    let mut best = f64::MAX;
-    let mut best_wall = WallStats::default();
-    let mut passes = (0.0, 0.0);
-    for _ in 0..reps {
-        let (wall, rp, wp, _, w) = real_disk_leg(Algorithm::MergeSort, b, n, dir, false, &data);
-        if wall < best {
-            best = wall;
-            best_wall = w;
-        }
-        passes = (rp, wp);
-    }
-    let baseline = RealDiskRow {
-        name: "mergesort".into(),
-        n,
-        wall_ms_blocking: best,
-        wall_ms_overlap: best,
-        improvement: 0.0,
-        read_passes: passes.0,
-        write_passes: passes.1,
-        wall: wall_percentiles(&best_wall),
-    };
+    direct_io |= bench_real_disk(Algorithm::MergeSort, b, n, dir, reps, &mut rows);
+    let baseline = rows.pop().expect("the mergesort row");
     std::fs::write(
         out_path,
         render_realdisk_json(quick, direct_io, &rows, &baseline),

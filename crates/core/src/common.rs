@@ -154,9 +154,26 @@ impl Algorithm {
         Some(PassBound { passes, expected })
     }
 
+    /// Whether a sort of `n` keys that took `read_steps` parallel read steps
+    /// stayed within `passes` read passes. A pass over `N` keys takes
+    /// whole steps, `⌈N/(D·B)⌉` of them ([`PdmConfig::steps_per_pass`]),
+    /// where `N/(D·B)` are due, so `passes` passes allow
+    /// `passes · ⌈N/(D·B)⌉` steps: a 3M-key merge sort at D = 4, B = 64
+    /// that reads 46,876 steps is within 4 passes, though the steps come
+    /// to 4.0000853 of `N/(D·B)`.
+    pub fn within_passes(cfg: &PdmConfig, n: usize, passes: usize, read_steps: u64) -> bool {
+        read_steps <= (passes * cfg.steps_per_pass(n)) as u64
+    }
+
     /// Sort `n` keys of `input` with this sorter (`α` feeds the expected
     /// three- and six-pass sorts). The ranked integer sorts return
     /// `UnsupportedInput`: they need `K: RankedKey` and are called directly.
+    ///
+    /// The sorter owns `input`: it must be a whole allocated region (else
+    /// it is refused before any I/O, with
+    /// [`Pdm::release_region`]'s error), the sorter may release it once no
+    /// later pass, a fallback included, reads it, and the caller must not
+    /// read, write or release it afterwards.
     pub fn run<K: PdmKey, S: Storage<K>>(
         self,
         pdm: &mut Pdm<K, S>,
@@ -608,11 +625,17 @@ impl RegionEmitter {
 
 /// Sort `n` keys that fit in internal memory: one read pass + one write
 /// pass. The trivial case of the dispatcher.
+///
+/// The sort owns `input`, which must be a whole allocated region (else it
+/// is refused before any I/O, with [`Pdm::release_region`]'s error), and
+/// releases it once read, so the output takes its levels. The caller must
+/// not read, write or release `input` afterwards.
 pub fn in_memory_sort<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
     n: usize,
 ) -> Result<SortReport> {
+    pdm.check_whole_region(input)?;
     if n > pdm.cfg().mem_capacity {
         return Err(PdmError::UnsupportedInput(format!(
             "in_memory_sort: n = {n} exceeds M = {}",
@@ -622,6 +645,7 @@ pub fn in_memory_sort<K: PdmKey, S: Storage<K>>(
     let mut buf = pdm.alloc_buf(input.len_keys())?;
     pdm.begin_phase("IM: read+sort");
     pdm.read_region(input, buf.as_vec_mut())?;
+    pdm.release_region(input)?;
     buf.truncate(n);
     buf.sort_unstable();
     pdm.begin_phase("IM: write");
@@ -944,6 +968,173 @@ mod tests {
         assert!(exact(2) < expected(2) && expected(2) < exact(3));
         assert_eq!(expected(2).unwrap().to_string(), "2 expected");
         assert_eq!(exact(7).unwrap().to_string(), "7");
+    }
+
+    /// Sort `keys` with `algo` at D = 4, B = 16 and return the disks'
+    /// high-water mark, the levels the input takes, and whether the sorter
+    /// fell back. The output is checked; the ranked sorters are called
+    /// directly.
+    fn disk_space(algo: Algorithm, keys: &[u64]) -> (usize, usize, bool) {
+        let cfg = PdmConfig::square(4, 16);
+        let mut pdm: Pdm<u64> = Pdm::new(cfg).unwrap();
+        let n = keys.len();
+        let input = pdm.alloc_region_for_keys(n).unwrap();
+        pdm.ingest(&input, keys).unwrap();
+        let rep = match algo {
+            Algorithm::IntegerSort => crate::integer_sort(&mut pdm, &input, n, 16),
+            Algorithm::RadixSort => crate::radix_sort(&mut pdm, &input, n, 64).map(|r| r.report),
+            _ => algo.run(&mut pdm, &input, n, 2.0),
+        }
+        .unwrap();
+        let mut want = keys.to_vec();
+        want.sort_unstable();
+        assert_eq!(pdm.inspect_prefix(&rep.output, n).unwrap(), want, "{algo}");
+        (
+            pdm.next_slot(),
+            input.len_blocks().div_ceil(4),
+            rep.fell_back,
+        )
+    }
+
+    #[test]
+    fn every_sorter_holds_its_pinned_disk_space() {
+        // Every sorter at D = 4, B = 16 (M = 256): at its capacity point,
+        // at a non-multiple N, and on an input its online check rejects.
+        // Each row pins the high-water mark and the input's levels. A
+        // sorter that owns its input writes a later pass over it:
+        // ThreePass1 and ThreePass2 hold 2.00× the input at M√M, the merge
+        // sort 2.05× (2.00× where one run is carried unmerged), up/down
+        // 3.11× (its scratch region has a block of slack per run), and the
+        // in-memory sort 1.00×. The expected two-pass sorts release their
+        // windows and output before falling back to ThreePass2 (3.46×),
+        // the expected three-pass sort before SevenPass (42.0×). SevenPass,
+        // the expected six-pass sort and the ranked sorts release nothing
+        // yet.
+        let cfg = PdmConfig::square(4, 16);
+        let m = cfg.mem_capacity;
+        let perm = |n: usize| {
+            let mut keys: Vec<u64> = (0..n as u64).collect();
+            pdm_model::rng::SplitMix64::seed_from_u64(7).shuffle(&mut keys);
+            keys
+        };
+        let sorted = |n: usize| (0..n as u64).collect::<Vec<_>>();
+        // the integer sort's keys lie below its M/B = 16 buckets
+        let digits = |n: usize| perm(n).into_iter().map(|k| k % 16).collect::<Vec<_>>();
+        let cap = |a: Algorithm| a.capacity(&cfg, 2.0);
+        use Algorithm::*;
+        let cases: Vec<(Algorithm, Vec<u64>, usize, usize, bool)> = vec![
+            (ThreePass1, perm(cap(ThreePass1)), 128, 64, false),
+            (ThreePass1, perm(4000), 131, 63, false),
+            (ExpTwoPassMesh, perm(cap(ExpTwoPassMesh)), 9, 1, false),
+            (ExpTwoPassMesh, perm(50), 9, 1, false),
+            (ExpTwoPassMesh, sorted(832), 45, 13, true),
+            (ThreePass2, perm(cap(ThreePass2)), 128, 64, false),
+            (ThreePass2, perm(4000), 131, 63, false),
+            (ExpectedTwoPass, perm(cap(ExpectedTwoPass)), 45, 13, false),
+            (ExpectedTwoPass, perm(800), 45, 13, false),
+            (ExpectedTwoPass, sorted(832), 45, 13, true),
+            (
+                ExpectedThreePass,
+                perm(cap(ExpectedThreePass)),
+                64,
+                16,
+                false,
+            ),
+            (ExpectedThreePass, perm(1000), 64, 16, false),
+            (ExpectedThreePass, sorted(1024), 672, 16, true),
+            (SevenPass, perm(cap(SevenPass)), 8192, 1024, false),
+            (SevenPass, perm(5000), 1103, 79, false),
+            (
+                ExpectedSixPass,
+                perm(cap(ExpectedSixPass)),
+                1152,
+                128,
+                false,
+            ),
+            (ExpectedSixPass, perm(5000), 735, 79, false),
+            (IntegerSort, digits(4096), 256, 64, false),
+            (IntegerSort, digits(4000), 254, 63, false),
+            (RadixSort, perm(4096), 1088, 64, false),
+            (RadixSort, perm(4000), 1138, 63, false),
+            (InMemory, perm(m), 4, 4, false),
+            (InMemory, perm(200), 4, 4, false),
+            (MergeSort, perm(256 * m), 2096, 1024, false),
+            (MergeSort, perm(27 * m), 216, 108, false),
+            (MergeSort, perm(4 * m), 32, 16, false),
+            (MergeSort, perm(1000), 32, 16, false),
+            (UpDownMergeSort, perm(256 * m), 3186, 1024, false),
+            (UpDownMergeSort, perm(27 * m), 334, 108, false),
+            (UpDownMergeSort, perm(4 * m), 49, 16, false),
+            (UpDownMergeSort, perm(1000), 33, 16, false),
+        ];
+        let mut covered = Vec::new();
+        for (algo, keys, want_high, want_input, want_fallback) in cases {
+            let n = keys.len();
+            let (high, input, fell_back) = disk_space(algo, &keys);
+            assert_eq!(
+                (high, input, fell_back),
+                (want_high, want_input, want_fallback),
+                "{algo} on {n} keys: {:.2}× the input",
+                high as f64 / input as f64
+            );
+            covered.push(algo);
+        }
+        for a in Algorithm::ALL {
+            assert!(covered.contains(&a), "{a} has no row");
+        }
+    }
+
+    #[test]
+    fn table_sorters_own_their_input_and_refuse_one_they_cannot() {
+        let cfg = PdmConfig::square(4, 16);
+        let keys: Vec<u64> = (0..512u64).rev().collect();
+        let mut released = Vec::new();
+        for a in Algorithm::ALL.into_iter().filter(|a| !a.ranked()) {
+            let mut pdm: Pdm<u64> = Pdm::new(cfg).unwrap();
+            let input = pdm.alloc_region_for_keys(1024).unwrap();
+            pdm.ingest(&input, &keys).unwrap();
+            // A part of an allocated region is refused before any I/O.
+            let half = input.sub(0, 32).unwrap();
+            let e = a.run(&mut pdm, &half, 512, 2.0).unwrap_err();
+            assert!(
+                e.to_string().contains("not a whole allocated region"),
+                "{a}: {e}"
+            );
+            assert_eq!(
+                pdm.stats().blocks_read + pdm.stats().blocks_written,
+                0,
+                "{a}"
+            );
+            assert_eq!(pdm.next_slot(), 16, "{a} allocated before refusing");
+            // The whole region sorts; a sorter that released it refuses to
+            // sort it again, before any I/O.
+            let Ok(rep) = a.run(&mut pdm, &input, 512, 2.0) else {
+                continue; // past the sorter's capacity (the in-memory sort)
+            };
+            assert_eq!(
+                pdm.inspect_prefix(&rep.output, 3).unwrap(),
+                [0, 1, 2],
+                "{a}"
+            );
+            if pdm.check_whole_region(&input).is_err() {
+                released.push(a);
+                let moved = pdm.stats().blocks_read + pdm.stats().blocks_written;
+                let e = a.run(&mut pdm, &input, 512, 2.0).unwrap_err();
+                assert!(
+                    e.to_string().contains("not a whole allocated region"),
+                    "{a}: {e}"
+                );
+                let after = pdm.stats().blocks_read + pdm.stats().blocks_written;
+                assert_eq!(after, moved, "{a}");
+            }
+        }
+        // The expected sorters keep the input for a fallback that did not
+        // run, SevenPass releases nothing yet, and 512 keys exceed M.
+        use Algorithm::*;
+        assert_eq!(
+            released,
+            [ThreePass1, ThreePass2, MergeSort, UpDownMergeSort]
+        );
     }
 
     #[test]

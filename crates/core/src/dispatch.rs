@@ -63,7 +63,10 @@ pub fn choose(cfg: &PdmConfig, n: usize, alpha: f64) -> Result<Algorithm> {
     Ok(rank(cfg, n, alpha)?[0].0)
 }
 
-/// Sort `n` keys with the sorter [`choose`] picks (α = 2).
+/// Sort `n` keys with the sorter [`choose`] picks (α = 2). The sorter owns
+/// `input` (see [`Algorithm::run`]): it must be a whole allocated region,
+/// the sorter may release it, and the caller must not read, write or
+/// release it afterwards.
 pub fn pdm_sort<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
@@ -72,7 +75,8 @@ pub fn pdm_sort<K: PdmKey, S: Storage<K>>(
     pdm_sort_with_alpha(pdm, input, n, DEFAULT_ALPHA)
 }
 
-/// [`pdm_sort`] with an explicit confidence parameter `α`.
+/// [`pdm_sort`] with an explicit confidence parameter `α`; it owns `input`
+/// the same way.
 pub fn pdm_sort_with_alpha<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,

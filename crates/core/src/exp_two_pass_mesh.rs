@@ -33,11 +33,18 @@ pub fn capacity(m: usize, alpha: f64) -> usize {
 /// Sort `n` keys in an expected two passes (Theorem 3.2). For the
 /// guarantee keep `n ≤ capacity(M, α)`; larger inputs (up to `M√M`) are
 /// accepted but fall back increasingly often.
+///
+/// The sort owns `input`, which must be a whole allocated region (else it
+/// is refused before any I/O, with [`Pdm::release_region`]'s error). On a
+/// detected bad input it releases its bands and output, and the fallback
+/// `ThreePass2` releases the input. The caller must not read, write or
+/// release `input` afterwards.
 pub fn exp_two_pass_mesh<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
     n: usize,
 ) -> Result<SortReport> {
+    pdm.check_whole_region(input)?;
     let b = require_square_cfg(pdm.cfg())?;
     let m = pdm.cfg().mem_capacity;
     if n == 0 {
@@ -104,6 +111,9 @@ pub fn exp_two_pass_mesh<K: PdmKey, S: Storage<K>>(
             Algorithm::ExpTwoPassMesh,
             false,
         ));
+    }
+    for r in band_regions.iter().chain([&out]) {
+        pdm.release_region(r)?;
     }
     pdm.begin_phase("E2PM: fallback ThreePass2");
     let rep = three_pass2::three_pass2(pdm, input, n)?;

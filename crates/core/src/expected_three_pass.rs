@@ -106,12 +106,19 @@ impl<'a> ChunkScatterEmitter<'a> {
 /// Sort `n` keys in an expected three passes (Theorem 6.1). For the
 /// guarantee keep `n ≤ capacity(M, α)`; up to [`structural_capacity`] is
 /// accepted with a growing fallback rate.
+///
+/// The sort owns `input`, which must be a whole allocated region (else it
+/// is refused before any I/O, with [`Pdm::release_region`]'s error). On a
+/// detected bad input it releases its windows and output before the
+/// fallback `SevenPass` runs. The caller must not read, write or release
+/// `input` afterwards.
 pub fn expected_three_pass<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
     n: usize,
     alpha: f64,
 ) -> Result<SortReport> {
+    pdm.check_whole_region(input)?;
     let b = require_square_cfg(pdm.cfg())?;
     let m = pdm.cfg().mem_capacity;
     if n == 0 {
@@ -206,7 +213,11 @@ pub fn expected_three_pass<K: PdmKey, S: Storage<K>>(
             ..SortReport::from_stats(pdm, out, n, Algorithm::ExpectedThreePass, fell_back)
         });
     }
-    // The paper's prescribed alternate for a detected bad input: SevenPass.
+    // The paper's prescribed alternate for a detected bad input: SevenPass,
+    // over the levels of the windows and the discarded output.
+    for r in wins.iter().chain([&out]) {
+        pdm.release_region(r)?;
+    }
     pdm.begin_phase("E3P: fallback SevenPass");
     let rep = seven_pass(pdm, input, n)?;
     pdm.end_phase();

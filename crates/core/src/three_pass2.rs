@@ -20,6 +20,13 @@
 //!   dirty bound `l·m ≤ M` guarantees the stream comes out sorted.
 //!
 //! All three passes do stripe-parallel I/O via staggered region starts.
+//!
+//! Each pass writes into the levels of the regions the pass before it was
+//! the last to read ([`Pdm::release_region`]): the windows over the input,
+//! the output over the columns. Each region is allocated after the phase
+//! boundary that frees those levels, so a checkpointed run reuses them too,
+//! and [`three_pass2`] holds two passes' worth of disk space, the input's
+//! included (`SevenPass`'s inner sorts allocate everything up front).
 
 use crate::common::{
     alloc_staggered, merge_equal_segments, require_square_cfg, Algorithm, Cleaner, Emit,
@@ -159,26 +166,10 @@ pub(crate) fn pass3_cleanup<K: PdmKey, S: Storage<K>>(
     cleaner.finish(pdm, emit)
 }
 
-/// Passes 1 and 2 into fresh column and window regions. Returns the plan,
-/// the columns (which pass 3 does not read) and the windows.
-fn runs_and_column_merges<K: PdmKey, S: Storage<K>>(
-    pdm: &mut Pdm<K, S>,
-    input: &Region,
-    n: usize,
-) -> Result<(Plan, Vec<Region>, Vec<Region>)> {
-    let p = plan(pdm, n)?;
-    let cols = alloc_staggered(pdm, p.b, p.l)?;
-    let windows = alloc_staggered(pdm, p.l, p.b)?;
-    pdm.begin_phase("3P2: runs+unshuffle");
-    pass1_runs_unshuffled(pdm, input, n, &p, &cols)?;
-    pdm.begin_phase("3P2: column merges");
-    pass2_column_merges(pdm, &p, &cols, &windows)?;
-    Ok((p, cols, windows))
-}
-
 /// The three passes with a caller-supplied emitter for the final sorted
 /// stream (emitted in `M`-key slices) — `SevenPass` folds its outer
-/// unshuffle into this emission. Returns `(keys_emitted, clean)`.
+/// unshuffle into this emission. Returns `(keys_emitted, clean)`. The
+/// columns and windows are allocated up front and none is released.
 ///
 /// The final phase is left *open*: the caller must drain whatever
 /// write-behind its emitter holds and then call
@@ -190,15 +181,24 @@ pub(crate) fn three_pass2_core<K: PdmKey, S: Storage<K>>(
     n: usize,
     emit: &mut Emit<'_, K, S>,
 ) -> Result<(usize, bool)> {
-    let (p, _cols, windows) = runs_and_column_merges(pdm, input, n)?;
+    let p = plan(pdm, n)?;
+    let cols = alloc_staggered(pdm, p.b, p.l)?;
+    let windows = alloc_staggered(pdm, p.l, p.b)?;
+    pdm.begin_phase("3P2: runs+unshuffle");
+    pass1_runs_unshuffled(pdm, input, n, &p, &cols)?;
+    pdm.begin_phase("3P2: column merges");
+    pass2_column_merges(pdm, &p, &cols, &windows)?;
     pdm.begin_phase("3P2: shuffle+cleanup");
     pass3_cleanup(pdm, &p, &windows, emit)
 }
 
 /// Sort `n ≤ M√M` keys from `input` in three passes (Lemma 4.1). The output
 /// region's first `n` keys are the sorted data (tail padding is `K::MAX`).
-/// Pass 3 writes it over the columns, which pass 2 was the last to read, so
-/// the sort holds the input plus two passes' worth of disk space.
+///
+/// The sort owns `input`, which must be a whole allocated region (else it
+/// is refused before any I/O, with [`Pdm::release_region`]'s error), and
+/// releases it once pass 1 has read it. The caller must not read, write or
+/// release `input` afterwards.
 ///
 /// # Example
 ///
@@ -210,7 +210,7 @@ pub(crate) fn three_pass2_core<K: PdmKey, S: Storage<K>>(
 /// pdm.ingest(&input, &data).unwrap();
 /// let rep = pdm_sort::three_pass2(&mut pdm, &input, data.len()).unwrap();
 /// assert_eq!(rep.read_passes, 3.0);
-/// assert_eq!(pdm.next_slot(), 3 * input.len_blocks() / 4); // 3N on D = 4 disks
+/// assert_eq!(pdm.next_slot(), 2 * input.len_blocks() / 4); // 2N on D = 4 disks
 /// assert!(pdm.inspect_prefix(&rep.output, 4096).unwrap().windows(2).all(|w| w[0] <= w[1]));
 /// ```
 pub fn three_pass2<K: PdmKey, S: Storage<K>>(
@@ -218,7 +218,15 @@ pub fn three_pass2<K: PdmKey, S: Storage<K>>(
     input: &Region,
     n: usize,
 ) -> Result<SortReport> {
-    let (p, cols, windows) = runs_and_column_merges(pdm, input, n)?;
+    pdm.check_whole_region(input)?;
+    let p = plan(pdm, n)?;
+    let cols = alloc_staggered(pdm, p.b, p.l)?;
+    pdm.begin_phase("3P2: runs+unshuffle");
+    pass1_runs_unshuffled(pdm, input, n, &p, &cols)?;
+    pdm.release_region(input)?;
+    pdm.begin_phase("3P2: column merges");
+    let windows = alloc_staggered(pdm, p.l, p.b)?;
+    pass2_column_merges(pdm, &p, &cols, &windows)?;
     for col in &cols {
         pdm.release_region(col)?;
     }

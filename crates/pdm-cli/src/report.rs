@@ -23,14 +23,14 @@ fn sorter(label: &str) -> Option<Algorithm> {
 /// two-pass sort that fell back also pays three-pass2's 3 passes. Sorters
 /// without a bound (radix, integer sort) are measured-only, and a paper
 /// sorter has none past its capacity.
-pub fn pass_budget(art: &StatsArtifact) -> Option<f64> {
+pub fn pass_budget(art: &StatsArtifact) -> Option<usize> {
     let algo = sorter(&art.algorithm)?;
     let bound = algo.pass_bound(&art.config, art.n, DEFAULT_ALPHA)?;
     let fallback = match algo {
         Algorithm::ExpectedTwoPass | Algorithm::ExpTwoPassMesh if art.fell_back => 3,
         _ => 0,
     };
-    Some((bound.passes + fallback) as f64)
+    Some(bound.passes + fallback)
 }
 
 /// Load a `--stats` artifact from `path` and render it to `out`.
@@ -343,14 +343,14 @@ pub fn render_report(art: &StatsArtifact, out: &mut dyn Write) -> std::io::Resul
     }
     match pass_budget(art) {
         Some(b) => {
-            let verdict = if art.read_passes <= b + 1e-9 {
+            let verdict = if Algorithm::within_passes(cfg, art.n, b, s.read_steps) {
                 "within budget"
             } else {
                 "OVER budget"
             };
             writeln!(
                 out,
-                "  budget: {b:.0} read passes — measured {:.3} read + {:.3} write ({verdict})",
+                "  budget: {b} read passes — measured {:.3} read + {:.3} write ({verdict})",
                 art.read_passes, art.write_passes
             )?;
         }
@@ -475,22 +475,22 @@ mod tests {
         // each sorter at an N inside its capacity, and past it where the
         // bound stops.
         let cases = [
-            ("ThreePass1", 2048, false, Some(3.0)),
-            ("ThreePass2", 2048, false, Some(3.0)),
-            ("ExpectedThreePass", 1024, false, Some(3.0)),
-            ("ExpectedTwoPass", 512, false, Some(2.0)),
-            ("ExpectedTwoPass", 512, true, Some(5.0)),
+            ("ThreePass1", 2048, false, Some(3)),
+            ("ThreePass2", 2048, false, Some(3)),
+            ("ExpectedThreePass", 1024, false, Some(3)),
+            ("ExpectedTwoPass", 512, false, Some(2)),
+            ("ExpectedTwoPass", 512, true, Some(5)),
             ("ExpectedTwoPass", 2048, false, None),
-            ("ExpTwoPassMesh", 48, false, Some(2.0)),
-            ("ExpTwoPassMesh", 48, true, Some(5.0)),
-            ("ExpectedSixPass", 2048, false, Some(6.0)),
-            ("SevenPass", 2048, false, Some(7.0)),
-            ("InMemory", 256, false, Some(1.0)),
+            ("ExpTwoPassMesh", 48, false, Some(2)),
+            ("ExpTwoPassMesh", 48, true, Some(5)),
+            ("ExpectedSixPass", 2048, false, Some(6)),
+            ("SevenPass", 2048, false, Some(7)),
+            ("InMemory", 256, false, Some(1)),
             ("InMemory", 2048, false, None),
             // 8 runs merge at fan-in M/(D·B) − 1 = 3 in two levels after
             // the run-formation pass
-            ("MergeSort", 2048, false, Some(3.0)),
-            ("UpDownMergeSort", 2048, false, Some(3.0)),
+            ("MergeSort", 2048, false, Some(3)),
+            ("UpDownMergeSort", 2048, false, Some(3)),
             ("RadixSort", 2048, false, None),
             ("IntegerSort", 2048, false, None),
         ];
@@ -524,6 +524,39 @@ mod tests {
         assert!(txt.contains("within budget"), "{txt}");
         // 32 steps on a 2048-key machine with D·B = 64 is exactly one pass.
         assert!(txt.contains("1.000 read passes"), "{txt}");
+    }
+
+    #[test]
+    fn budget_counts_whole_steps_per_pass() {
+        // The threaded-u64-7pass shape: 3,000,000 u64 keys, D = 4, B = 64,
+        // which `auto` sorts with the merge sort in 4 passes. A pass takes
+        // ⌈N/(D·B)⌉ = 11,719 steps where 11,718.75 are due, so its 46,876
+        // read steps read as 4.0000853 passes and are within the bound.
+        let cfg = PdmConfig::square(4, 64);
+        let n = 3_000_000;
+        assert_eq!(cfg.steps_per_pass(n), 11_719);
+        for (read_steps, verdict) in [(46_876, "within budget"), (46_877, "OVER budget")] {
+            let mut art = sample_artifact();
+            art.algorithm = "MergeSort".into();
+            art.n = n;
+            art.config = cfg;
+            art.stats.read_steps = read_steps;
+            art.stats.write_steps = read_steps;
+            art.read_passes = art.stats.read_passes(n, 4, 64);
+            art.write_passes = art.read_passes;
+            assert_eq!(pass_budget(&art), Some(4));
+            let mut buf = Vec::new();
+            render_report(&art, &mut buf).unwrap();
+            let txt = String::from_utf8(buf).unwrap();
+            assert!(
+                txt.contains(&format!(
+                    "budget: 4 read passes — measured {:.3} read",
+                    art.read_passes
+                )),
+                "{txt}"
+            );
+            assert!(txt.contains(verdict), "{read_steps} steps: {txt}");
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl Region {
     }
 
     /// First slot level of the allocation this region lies in.
-    pub(crate) fn base_slot(&self) -> usize {
+    pub fn base_slot(&self) -> usize {
         self.base_slot
     }
 

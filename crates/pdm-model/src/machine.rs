@@ -60,6 +60,9 @@ struct CheckpointState {
     /// failure, or frontier or free-list drift). Surfaced via
     /// [`Checkpoint::take_checkpoint_error`].
     deferred: Option<PdmError>,
+    /// The frontier or free-list mismatch found at the last replayed
+    /// boundary: every storage call after it fails with this message.
+    drift: Option<String>,
 }
 
 /// A simulated parallel-disk machine over storage backend `S`.
@@ -302,8 +305,11 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     /// during the phase reusable. At the last replayed phase the algorithm
     /// has replayed every allocation and release the completed phases
     /// made, so the frontier and the free list must match the manifest's.
-    /// Drift means the allocation order was not deterministic and the
-    /// resumed run would read the wrong regions.
+    /// Drift means the allocation order differs from the checkpointed
+    /// run's (a nondeterministic sorter, or a manifest written by another
+    /// layout), so the resumed run would read the wrong regions: from here
+    /// on every storage call fails with the mismatch (see
+    /// [`Pdm::check_drift`]), and the error is also deferred.
     fn close_replayed_phase(&mut self) {
         let Some(c) = self.ckpt.as_deref_mut().filter(|c| c.replay_open) else {
             return;
@@ -314,18 +320,32 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
             return;
         }
         let (frontier, free) = (self.levels.top, &self.levels.free);
-        if frontier != c.base.frontier {
-            c.deferred = Some(PdmError::BadConfig(format!(
+        let drift = if frontier != c.base.frontier {
+            format!(
                 "resume frontier mismatch: replayed allocations reached slot {frontier}, \
                  checkpoint recorded {}",
                 c.base.frontier
-            )));
+            )
         } else if *free != c.base.free {
-            c.deferred = Some(PdmError::BadConfig(format!(
+            format!(
                 "resume free list mismatch: replayed releases left levels {free:?} free, \
                  checkpoint recorded {:?}",
                 c.base.free
-            )));
+            )
+        } else {
+            return;
+        };
+        c.deferred = Some(PdmError::BadConfig(drift.clone()));
+        c.drift = Some(drift);
+    }
+
+    /// Refuse a storage call once a resume has drifted from its manifest
+    /// (see [`Pdm::close_replayed_phase`]): nothing is read or written
+    /// live over a layout the checkpointed run did not have.
+    fn check_drift(&self) -> Result<()> {
+        match self.ckpt.as_deref().and_then(|c| c.drift.as_deref()) {
+            Some(drift) => Err(PdmError::BadConfig(drift.to_string())),
+            None => Ok(()),
         }
     }
 
@@ -361,6 +381,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
             return Err(PdmError::PendingIo { pending });
         }
         // Flush the backend before writing the manifest.
+        self.check_drift()?;
         self.storage.sync()?;
         let mut free = self.levels.free.clone();
         for r in &self.levels.held {
@@ -418,6 +439,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
                 num_disks: d,
             });
         }
+        self.check_drift()?;
         let levels = Region::new(0, start_disk, num_blocks, d, b).max_slot() + 1;
         let base = self.levels.take(levels);
         let region = Region::new(base, start_disk, num_blocks, d, b);
@@ -441,13 +463,8 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         if pending > 0 {
             return Err(PdmError::PendingIo { pending });
         }
+        self.check_whole_region(region)?;
         let base = region.base_slot();
-        if self.levels.live.get(&base) != Some(region) {
-            return Err(PdmError::BadConfig(format!(
-                "release of levels {base}..{}: not a whole allocated region",
-                region.max_slot() + 1
-            )));
-        }
         self.levels.live.remove(&base);
         let list = if self.ckpt.is_some() {
             &mut self.levels.held
@@ -455,6 +472,21 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
             &mut self.levels.free
         };
         insert_range(list, base..region.max_slot() + 1);
+        Ok(())
+    }
+
+    /// Refuse a region that [`Pdm::release_region`] would refuse as not a
+    /// whole allocated region (a sub-region, one never allocated, one
+    /// already released), with the same error. A sorter that releases its
+    /// input checks it with this before any I/O.
+    pub fn check_whole_region(&self, region: &Region) -> Result<()> {
+        let base = region.base_slot();
+        if self.levels.live.get(&base) != Some(region) {
+            return Err(PdmError::BadConfig(format!(
+                "release of levels {base}..{}: not a whole allocated region",
+                region.max_slot() + 1
+            )));
+        }
         Ok(())
     }
 
@@ -535,6 +567,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         blocks: impl IntoIterator<Item = (Region, usize)>,
         out: &mut Vec<K>,
     ) -> Result<()> {
+        self.check_drift()?;
         let b = self.cfg.block_size;
         if self.replaying() {
             // Checkpoint replay: the phase already ran; hand back `K::MAX`
@@ -559,6 +592,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         blocks: impl IntoIterator<Item = (Region, usize)>,
         data: &[K],
     ) -> Result<()> {
+        self.check_drift()?;
         if self.replaying() {
             // Checkpoint replay: the write already happened.
             let n = blocks.into_iter().count();
@@ -604,6 +638,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     /// move each batch block by block. No stats, probe events or checkpoint
     /// replay apply.
     pub fn ingest(&mut self, region: &Region, data: &[K]) -> Result<()> {
+        self.check_drift()?;
         let total = region.len_keys();
         if data.len() > total {
             return Err(PdmError::RegionOutOfBounds {
@@ -626,6 +661,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     /// in the same bounded [`Storage::read_batch`] calls as
     /// [`Pdm::ingest`].
     pub fn inspect(&mut self, region: &Region) -> Result<Vec<K>> {
+        self.check_drift()?;
         let b = self.cfg.block_size;
         let mut out = vec![K::MAX; region.len_keys()];
         for blocks in self.unaccounted_batches(region) {
@@ -719,6 +755,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     /// steps the blocking path never reaches).
     pub fn start_read_blocks(&mut self, steps: &[Vec<(Region, usize)>]) -> Result<TrackedRead<K>> {
         debug_assert!(!steps.is_empty(), "empty read issue");
+        self.check_drift()?;
         let blocks: usize = steps.iter().map(Vec::len).sum();
         let expected = blocks * self.cfg.block_size;
         if self.replaying() {
@@ -753,6 +790,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         &mut self,
         step: &[(Region, usize)],
     ) -> Result<TrackedRead<K>> {
+        self.check_drift()?;
         let expected = step.len() * self.cfg.block_size;
         if self.replaying() {
             return Ok(TrackedRead::replay(
@@ -819,6 +857,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         data: &[K],
     ) -> Result<TrackedWrite> {
         debug_assert!(!steps.is_empty(), "empty write issue");
+        self.check_drift()?;
         let blocks: usize = steps.iter().map(Vec::len).sum();
         check_batch_len(blocks, self.cfg.block_size, data.len())?;
         if self.replaying() {
@@ -889,6 +928,7 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
 
     /// Flush the storage backend.
     pub fn sync(&mut self) -> Result<()> {
+        self.check_drift()?;
         self.refresh_retry_stats();
         self.refresh_wall_stats();
         self.storage.sync()
@@ -931,11 +971,20 @@ struct Levels {
 
 impl Levels {
     /// First level of `n` levels: the start of the lowest free range that
-    /// fits, else the top, which then rises.
+    /// fits, else new levels at the top, which then rises. Those begin in
+    /// the free range that reaches the top, if one does, so the top rises
+    /// only by what that range lacks.
     fn take(&mut self, n: usize) -> usize {
         let Some(i) = self.free.iter().position(|r| r.len() >= n) else {
-            self.top += n;
-            return self.top - n;
+            let base = match self.free.last() {
+                Some(r) if r.end == self.top => r.start,
+                _ => self.top,
+            };
+            if base < self.top {
+                self.free.pop();
+            }
+            self.top = base + n;
+            return base;
         };
         let base = self.free[i].start;
         self.free[i].start += n;
@@ -977,6 +1026,7 @@ impl<K: PdmKey, S: Storage<K>> Checkpoint for Pdm<K, S> {
             replay_open: false,
             completed_names: manifest.phases.clone(),
             deferred: None,
+            drift: None,
             base: manifest,
             store,
         }));
@@ -1126,6 +1176,32 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init, reason = "a free list of one range")]
+    fn new_levels_start_in_a_free_range_that_reaches_the_top() {
+        let mut pdm = machine(); // D = 4: one level holds four blocks
+        let a = pdm.alloc_region(4).unwrap(); // level 0
+        let b = pdm.alloc_region(8).unwrap(); // levels 1..3
+        pdm.release_region(&b).unwrap();
+        // Three levels fit nowhere: they start in the free range 1..3,
+        // which reaches the top, so the top rises by one level, not three.
+        let c = pdm.alloc_region(12).unwrap();
+        assert_eq!((c.base_slot(), pdm.next_slot()), (1, 4));
+        assert!(pdm.levels.free.is_empty());
+        // A free range below a live region does not reach the top.
+        pdm.release_region(&a).unwrap();
+        let d = pdm.alloc_region(8).unwrap();
+        assert_eq!((d.base_slot(), pdm.next_slot()), (4, 6));
+        assert_eq!(pdm.levels.free, vec![0..1]);
+        // A sub-region of an allocation is not a whole region either.
+        let e = pdm.check_whole_region(&d.sub(0, 4).unwrap()).unwrap_err();
+        assert!(
+            e.to_string().contains("not a whole allocated region"),
+            "{e}"
+        );
+        pdm.check_whole_region(&d).unwrap();
+    }
+
+    #[test]
     fn release_refuses_a_sub_region_and_a_double_release() {
         let mut pdm = machine();
         let r = pdm.alloc_region(8).unwrap();
@@ -1205,32 +1281,29 @@ mod tests {
     /// Three phases: the second reads the first's region and releases it,
     /// and the third writes over the released levels. The arithmetic wraps:
     /// a resumed run replays completed phases, whose reads return filler.
-    fn three_phase_with_release(pdm: &mut Pdm<u64>) -> Region {
+    fn three_phase_with_release(pdm: &mut Pdm<u64>) -> Result<Region> {
         pdm.begin_phase("p1");
-        let r1 = pdm.alloc_region(4).unwrap();
-        pdm.write_region(&r1, &(0..32).collect::<Vec<u64>>())
-            .unwrap();
+        let r1 = pdm.alloc_region(4)?;
+        pdm.write_region(&r1, &(0..32).collect::<Vec<u64>>())?;
         pdm.begin_phase("p2");
-        let r2 = pdm.alloc_region(4).unwrap();
+        let r2 = pdm.alloc_region(4)?;
         let mut buf = Vec::new();
-        pdm.read_region(&r1, &mut buf).unwrap();
+        pdm.read_region(&r1, &mut buf)?;
         pdm.write_region(
             &r2,
             &buf.iter().map(|k| k.wrapping_add(1)).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        pdm.release_region(&r1).unwrap();
+        )?;
+        pdm.release_region(&r1)?;
         pdm.begin_phase("p3");
-        let r3 = pdm.alloc_region(4).unwrap();
+        let r3 = pdm.alloc_region(4)?;
         buf.clear();
-        pdm.read_region(&r2, &mut buf).unwrap();
+        pdm.read_region(&r2, &mut buf)?;
         pdm.write_region(
             &r3,
             &buf.iter().map(|k| k.wrapping_mul(2)).collect::<Vec<_>>(),
-        )
-        .unwrap();
+        )?;
         pdm.end_phase();
-        r3
+        Ok(r3)
     }
 
     #[test]
@@ -1240,7 +1313,7 @@ mod tests {
         let store = CheckpointStore::create(&dir).unwrap();
         let mut pdm = machine();
         pdm.attach_checkpoint(store.clone(), fresh_manifest("x", pdm.cfg(), 32));
-        let r3 = three_phase_with_release(&mut pdm);
+        let r3 = three_phase_with_release(&mut pdm).unwrap();
         assert!(pdm.take_checkpoint_error().is_none());
         assert_eq!(r3.base_slot(), 0, "p3 writes over p1's released level");
         let want = pdm.inspect(&r3).unwrap();
@@ -1256,16 +1329,18 @@ mod tests {
         let p2 = m.clone();
         let mut pdm = Pdm::with_storage(PdmConfig::new(4, 8, 64), storage).unwrap();
         pdm.attach_checkpoint(store.clone(), p2);
-        let again = three_phase_with_release(&mut pdm);
+        let again = three_phase_with_release(&mut pdm).unwrap();
         assert!(pdm.take_checkpoint_error().is_none());
         assert_eq!((again, pdm.stats().phases.len()), (r3, 1));
         assert_eq!(pdm.inspect(&again).unwrap(), want);
 
-        // A manifest whose free list the replay does not reproduce is refused.
+        // A manifest whose free list the replay does not reproduce is
+        // refused at the first live storage call, and deferred as well.
         m.free = vec![5..6];
         let mut pdm = machine();
         pdm.attach_checkpoint(store, m);
-        let _ = three_phase_with_release(&mut pdm);
+        let e = three_phase_with_release(&mut pdm).unwrap_err();
+        assert!(e.to_string().contains("free list mismatch"), "{e}");
         let e = pdm
             .take_checkpoint_error()
             .expect("free-list drift must be flagged");
@@ -1463,21 +1538,21 @@ mod tests {
 
     /// A deterministic two-phase "algorithm": pass 1 materializes data into
     /// a fresh region, pass 2 reads it back and writes a transformed copy.
-    fn two_phase(pdm: &mut Pdm<u64>) -> Region {
+    fn two_phase(pdm: &mut Pdm<u64>) -> Result<Region> {
         pdm.begin_phase("pass-1");
-        let r1 = pdm.alloc_region(4).unwrap();
+        let r1 = pdm.alloc_region(4)?;
         let data: Vec<u64> = (100..132).collect();
-        pdm.write_blocks((0..4).map(|i| (r1, i)), &data).unwrap();
+        pdm.write_blocks((0..4).map(|i| (r1, i)), &data)?;
         pdm.end_phase();
 
         pdm.begin_phase("pass-2");
-        let r2 = pdm.alloc_region(4).unwrap();
+        let r2 = pdm.alloc_region(4)?;
         let mut buf = Vec::new();
-        pdm.read_blocks((0..4).map(|i| (r1, i)), &mut buf).unwrap();
+        pdm.read_blocks((0..4).map(|i| (r1, i)), &mut buf)?;
         let out: Vec<u64> = buf.iter().map(|x| x.wrapping_add(1)).collect();
-        pdm.write_blocks((0..4).map(|i| (r2, i)), &out).unwrap();
+        pdm.write_blocks((0..4).map(|i| (r2, i)), &out)?;
         pdm.end_phase();
-        r2
+        Ok(r2)
     }
 
     #[test]
@@ -1487,7 +1562,7 @@ mod tests {
         let mut pdm = machine();
         let m = fresh_manifest("two-phase", pdm.cfg(), 32);
         pdm.attach_checkpoint(store.clone(), m);
-        let r2 = two_phase(&mut pdm);
+        let r2 = two_phase(&mut pdm).unwrap();
         assert!(pdm.take_checkpoint_error().is_none());
         assert_eq!(pdm.completed_phases(), 2);
         assert_eq!(pdm.skipped_phases(), 0);
@@ -1530,7 +1605,7 @@ mod tests {
         assert_eq!(m.completed, 1);
         let mut pdm = Pdm::with_storage(PdmConfig::new(4, 8, 64), storage).unwrap();
         pdm.attach_checkpoint(store.clone(), m);
-        let r2 = two_phase(&mut pdm);
+        let r2 = two_phase(&mut pdm).unwrap();
         assert!(
             pdm.take_checkpoint_error().is_none(),
             "replayed allocations must land on the recorded frontier"
@@ -1563,9 +1638,71 @@ mod tests {
         m.frontier = 999; // deliberately wrong
         m.phases = vec!["pass-1".to_string()];
         pdm.attach_checkpoint(store, m);
-        let _ = two_phase(&mut pdm);
+        let e = two_phase(&mut pdm).unwrap_err();
+        assert!(e.to_string().contains("frontier mismatch"), "got: {e}");
         let e = pdm.take_checkpoint_error().expect("drift must be flagged");
         assert!(e.to_string().contains("frontier mismatch"), "got: {e}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_drifted_resume_moves_no_block_live() {
+        let dir = ckpt_dir("drift-live");
+        let store = CheckpointStore::create(&dir).unwrap();
+        // Pass 1 completes and checkpoints; the run stops there.
+        let mut pdm = machine();
+        pdm.attach_checkpoint(store.clone(), fresh_manifest("two-phase", pdm.cfg(), 32));
+        pdm.begin_phase("pass-1");
+        let r1 = pdm.alloc_region(4).unwrap();
+        pdm.write_blocks((0..4).map(|i| (r1, i)), &(100..132).collect::<Vec<u64>>())
+            .unwrap();
+        pdm.end_phase();
+        let (storage, _) = pdm.into_parts();
+        let m = store.load_latest().unwrap().unwrap();
+        assert_eq!((m.completed, m.frontier), (1, 1));
+
+        // The resume allocates one region the checkpointed run did not, so
+        // the replayed pass 1 lands a level higher than it did.
+        let mut pdm = Pdm::with_storage(PdmConfig::new(4, 8, 64), storage).unwrap();
+        let extra = pdm.alloc_region(4).unwrap();
+        pdm.attach_checkpoint(store, m);
+        let e = two_phase(&mut pdm).unwrap_err();
+        let want = "resume frontier mismatch: replayed allocations reached slot 2, \
+                    checkpoint recorded 1";
+        assert_eq!(e.to_string(), format!("bad PDM configuration: {want}"));
+        // Every storage call after the replay fails the same way.
+        let mut buf = Vec::new();
+        for e in [
+            pdm.read_blocks([(r1, 0)], &mut buf).unwrap_err(),
+            pdm.write_blocks([(extra, 0)], &[7u64; 8]).unwrap_err(),
+            pdm.start_read_blocks(&[vec![(r1, 0)]])
+                .map(|_| ())
+                .unwrap_err(),
+            pdm.start_write_blocks(&[vec![(extra, 0)]], &[7u64; 8])
+                .map(|_| ())
+                .unwrap_err(),
+            pdm.inspect(&r1).map(|_| ()).unwrap_err(),
+            pdm.ingest(&extra, &[7u64; 8]).unwrap_err(),
+            pdm.sync().unwrap_err(),
+            pdm.alloc_region(4).map(|_| ()).unwrap_err(),
+        ] {
+            assert!(e.to_string().contains(want), "{e}");
+        }
+        // Nothing was read or written live: no counter moved, and the
+        // levels pass 2 would have written over still hold pass 1's data
+        // and the never-written padding.
+        let s = pdm.stats();
+        assert_eq!((s.blocks_read, s.blocks_written), (0, 0));
+        assert!(s.phases.is_empty());
+        let (mut storage, _) = pdm.into_parts();
+        let mut level = |slot: usize| {
+            let addrs: Vec<(usize, usize)> = (0..4).map(|d| (d, slot)).collect();
+            let mut keys = vec![0u64; 32];
+            storage.read_batch(&addrs, &mut keys).unwrap();
+            keys
+        };
+        assert_eq!(level(0), (100..132).collect::<Vec<u64>>());
+        assert!(level(1).iter().all(|&k| k == u64::MAX));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

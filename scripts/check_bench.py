@@ -18,27 +18,31 @@ Structural invariants (always checked on the current file):
 
 Overlap artifact (--overlap BENCH_overlap.json): validates the schema of
 the read-ahead/write-behind A/B rows and gates the headline claim —
-`seven_pass` with overlap on the duplex threaded backend must beat
-blocking I/O by at least 20% wall-clock, every row must improve at all,
-and the write-behind stall rate must stay under 75%. A "stall" only
-means the depth-4 window was full and the caller briefly waited on the
-oldest flush — a saturated write worker stalls on most batches while
-still hiding a third of the wall clock, so the gate is set to catch
-near-total serialization (stall rate approaching 100%), not steady-state
-back-pressure. Pass counts in the artifact are
-recorded from legs the bench itself asserts identical, so no cross-leg
-check is needed here. Both A/B artifacts also fold the wall-clock
-telemetry of the overlap leg into each row — merged per-disk read/write
-service-latency p50/p99 plus the stall share of the run — and those are
-gated too: percentiles must be present and non-zero, p50 <= p99, and the
-stall share must be a valid fraction.
+`seven_pass` with overlap on the latency-injected threaded backend must
+beat blocking I/O by more than 45% wall-clock, `expected_two_pass` and
+every other row must improve at all, every row's write-behind stall rate
+must stay at or under 75%, and `seven_pass`'s stall share (the part of
+its overlap leg's run wall time spent waiting in retirement) at or under
+45%. A flush "stall" only means the write-behind window was full and the
+caller waited on the oldest flush — a saturated write worker stalls on
+most batches while still hiding much of the wall clock, so that gate is
+set to catch near-total serialization (stall rate approaching 100%), not
+steady-state back-pressure; it counts waits, not time waited. Pass counts
+in the artifact are recorded from legs the bench itself asserts
+identical, so no cross-leg check is needed here. Both A/B artifacts also
+fold the wall-clock telemetry of the overlap leg into each row — merged
+per-disk read/write service-latency p50/p99 plus the stall share of the
+run — and those are gated too: percentiles must be present and non-zero,
+p50 <= p99, and the stall share must be a valid fraction.
 
 Real-disk artifact (--real-disk BENCH_realdisk.json): validates the
 async-file backend A/B artifact and gates the headline real-disk claim —
 `seven_pass` with overlap on must strictly beat overlap off. The smoke
 run lands on tmpfs where I/O latency is tiny, so the gate only demands a
-strict win (improvement > 0), not the 20% floor the latency-simulated
-overlap artifact earns. The mergesort baseline row must be present, and
+strict win (improvement > 0), not the 45% floor the latency-simulated
+overlap artifact earns. The mergesort baseline row, timed with the same
+overlap-off/overlap-on A/B (its improvement is informational), must be
+present, and
 every sorter row must stay within the paper's constant pass budget (the
 baseline's own pass count grows with n, so at smoke sizes it is not a
 useful yardstick).
@@ -211,16 +215,17 @@ OVERLAP_MIN_IMPROVEMENT = {"seven_pass": 0.45, "expected_two_pass": 0.0}
 OVERLAP_MAX_FLUSH_STALL_RATE = 0.75
 # Ceiling on the share of run wall time the overlap leg spends blocked in
 # retirement waits. With grouped submissions amortizing the per-batch seek
-# charge, seven_pass sits near 0.1; 0.45 catches a regression to the
-# serialized-seek regime (where it measured ~0.7).
+# charge, seven_pass's quick run read 0.34-0.41 on a shared 2-core box
+# (14 runs); 0.45 catches a regression to the serialized-seek regime
+# (where it measured ~0.7).
 OVERLAP_MAX_STALL_SHARE = {"seven_pass": 0.45}
 
 
 def check_wall_percentiles(row, ctx):
     """Schema + sanity for the folded wall-clock latency fields.
 
-    Every A/B row carries the merged per-disk service-latency percentiles
-    of its overlap leg (or its only leg, for the baseline). The recording
+    Every A/B row, the real-disk baseline's included, carries the merged
+    per-disk service-latency percentiles of its overlap leg. The recording
     backends time every kernel round, so a row that did I/O must report
     non-zero read and write percentiles, each p50 must not exceed its
     p99, and the stall share is a fraction of the stamped run wall time.

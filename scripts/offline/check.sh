@@ -4,8 +4,8 @@
 #   scripts/offline/check.sh        # check formatting and the API docs, build
 #                                   # every leg, print BUILD OK
 #   scripts/offline/check.sh --run  # run them, then the examples, the golden,
-#                                   # trace and bench gates and the yardstick's
-#                                   # self-test, print ALL TESTS OK
+#                                   # experiments, trace and bench gates and the
+#                                   # yardstick's self-test, print ALL TESTS OK
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 NORUN=--no-run
@@ -27,6 +27,9 @@ for mode in "" "--overlap on" "--key tagged" "--key str24"; do
 done
 W="$(mktemp -d)"
 trap 'rm -rf "$W"' EXIT
+# The committed experiment tables are what the code prints today.
+step bash -c '"$1/experiments" all > "$2/experiments_all.txt"' _ "$BIN" "$W"
+step cmp "$W/experiments_all.txt" results/experiments_all.txt
 step "$BIN/pdmsort" gen 262144 "$W/in.keys" --dist permutation --seed 7
 step "$BIN/pdmsort" sort "$W/in.keys" "$W/out.keys" --storage async-file --overlap on \
   --scratch "$W/scratch" --trace-out "$W/trace.json"

@@ -59,16 +59,39 @@ const THREE_PASS1: Case = Case {
 /// block operations the run makes (staging included), which is what
 /// `FailMode::DiskAfter` counts.
 fn reference_run(case: Case, data: &[u64], overlap: bool) -> (Vec<u64>, usize, u64) {
+    let r = reference_phases(case, data, overlap);
+    let ops = r.staged + r.phase_ops.iter().sum::<u64>();
+    (r.out, r.phase_ops.len(), ops)
+}
+
+/// An uninterrupted run on `mem`, pass by pass.
+struct Reference {
+    out: Vec<u64>,
+    /// Blocks staged before the sort.
+    staged: u64,
+    /// Block operations of each phase, in order.
+    phase_ops: Vec<u64>,
+    /// The disks' high-water mark, and the levels the input takes.
+    high: usize,
+    input_levels: usize,
+}
+
+fn reference_phases(case: Case, data: &[u64], overlap: bool) -> Reference {
     let cfg = PdmConfig::square(D, B);
     let mut pdm: Pdm<u64> = Pdm::new(cfg).unwrap();
     pdm.set_overlap(overlap);
     let input = pdm.alloc_region_for_keys(case.n).unwrap();
     pdm.ingest(&input, data).unwrap();
     let rep = case.algo.run(&mut pdm, &input, case.n, 2.0).unwrap();
-    let out = pdm.inspect_prefix(&rep.output, case.n).unwrap();
-    let s = pdm.stats();
-    let ops = input.len_blocks() as u64 + s.blocks_read + s.blocks_written;
-    (out, s.phases.len(), ops)
+    Reference {
+        out: pdm.inspect_prefix(&rep.output, case.n).unwrap(),
+        staged: input.len_blocks() as u64,
+        phase_ops: (pdm.stats().phases.iter())
+            .map(|p| p.blocks_read + p.blocks_written)
+            .collect(),
+        high: pdm.next_slot(),
+        input_levels: input.len_blocks().div_ceil(D),
+    }
 }
 
 /// Run `case` over persistent `kind` disks with a disk that dies after
@@ -121,6 +144,8 @@ fn interrupted_run(
 }
 
 /// Restart from the surviving files + manifest and finish the sort.
+/// Returns the output, the phases replayed and run live, and the disks'
+/// high-water mark.
 fn resumed_run(
     case: Case,
     kind: BackendKind,
@@ -128,7 +153,7 @@ fn resumed_run(
     ckdir: &Path,
     digest: u64,
     overlap: bool,
-) -> (Vec<u64>, usize, usize) {
+) -> (Vec<u64>, usize, usize, usize) {
     let cfg = PdmConfig::square(D, B);
     let store = CheckpointStore::create(ckdir).unwrap();
     let manifest = store
@@ -156,7 +181,7 @@ fn resumed_run(
     }
     let out = pdm.inspect_prefix(&rep.output, case.n).unwrap();
     let live = pdm.stats().phases.len();
-    (out, skipped, live)
+    (out, skipped, live, pdm.next_slot())
 }
 
 #[test]
@@ -202,7 +227,7 @@ fn kill_mid_pass_then_resume_is_byte_identical() {
                         "{tag} kill@{kill_after}: checkpoint claims a finished run that errored"
                     );
                     if completed > 0 {
-                        let (got, skipped, live) =
+                        let (got, skipped, live, _) =
                             resumed_run(case, kind, &scratch, &ckdir, digest, overlap);
                         assert_eq!(got, want, "{tag} kill@{kill_after}: resumed output differs");
                         assert_eq!(skipped, completed, "{tag} kill@{kill_after}");
@@ -226,6 +251,69 @@ fn kill_mid_pass_then_resume_is_byte_identical() {
                 resumed_with_progress >= 2,
                 "{tag}: sweep never exercised a genuine mid-run resume"
             );
+        }
+    }
+}
+
+#[test]
+fn a_stop_in_every_pass_resumes_across_each_release() {
+    // The sorters that release a region between passes, stopped halfway
+    // through each pass. The resume replays every release the completed
+    // passes made, so the live passes write over the same levels the
+    // stopped run would have: the same bytes, on the same high-water mark.
+    // ThreePass1 and ThreePass2 release the input after pass 1 and their
+    // columns after pass 2; the merge sort (10 runs at fan-in 3, so levels
+    // carry a run) the input after run formation and each level's runs.
+    for (case, space) in [
+        (THREE_PASS1, Some(2)),
+        (
+            Case {
+                algo: Algorithm::ThreePass2,
+                n: N,
+            },
+            Some(2),
+        ),
+        (
+            Case {
+                algo: Algorithm::MergeSort,
+                n: 640,
+            },
+            None,
+        ),
+    ] {
+        let data = workload_of(case.n);
+        let digest = digest_of(&data);
+        let r = reference_phases(case, &data, false);
+        if let Some(times) = space {
+            assert_eq!(r.high, times * r.input_levels, "{case:?}");
+        }
+        let mut at = r.staged;
+        for (pass, ops) in r.phase_ops.iter().enumerate() {
+            let kill_after = at + ops / 2;
+            at += ops;
+            let tag = format!("{case:?} stopped in pass {}", pass + 1);
+            let (scratch, ckdir) = (unique_dir("scratch"), unique_dir("ck"));
+            let completed = interrupted_run(
+                case,
+                BackendKind::File,
+                &scratch,
+                &ckdir,
+                &data,
+                digest,
+                kill_after,
+                false,
+            );
+            assert_eq!(completed, Some(pass), "{tag}");
+            // A stop in the first pass leaves nothing to resume from.
+            if pass > 0 {
+                let (got, skipped, live, high) =
+                    resumed_run(case, BackendKind::File, &scratch, &ckdir, digest, false);
+                assert_eq!(got, r.out, "{tag}: resumed output differs");
+                assert_eq!((skipped, live), (pass, r.phase_ops.len() - pass), "{tag}");
+                assert_eq!(high, r.high, "{tag}: resumed onto other levels");
+            }
+            std::fs::remove_dir_all(&scratch).ok();
+            std::fs::remove_dir_all(&ckdir).ok();
         }
     }
 }
