@@ -172,8 +172,9 @@ impl Algorithm {
     /// The sorter owns `input`: it must be a whole allocated region (else
     /// it is refused before any I/O, with
     /// [`Pdm::release_region`]'s error), the sorter may release it once no
-    /// later pass, a fallback included, reads it, and the caller must not
-    /// read, write or release it afterwards.
+    /// later pass, a fallback included, reads it, or write its output over
+    /// it ([`SortReport::output`] is then `input`), and the caller must not
+    /// read, write or release it afterwards except as the output.
     pub fn run<K: PdmKey, S: Storage<K>>(
         self,
         pdm: &mut Pdm<K, S>,
@@ -247,7 +248,10 @@ impl std::fmt::Display for PassBound {
 /// Result of a PDM sort: where the output lives and what it cost.
 #[derive(Debug, Clone)]
 pub struct SortReport {
-    /// Region holding the sorted output (first `n` keys).
+    /// Region holding the sorted output (first `n` keys). It may be the
+    /// input's region: ThreePass1 and ThreePass2 write every pass over
+    /// their input unless a checkpoint store is attached, and so does an
+    /// expected two-pass sort that falls back to ThreePass2.
     pub output: Region,
     /// Number of keys sorted.
     pub n: usize,
@@ -363,6 +367,179 @@ pub fn alloc_staggered_stride<K: PdmKey, S: Storage<K>>(
     (0..count)
         .map(|i| pdm.alloc_region_at(blocks_each, (i * stride) % d))
         .collect()
+}
+
+/// A region followed by the blocks it lacks: block `k` is the head's
+/// block `k`, and past the head's end the tail's.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WorkArea {
+    head: Region,
+    tail: Option<Region>,
+}
+
+impl WorkArea {
+    fn block(&self, k: usize) -> (Region, usize) {
+        let len = self.head.len_blocks();
+        match self.tail {
+            Some(tail) if k >= len => (tail, k - len),
+            _ => (self.head, k),
+        }
+    }
+
+    /// Release the tail, which holds only padding once the output is
+    /// written, and return the head: the output region.
+    pub(crate) fn into_output<K: PdmKey, S: Storage<K>>(
+        self,
+        pdm: &mut Pdm<K, S>,
+    ) -> Result<Region> {
+        if let Some(tail) = &self.tail {
+            pdm.release_region(tail)?;
+        }
+        Ok(self.head)
+    }
+}
+
+/// Where the three-pass sorts (ThreePass1, ThreePass2) keep each pass's
+/// blocks. Part `j` of run `i` (for ThreePass1, column `j` of submesh
+/// `i`) is [`Cells::col`]`(i, j)`. Pass 2 reads column `j` and writes its
+/// chunk `t` to [`Cells::win`]`(t, j)`, block `j` of window `t`, and
+/// pass 3 reads window `t` and writes output chunk `t`.
+///
+/// In place, the work area is the input followed by a tail with the
+/// blocks a short last run lacks, and both maps are
+/// `cell(i, j) = i·√M + (i + j) mod √M`. Pass 1 writes run `i` over its
+/// own blocks, pass 2 writes column `j` over the blocks it read, and
+/// window `t` is run `t`'s blocks, which pass 3 overwrites with output
+/// chunk `t` once the cleanup has consumed them. For an input starting on
+/// disk 0, `cell(i, j)` lies on disk `(i + j) mod D`, where the staggered
+/// regions put column `j`'s block `i` and window `i`'s block `j`, so every
+/// batch touches the same disks in either layout.
+pub(crate) struct Cells {
+    /// `√M`: blocks per run, and columns.
+    b: usize,
+    /// Runs, and windows.
+    runs: usize,
+    place: Place,
+}
+
+enum Place {
+    InPlace(WorkArea),
+    /// Columns and windows in staggered regions of their own.
+    Regions {
+        cols: Vec<Region>,
+        windows: Vec<Region>,
+    },
+}
+
+impl Cells {
+    /// Columns and windows in regions of their own, all allocated now and
+    /// none released: ThreePass2 inside SevenPass and the expected
+    /// three-pass sort, whose input is a part of a region, and ThreePass1's
+    /// dirty-row measurement, which leaves its input as it was.
+    pub(crate) fn regions<K: PdmKey, S: Storage<K>>(
+        pdm: &mut Pdm<K, S>,
+        runs: usize,
+        b: usize,
+    ) -> Result<Self> {
+        let cols = alloc_staggered(pdm, b, runs)?;
+        let windows = alloc_staggered(pdm, runs, b)?;
+        Ok(Self {
+            b,
+            runs,
+            place: Place::Regions { cols, windows },
+        })
+    }
+
+    /// The layout of a sort that owns `input`: in place, with the tail
+    /// allocated now. With a checkpoint store attached a resumed pass
+    /// re-reads its source, so the columns take regions of their own, now,
+    /// and the windows at [`Cells::begin_pass2`].
+    pub(crate) fn owned<K: PdmKey, S: Storage<K>>(
+        pdm: &mut Pdm<K, S>,
+        input: &Region,
+        runs: usize,
+        b: usize,
+    ) -> Result<Self> {
+        let place = if pdm.checkpoint_attached() {
+            Place::Regions {
+                cols: alloc_staggered(pdm, b, runs)?,
+                windows: Vec::new(),
+            }
+        } else {
+            let (have, need) = (input.len_blocks(), runs * b);
+            let tail = if need > have {
+                let first = input.addr(0).map_or(0, |a| a.disk);
+                let start = (first + have) % pdm.cfg().num_disks;
+                Some(pdm.alloc_region_at(need - have, start)?)
+            } else {
+                None
+            };
+            Place::InPlace(WorkArea { head: *input, tail })
+        };
+        Ok(Self { b, runs, place })
+    }
+
+    /// Part `j` of run `i`: column `j`'s block `i`.
+    pub(crate) fn col(&self, i: usize, j: usize) -> (Region, usize) {
+        match &self.place {
+            Place::InPlace(area) => area.block(i * self.b + (i + j) % self.b),
+            Place::Regions { cols, .. } => (cols[j], i),
+        }
+    }
+
+    /// Window `t`'s block `j`: column `j`'s chunk `t` after pass 2.
+    pub(crate) fn win(&self, t: usize, j: usize) -> (Region, usize) {
+        match &self.place {
+            Place::InPlace(_) => self.col(t, j),
+            Place::Regions { windows, .. } => (windows[t], j),
+        }
+    }
+
+    /// End pass 1 and open pass 2 as phase `name`. In regions of their
+    /// own, the input is released before the boundary and the windows are
+    /// allocated after it, so a checkpointed run writes them over the
+    /// input's levels.
+    pub(crate) fn begin_pass2<K: PdmKey, S: Storage<K>>(
+        &mut self,
+        pdm: &mut Pdm<K, S>,
+        input: &Region,
+        name: &str,
+    ) -> Result<()> {
+        match &mut self.place {
+            Place::InPlace(_) => pdm.begin_phase(name),
+            Place::Regions { windows, .. } => {
+                pdm.release_region(input)?;
+                pdm.begin_phase(name);
+                *windows = alloc_staggered(pdm, self.runs, self.b)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// End pass 2 and open pass 3 as phase `name`, returning where pass 3
+    /// writes the output: over the work area, or into a region allocated
+    /// after the boundary, over the levels of the columns released before
+    /// it.
+    pub(crate) fn begin_pass3<K: PdmKey, S: Storage<K>>(
+        &self,
+        pdm: &mut Pdm<K, S>,
+        name: &str,
+    ) -> Result<WorkArea> {
+        match &self.place {
+            Place::InPlace(area) => {
+                pdm.begin_phase(name);
+                Ok(*area)
+            }
+            Place::Regions { cols, .. } => {
+                for col in cols {
+                    pdm.release_region(col)?;
+                }
+                pdm.begin_phase(name);
+                let head = pdm.alloc_region(self.runs * self.b)?;
+                Ok(WorkArea { head, tail: None })
+            }
+        }
+    }
 }
 
 /// The largest run length `m'·M ≤` the Theorem 5.1 expected-two-pass
@@ -567,19 +744,27 @@ impl<K: PdmKey> Cleaner<K> {
     }
 }
 
-/// An emitter that appends emitted keys to an output region sequentially,
-/// block-aligned. Emitted slices must be whole blocks (all cleanup windows
-/// in this crate are block multiples).
+/// An emitter that appends emitted keys to an output region (or work
+/// area) sequentially, block-aligned. Emitted slices must be whole blocks
+/// (all cleanup windows in this crate are block multiples).
 pub struct RegionEmitter {
-    region: Region,
+    area: WorkArea,
     next_block: usize,
 }
 
 impl RegionEmitter {
     /// Emit into `region` from block 0.
     pub fn new(region: Region) -> Self {
+        Self::over(WorkArea {
+            head: region,
+            tail: None,
+        })
+    }
+
+    /// Emit into a work area from block 0.
+    pub(crate) fn over(area: WorkArea) -> Self {
         Self {
-            region,
+            area,
             next_block: 0,
         }
     }
@@ -595,10 +780,11 @@ impl RegionEmitter {
         pdm: &mut Pdm<K, S>,
         keys: &[K],
     ) -> Result<()> {
-        let b = self.region.block_size();
+        let b = self.area.head.block_size();
         assert_eq!(keys.len() % b, 0, "emit must be block-aligned");
         let nblocks = keys.len() / b;
-        let blocks = (self.next_block..self.next_block + nblocks).map(|i| (self.region, i));
+        let area = self.area;
+        let blocks = (self.next_block..self.next_block + nblocks).map(|i| area.block(i));
         pdm.write_blocks(blocks, keys)?;
         self.next_block += nblocks;
         Ok(())
@@ -613,10 +799,11 @@ impl RegionEmitter {
         wb: &mut WriteBehind<K>,
         keys: &[K],
     ) -> Result<()> {
-        let b = self.region.block_size();
+        let b = self.area.head.block_size();
         assert_eq!(keys.len() % b, 0, "emit must be block-aligned");
         let nblocks = keys.len() / b;
-        let blocks = (self.next_block..self.next_block + nblocks).map(|i| (self.region, i));
+        let area = self.area;
+        let blocks = (self.next_block..self.next_block + nblocks).map(|i| area.block(i));
         wb.write(pdm, blocks, keys)?;
         self.next_block += nblocks;
         Ok(())
@@ -1002,14 +1189,17 @@ mod tests {
         // at a non-multiple N, and on an input its online check rejects.
         // Each row pins the high-water mark and the input's levels. A
         // sorter that owns its input writes a later pass over it:
-        // ThreePass1 and ThreePass2 hold 2.00× the input at M√M, the merge
-        // sort 2.05× (2.00× where one run is carried unmerged), up/down
+        // ThreePass1 and ThreePass2 write every pass over the blocks it
+        // read and hold 1.00× the input at M√M, plus a tail with the blocks
+        // a short last run lacks (2 levels at 4,000 keys); the merge sort
+        // holds 2.05× (2.00× where one run is carried unmerged), up/down
         // 3.11× (its scratch region has a block of slack per run), and the
         // in-memory sort 1.00×. The expected two-pass sorts release their
-        // windows and output before falling back to ThreePass2 (3.46×),
-        // the expected three-pass sort before SevenPass (42.0×). SevenPass,
-        // the expected six-pass sort and the ranked sorts release nothing
-        // yet.
+        // windows and output before falling back to ThreePass2 (3.46×). The
+        // expected three-pass sort releases each run's inner windows once
+        // the run's stream has read them (3.50×), and its windows and
+        // output before SevenPass (41.0×). SevenPass, the expected six-pass
+        // sort and the ranked sorts release nothing yet.
         let cfg = PdmConfig::square(4, 16);
         let m = cfg.mem_capacity;
         let perm = |n: usize| {
@@ -1023,25 +1213,25 @@ mod tests {
         let cap = |a: Algorithm| a.capacity(&cfg, 2.0);
         use Algorithm::*;
         let cases: Vec<(Algorithm, Vec<u64>, usize, usize, bool)> = vec![
-            (ThreePass1, perm(cap(ThreePass1)), 128, 64, false),
-            (ThreePass1, perm(4000), 131, 63, false),
+            (ThreePass1, perm(cap(ThreePass1)), 64, 64, false),
+            (ThreePass1, perm(4000), 65, 63, false),
             (ExpTwoPassMesh, perm(cap(ExpTwoPassMesh)), 9, 1, false),
             (ExpTwoPassMesh, perm(50), 9, 1, false),
             (ExpTwoPassMesh, sorted(832), 45, 13, true),
-            (ThreePass2, perm(cap(ThreePass2)), 128, 64, false),
-            (ThreePass2, perm(4000), 131, 63, false),
+            (ThreePass2, perm(cap(ThreePass2)), 64, 64, false),
+            (ThreePass2, perm(4000), 65, 63, false),
             (ExpectedTwoPass, perm(cap(ExpectedTwoPass)), 45, 13, false),
             (ExpectedTwoPass, perm(800), 45, 13, false),
             (ExpectedTwoPass, sorted(832), 45, 13, true),
             (
                 ExpectedThreePass,
                 perm(cap(ExpectedThreePass)),
-                64,
+                56,
                 16,
                 false,
             ),
-            (ExpectedThreePass, perm(1000), 64, 16, false),
-            (ExpectedThreePass, sorted(1024), 672, 16, true),
+            (ExpectedThreePass, perm(1000), 56, 16, false),
+            (ExpectedThreePass, sorted(1024), 656, 16, true),
             (SevenPass, perm(cap(SevenPass)), 8192, 1024, false),
             (SevenPass, perm(5000), 1103, 79, false),
             (
@@ -1088,7 +1278,7 @@ mod tests {
     fn table_sorters_own_their_input_and_refuse_one_they_cannot() {
         let cfg = PdmConfig::square(4, 16);
         let keys: Vec<u64> = (0..512u64).rev().collect();
-        let mut released = Vec::new();
+        let (mut in_place, mut released) = (Vec::new(), Vec::new());
         for a in Algorithm::ALL.into_iter().filter(|a| !a.ranked()) {
             let mut pdm: Pdm<u64> = Pdm::new(cfg).unwrap();
             let input = pdm.alloc_region_for_keys(1024).unwrap();
@@ -1106,8 +1296,8 @@ mod tests {
                 "{a}"
             );
             assert_eq!(pdm.next_slot(), 16, "{a} allocated before refusing");
-            // The whole region sorts; a sorter that released it refuses to
-            // sort it again, before any I/O.
+            // The whole region sorts, into itself or elsewhere; a sorter
+            // that released it refuses to sort it again, before any I/O.
             let Ok(rep) = a.run(&mut pdm, &input, 512, 2.0) else {
                 continue; // past the sorter's capacity (the in-memory sort)
             };
@@ -1116,7 +1306,9 @@ mod tests {
                 [0, 1, 2],
                 "{a}"
             );
-            if pdm.check_whole_region(&input).is_err() {
+            if rep.output == input {
+                in_place.push(a);
+            } else if pdm.check_whole_region(&input).is_err() {
                 released.push(a);
                 let moved = pdm.stats().blocks_read + pdm.stats().blocks_written;
                 let e = a.run(&mut pdm, &input, 512, 2.0).unwrap_err();
@@ -1128,13 +1320,12 @@ mod tests {
                 assert_eq!(after, moved, "{a}");
             }
         }
-        // The expected sorters keep the input for a fallback that did not
-        // run, SevenPass releases nothing yet, and 512 keys exceed M.
+        // ThreePass1 and ThreePass2 write their output over the input, the
+        // expected sorters keep the input for a fallback that did not run,
+        // SevenPass releases nothing yet, and 512 keys exceed M.
         use Algorithm::*;
-        assert_eq!(
-            released,
-            [ThreePass1, ThreePass2, MergeSort, UpDownMergeSort]
-        );
+        assert_eq!(in_place, [ThreePass1, ThreePass2]);
+        assert_eq!(released, [MergeSort, UpDownMergeSort]);
     }
 
     #[test]

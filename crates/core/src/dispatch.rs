@@ -65,8 +65,8 @@ pub fn choose(cfg: &PdmConfig, n: usize, alpha: f64) -> Result<Algorithm> {
 
 /// Sort `n` keys with the sorter [`choose`] picks (α = 2). The sorter owns
 /// `input` (see [`Algorithm::run`]): it must be a whole allocated region,
-/// the sorter may release it, and the caller must not read, write or
-/// release it afterwards.
+/// the sorter may release it or write its output over it, and the caller
+/// must not read, write or release it afterwards except as the output.
 pub fn pdm_sort<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,

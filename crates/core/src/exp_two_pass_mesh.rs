@@ -37,7 +37,8 @@ pub fn capacity(m: usize, alpha: f64) -> usize {
 /// The sort owns `input`, which must be a whole allocated region (else it
 /// is refused before any I/O, with [`Pdm::release_region`]'s error). On a
 /// detected bad input it releases its bands and output, and the fallback
-/// `ThreePass2` releases the input. The caller must not read, write or
+/// `ThreePass2` sorts over the input, which is then the output region.
+/// Apart from reading the output, the caller must not read, write or
 /// release `input` afterwards.
 pub fn exp_two_pass_mesh<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,

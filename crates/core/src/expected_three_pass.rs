@@ -108,10 +108,11 @@ impl<'a> ChunkScatterEmitter<'a> {
 /// accepted with a growing fallback rate.
 ///
 /// The sort owns `input`, which must be a whole allocated region (else it
-/// is refused before any I/O, with [`Pdm::release_region`]'s error). On a
-/// detected bad input it releases its windows and output before the
-/// fallback `SevenPass` runs. The caller must not read, write or release
-/// `input` afterwards.
+/// is refused before any I/O, with [`Pdm::release_region`]'s error). Each
+/// run releases its inner windows once its stream has read them, so the
+/// next run writes over their levels. On a detected bad input the sort
+/// releases its windows and output before the fallback `SevenPass` runs.
+/// The caller must not read, write or release `input` afterwards.
 pub fn expected_three_pass<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
@@ -164,6 +165,11 @@ pub fn expected_three_pass<K: PdmKey, S: Storage<K>>(
             let (_, clean) =
                 pass2_stream(pdm, &rp, &inner_wins, &mut |pd, ks| emitter.emit(pd, ks))?;
             pdm.end_phase();
+            // The stream was the windows' last reader: the next run (or
+            // this run's fallback) writes over their levels.
+            for w in &inner_wins {
+                pdm.release_region(w)?;
+            }
             if !clean {
                 fell_back = true;
                 emitter.reset();

@@ -174,7 +174,8 @@ pub(crate) fn pass2_stream<K: PdmKey, S: Storage<K>>(
 /// is refused before any I/O, with [`Pdm::release_region`]'s error). The
 /// fallback reads it, so the sort keeps it until then; on a detected bad
 /// input it releases its windows and output, and the fallback `ThreePass2`
-/// releases the input. The caller must not read, write or release `input`
+/// sorts over the input, which is then the output region. Apart from
+/// reading the output, the caller must not read, write or release `input`
 /// afterwards.
 ///
 /// # Example

@@ -6,11 +6,11 @@
 //!
 //! * **Pass 1 — submesh sorts.** Sort each submesh into row-major order,
 //!   with the row direction alternating between consecutive submeshes
-//!   (the Shearsort trick). Write each submesh *column* as one block into
-//!   the per-column regions.
+//!   (the Shearsort trick). Write each submesh *column* as one block:
+//!   column `c` of submesh `s` is block `s` of mesh column `c`.
 //! * **Pass 2 — column sorts.** Each full mesh column is `N/√M ≤ M` keys:
 //!   read it, sort vertically, and scatter its band segments (one block
-//!   per `√M`-row band) into the per-band regions.
+//!   per `√M`-row band): band `t`'s segment is band `t`'s block `c`.
 //! * **Pass 3 — cleanup.** After pass 2 at most `√M/2 + O(1)` *contiguous*
 //!   rows are dirty (submesh sorting leaves ≤ 1 dirty row each; the
 //!   alternating directions halve them under the column sort — the
@@ -18,19 +18,25 @@
 //!   streaming [`Cleaner`] with window `M` (tolerance ±`√M` rows) finishes
 //!   deterministically.
 //!
-//! Each pass writes into the levels of the regions the pass before it was
-//! the last to read ([`Pdm::release_region`]): the bands over the input,
-//! the output over the columns. Each region is allocated after the phase
-//! boundary that frees those levels, so a checkpointed run reuses them
-//! too, and the sort holds two passes' worth of disk space, the input's
-//! included.
+//! Each pass reads every block once and writes every block once, so the
+//! sort writes each pass over the blocks it has read, in `ThreePass2`'s
+//! layout (see [`crate::three_pass2`](mod@crate::three_pass2)): the work
+//! area is the input plus a tail with the blocks a short last submesh
+//! lacks, column `c` of submesh `s` lives in block
+//! `cell(s, c) = s·√M + (s + c) mod √M`, pass 2 writes band `t`'s segment
+//! of column `c` back into `cell(t, c)`, so band `t` is submesh `t`'s
+//! blocks, and pass 3 writes output chunk `t` over band `t`. The output
+//! region is the input, and the sort holds 1.00× the input plus the tail.
+//! With a checkpoint store attached, a resumed pass re-reads its source,
+//! so the columns and bands take staggered regions of their own: the bands
+//! over the input's levels and the output over the columns', each
+//! allocated after the phase boundary that frees them
+//! ([`Pdm::release_region`]), and the sort holds 2.00× the input.
 //!
 //! `ExpTwoPassMesh` (§3.2) is this algorithm minus pass 1 — see
 //! [`crate::exp_two_pass_mesh`](mod@crate::exp_two_pass_mesh).
 
-use crate::common::{
-    alloc_staggered, require_square_cfg, Algorithm, Cleaner, RegionEmitter, SortReport,
-};
+use crate::common::{require_square_cfg, Algorithm, Cells, Cleaner, RegionEmitter, SortReport};
 use pdm_mesh::{layout_sorted_rows, Direction};
 use pdm_model::prelude::*;
 
@@ -58,6 +64,7 @@ impl Default for Options {
     }
 }
 
+#[derive(Clone, Copy)]
 struct MeshPlan {
     /// `√M`: mesh width, block size, band height.
     b: usize,
@@ -83,38 +90,21 @@ fn mesh_plan<K: PdmKey, S: Storage<K>>(pdm: &Pdm<K, S>, n: usize) -> Result<Mesh
     Ok(MeshPlan { b, s_count, m })
 }
 
-/// Sort `n ≤ M√M` keys from `input` in three passes (Theorem 3.1) with the
-/// default options.
-///
-/// The sort owns `input`, which must be a whole allocated region (else it
-/// is refused before any I/O, with [`Pdm::release_region`]'s error), and
-/// releases it once pass 1 has read it. The caller must not read, write or
-/// release `input` afterwards.
-pub fn three_pass1<K: PdmKey, S: Storage<K>>(
+/// Pass 1: sort each submesh into rows (directions per `opts`) and write
+/// column `c` of submesh `s` as one block to `cells.col(s, c)`. Reads run
+/// one submesh ahead and column writes retire behind: they land in
+/// separate columns or over the submesh's own blocks, which are read by
+/// then. With overlap off both helpers degenerate to the blocking batches.
+fn pass1_submesh_sorts<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
     n: usize,
-) -> Result<SortReport> {
-    three_pass1_with(pdm, input, n, Options::default())
-}
-
-/// [`three_pass1`] with explicit [`Options`]; it owns `input` the same way.
-pub fn three_pass1_with<K: PdmKey, S: Storage<K>>(
-    pdm: &mut Pdm<K, S>,
-    input: &Region,
-    n: usize,
+    p: &MeshPlan,
     opts: Options,
-) -> Result<SortReport> {
-    pdm.check_whole_region(input)?;
-    let MeshPlan { b, s_count, m } = mesh_plan(pdm, n)?;
-    let cols = alloc_staggered(pdm, b, s_count)?;
+    cells: &Cells,
+) -> Result<()> {
+    let MeshPlan { b, s_count, m } = *p;
     let in_blocks = input.len_blocks();
-
-    // Pass 1: sort submeshes, write column-major blocks. Reads run one
-    // submesh ahead and column writes retire behind (input and column
-    // regions are disjoint, so the reorder is safe); with overlap off
-    // both helpers degenerate to the blocking batches.
-    pdm.begin_phase("3P1: submesh sorts");
     let steps: Vec<Vec<(Region, usize)>> = (0..s_count)
         .map(|s| {
             let lo = s * b;
@@ -148,52 +138,81 @@ pub fn three_pass1_with<K: PdmKey, S: Storage<K>>(
                 }
             }
         }
-        wb.write(pdm, cols.iter().map(|c| (*c, s)), &wbuf)?;
+        wb.write(pdm, (0..b).map(|c| cells.col(s, c)), &wbuf)?;
     }
-    wb.finish(pdm)?; // drain before the phase boundary
-    pdm.release_region(input)?;
+    wb.finish(pdm) // drain before the caller's phase boundary
+}
 
-    // Pass 2: sort full columns vertically, scatter band segments.
-    pdm.begin_phase("3P1: column sorts");
-    let bands = alloc_staggered(pdm, s_count, b)?;
+/// Sort `n ≤ M√M` keys from `input` in three passes (Theorem 3.1) with the
+/// default options. The output region's first `n` keys are the sorted
+/// data.
+///
+/// The sort owns `input`, which must be a whole allocated region (else it
+/// is refused before any I/O, with [`Pdm::release_region`]'s error), and
+/// writes every pass over it: the output region is `input`. With a
+/// checkpoint store attached, each pass writes regions of its own, `input`
+/// is released once pass 1 has read it, and the output is a new region.
+/// Apart from reading the output, the caller must not read, write or
+/// release `input` afterwards.
+pub fn three_pass1<K: PdmKey, S: Storage<K>>(
+    pdm: &mut Pdm<K, S>,
+    input: &Region,
+    n: usize,
+) -> Result<SortReport> {
+    three_pass1_with(pdm, input, n, Options::default())
+}
+
+/// [`three_pass1`] with explicit [`Options`]; it owns `input` the same way.
+pub fn three_pass1_with<K: PdmKey, S: Storage<K>>(
+    pdm: &mut Pdm<K, S>,
+    input: &Region,
+    n: usize,
+    opts: Options,
+) -> Result<SortReport> {
+    pdm.check_whole_region(input)?;
+    let p = mesh_plan(pdm, n)?;
+    let MeshPlan { b, s_count, m } = p;
+    let mut cells = Cells::owned(pdm, input, s_count, b)?;
+
+    pdm.begin_phase("3P1: submesh sorts");
+    pass1_submesh_sorts(pdm, input, n, &p, opts, &cells)?;
+
+    // Pass 2: sort full columns vertically, scatter band segments, band
+    // t's segment of column c to `cells.win(t, c)`.
+    cells.begin_pass2(pdm, input, "3P1: column sorts")?;
     let col_len = s_count * b;
-    let steps: Vec<Vec<(Region, usize)>> = cols
-        .iter()
-        .map(|col| (0..s_count).map(|i| (*col, i)).collect())
+    let steps: Vec<Vec<(Region, usize)>> = (0..b)
+        .map(|c| (0..s_count).map(|s| cells.col(s, c)).collect())
         .collect();
     let mut ra = ReadAhead::new(pdm, steps)?;
     let mut wb = WriteBehind::new(pdm);
-    for c in 0..cols.len() {
+    for c in 0..b {
         let mut buf = pdm.alloc_buf(col_len)?;
         ra.next_into(pdm, buf.as_vec_mut())?;
         buf.sort_unstable();
         // band t's segment is buf[t*b..(t+1)*b] — already contiguous.
-        wb.write(pdm, bands.iter().map(|t| (*t, c)), &buf)?;
+        wb.write(pdm, (0..s_count).map(|t| cells.win(t, c)), &buf)?;
     }
     wb.finish(pdm)?;
-    for col in &cols {
-        pdm.release_region(col)?;
-    }
 
     // Pass 3: stream bands through the cleanup window.
-    pdm.begin_phase("3P1: cleanup");
-    let out = pdm.alloc_region_for_keys(s_count * m)?;
+    let area = cells.begin_pass3(pdm, "3P1: cleanup")?;
     let mut cleaner = Cleaner::new(pdm, m)?;
-    let mut emitter = RegionEmitter::new(out);
-    let steps: Vec<Vec<(Region, usize)>> = bands
-        .iter()
-        .map(|band| (0..b).map(|i| (*band, i)).collect())
+    let mut emitter = RegionEmitter::over(area);
+    let steps: Vec<Vec<(Region, usize)>> = (0..s_count)
+        .map(|t| (0..b).map(|c| cells.win(t, c)).collect())
         .collect();
     let mut ra = ReadAhead::new(pdm, steps)?;
     let mut wb = WriteBehind::new(pdm);
     let mut emit = |pd: &mut Pdm<K, S>, ks: &[K]| emitter.emit_behind(pd, &mut wb, ks);
-    for _ in 0..bands.len() {
+    for _ in 0..s_count {
         cleaner.feed_from(pdm, &mut ra)?;
         cleaner.process(pdm, &mut emit)?;
     }
     let (emitted, clean) = cleaner.finish(pdm, &mut emit)?;
     wb.finish(pdm)?;
     pdm.end_phase();
+    let out = area.into_output(pdm)?;
 
     debug_assert_eq!(emitted, s_count * m);
     if !clean {
@@ -212,7 +231,8 @@ pub fn three_pass1_with<K: PdmKey, S: Storage<K>>(
 
 /// Measure the dirty band (in rows) of a 0-1 input after pass 2 — the
 /// quantity Theorem 3.1's proof bounds by `√M/2`. Used by experiment E2's
-/// ablation; runs passes 1–2 only, reading the mesh state back unaccounted.
+/// ablation; runs pass 1 and the reads and sorts of pass 2, keeping the
+/// sorted columns in memory instead of writing them back.
 pub fn dirty_rows_after_pass2<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
@@ -221,45 +241,22 @@ pub fn dirty_rows_after_pass2<K: PdmKey, S: Storage<K>>(
     zero: K,
     one: K,
 ) -> Result<usize> {
-    let MeshPlan { b, s_count, m } = mesh_plan(pdm, n)?;
+    let p = mesh_plan(pdm, n)?;
+    let MeshPlan { b, s_count, m } = p;
     if n != s_count * m {
         return Err(PdmError::UnsupportedInput(
             "dirty-row measurement requires n to be a multiple of M".into(),
         ));
     }
-    let cols = alloc_staggered(pdm, b, s_count)?;
-    let in_blocks = input.len_blocks();
-    // pass 1 (as in the sort)
-    for s in 0..s_count {
-        let mut buf = pdm.alloc_buf(m)?;
-        let lo = s * b;
-        let hi = ((s + 1) * b).min(in_blocks);
-        pdm.read_blocks((lo..hi).map(|i| (*input, i)), buf.as_vec_mut())?;
-        buf.sort_unstable();
-        let dir = if opts.alternate_directions && s % 2 == 1 {
-            Direction::Desc
-        } else {
-            Direction::Asc
-        };
-        let rows = layout_sorted_rows(&buf, b, |_| dir);
-        let mut wbuf = pdm.alloc_buf(m)?;
-        {
-            let v = wbuf.as_vec_mut();
-            v.resize(m, K::MAX);
-            for c in 0..b {
-                for r in 0..b {
-                    v[c * b + r] = rows[r * b + c];
-                }
-            }
-        }
-        pdm.write_blocks(cols.iter().map(|c| (*c, s)), &wbuf)?;
-    }
+    // Columns of their own: the measurement leaves `input` as it was.
+    let cells = Cells::regions(pdm, s_count, b)?;
+    pass1_submesh_sorts(pdm, input, n, &p, opts, &cells)?;
     // pass 2, keeping the sorted columns to measure dirtiness
     let col_len = s_count * b;
     let mut sorted_cols: Vec<Vec<K>> = Vec::with_capacity(b);
-    for col in &cols {
+    for c in 0..b {
         let mut buf = pdm.alloc_buf(col_len)?;
-        pdm.read_blocks((0..s_count).map(|i| (*col, i)), buf.as_vec_mut())?;
+        pdm.read_blocks((0..s_count).map(|s| cells.col(s, c)), buf.as_vec_mut())?;
         buf.sort_unstable();
         sorted_cols.push(buf.as_vec().clone());
         // (measurement only — columns are not written back)

@@ -7,10 +7,10 @@
 //! * **Pass 1 — runs + unshuffle.** Read `M` keys at a time, sort in
 //!   memory, and write each run *already unshuffled* into `m = √M` parts of
 //!   one block each (part `j` takes sorted positions `≡ j (mod m)`). Part
-//!   `j` of run `i` lands in column region `j` at block `i`.
+//!   `j` of run `i` is block `i` of column `j`.
 //! * **Pass 2 — column merges.** For each `j`: read column `j` (`l` sorted
 //!   blocks, `≤ M` keys), merge in memory into `L_j`, and write `L_j`'s
-//!   `√M`-key chunks into the *window* regions — chunk `t` to window `t`,
+//!   `√M`-key chunks as the *windows*' blocks — chunk `t` is window `t`,
 //!   block `j`.
 //! * **Pass 3 — shuffle + cleanup.** Window `t` holds exactly the keys of
 //!   `Z_t` (the `t`-th `M`-key window of the shuffled sequence `Z`). Since
@@ -19,18 +19,33 @@
 //!   (carry one window, emit the smallest `M` per step). The `(l, m)`-merge
 //!   dirty bound `l·m ≤ M` guarantees the stream comes out sorted.
 //!
-//! All three passes do stripe-parallel I/O via staggered region starts.
+//! Each pass reads every block once and writes every block once, so
+//! [`three_pass2`] writes each pass over the blocks it has read. Its work
+//! area is the input, plus a tail with the blocks a short last run lacks
+//! when `N` is not a multiple of `M`, and part `j` of run `i` lives in
+//! block `cell(i, j) = i·√M + (i + j) mod √M`. Pass 1 writes run `i`'s
+//! parts over run `i`'s blocks; pass 2 writes column `j`'s chunk `t` back
+//! into `cell(t, j)`, so window `t` is run `t`'s blocks; pass 3 writes
+//! output chunk `t` over window `t`, which the cleanup has consumed by
+//! then. The output region is the input, and the sort holds 1.00× the
+//! input plus the tail.
 //!
-//! Each pass writes into the levels of the regions the pass before it was
-//! the last to read ([`Pdm::release_region`]): the windows over the input,
-//! the output over the columns. Each region is allocated after the phase
-//! boundary that frees those levels, so a checkpointed run reuses them too,
-//! and [`three_pass2`] holds two passes' worth of disk space, the input's
-//! included (`SevenPass`'s inner sorts allocate everything up front).
+//! `cell(i, j)` lies on disk `(i + j) mod D`, the disk a staggered region
+//! start gives column `j`'s block `i` and window `i`'s block `j`, so all
+//! three passes do stripe-parallel I/O either way. The columns and windows
+//! take staggered regions of their own in two cases. With a checkpoint
+//! store attached, a resumed pass re-reads its source from the first
+//! block, so no pass may write over it: each pass writes into the levels
+//! of the region the pass before it was the last to read
+//! ([`Pdm::release_region`]), the windows over the input and the output
+//! over the columns, each allocated after the phase boundary that frees
+//! those levels, and the sort holds 2.00× the input. The inner sorts of
+//! `SevenPass` and of the expected three-pass sort, whose input is a part
+//! of a region, allocate them up front and release none.
 
 use crate::common::{
-    alloc_staggered, merge_equal_segments, require_square_cfg, Algorithm, Cleaner, Emit,
-    RegionEmitter, SortReport,
+    merge_equal_segments, require_square_cfg, Algorithm, Cells, Cleaner, Emit, RegionEmitter,
+    SortReport,
 };
 use pdm_model::prelude::*;
 
@@ -67,18 +82,19 @@ pub(crate) fn plan<K: PdmKey, S: Storage<K>>(pdm: &Pdm<K, S>, n: usize) -> Resul
 }
 
 /// Pass 1: form `l` sorted runs of `M` keys (padding the tail with `K::MAX`)
-/// and write them unshuffled into the `b` column regions.
+/// and write them unshuffled, part `j` of run `i` to `cells.col(i, j)`.
 pub(crate) fn pass1_runs_unshuffled<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     input: &Region,
     n: usize,
     p: &Plan,
-    cols: &[Region],
+    cells: &Cells,
 ) -> Result<()> {
     let Plan { b, l, m } = *p;
     let in_blocks = input.len_blocks();
-    // Reads run one submesh ahead and the column writes retire behind
-    // (input and columns are disjoint regions, so the reorder is safe).
+    // Reads run one submesh ahead and the part writes retire behind: run
+    // `i`'s parts land in separate columns or over run `i`'s own blocks,
+    // which are read by then, never in a later run's blocks.
     // SevenPass hands short (even empty) segments whose tail runs are all
     // padding — schedule read-ahead only where the blocking path reads.
     let steps: Vec<Vec<(Region, usize)>> = (0..l)
@@ -113,53 +129,50 @@ pub(crate) fn pass1_runs_unshuffled<K: PdmKey, S: Storage<K>>(
                 }
             }
         }
-        wb.write(pdm, cols.iter().map(|c| (*c, i)), &wbuf)?;
+        wb.write(pdm, (0..b).map(|j| cells.col(i, j)), &wbuf)?;
     }
     wb.finish(pdm) // drain before the caller's phase boundary
 }
 
 /// Pass 2: merge each column's `l` sorted blocks into `L_j` and scatter its
-/// `√M`-key chunks across the window regions.
+/// `√M`-key chunks across the windows, chunk `t` to `cells.win(t, j)`.
 pub(crate) fn pass2_column_merges<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     p: &Plan,
-    cols: &[Region],
-    windows: &[Region],
+    cells: &Cells,
 ) -> Result<()> {
     let Plan { b, l, .. } = *p;
-    let steps: Vec<Vec<(Region, usize)>> = cols
-        .iter()
-        .map(|col| (0..l).map(|i| (*col, i)).collect())
+    let steps: Vec<Vec<(Region, usize)>> = (0..b)
+        .map(|j| (0..l).map(|i| cells.col(i, j)).collect())
         .collect();
     let mut ra = ReadAhead::new(pdm, steps)?;
     let mut wb = WriteBehind::new(pdm);
-    for j in 0..cols.len() {
+    for j in 0..b {
         let mut buf = pdm.alloc_buf(l * b)?;
         ra.next_into(pdm, buf.as_vec_mut())?;
         let mut merged = pdm.alloc_buf(l * b)?;
         merge_equal_segments(&buf, b, merged.as_vec_mut());
         drop(buf);
-        wb.write(pdm, windows.iter().map(|w| (*w, j)), &merged)?;
+        wb.write(pdm, (0..l).map(|t| cells.win(t, j)), &merged)?;
     }
     wb.finish(pdm)
 }
 
-/// Pass 3: stream the windows through the cleanup engine into `out`.
+/// Pass 3: stream the windows through the cleanup engine into `emit`.
 /// Returns `(keys_emitted, clean)`.
 pub(crate) fn pass3_cleanup<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     p: &Plan,
-    windows: &[Region],
+    cells: &Cells,
     emit: &mut Emit<'_, K, S>,
 ) -> Result<(usize, bool)> {
-    let Plan { b, m, .. } = *p;
+    let Plan { b, l, m } = *p;
     let mut cleaner = Cleaner::new(pdm, m)?;
-    let steps: Vec<Vec<(Region, usize)>> = windows
-        .iter()
-        .map(|w| (0..b).map(|i| (*w, i)).collect())
+    let steps: Vec<Vec<(Region, usize)>> = (0..l)
+        .map(|t| (0..b).map(|j| cells.win(t, j)).collect())
         .collect();
     let mut ra = ReadAhead::new(pdm, steps)?;
-    for _ in 0..windows.len() {
+    for _ in 0..l {
         cleaner.feed_from(pdm, &mut ra)?;
         cleaner.process(pdm, emit)?;
     }
@@ -169,7 +182,8 @@ pub(crate) fn pass3_cleanup<K: PdmKey, S: Storage<K>>(
 /// The three passes with a caller-supplied emitter for the final sorted
 /// stream (emitted in `M`-key slices) — `SevenPass` folds its outer
 /// unshuffle into this emission. Returns `(keys_emitted, clean)`. The
-/// columns and windows are allocated up front and none is released.
+/// columns and windows take regions of their own, allocated up front, and
+/// none is released: `input` may be a part of a region the caller keeps.
 ///
 /// The final phase is left *open*: the caller must drain whatever
 /// write-behind its emitter holds and then call
@@ -182,22 +196,24 @@ pub(crate) fn three_pass2_core<K: PdmKey, S: Storage<K>>(
     emit: &mut Emit<'_, K, S>,
 ) -> Result<(usize, bool)> {
     let p = plan(pdm, n)?;
-    let cols = alloc_staggered(pdm, p.b, p.l)?;
-    let windows = alloc_staggered(pdm, p.l, p.b)?;
+    let cells = Cells::regions(pdm, p.l, p.b)?;
     pdm.begin_phase("3P2: runs+unshuffle");
-    pass1_runs_unshuffled(pdm, input, n, &p, &cols)?;
+    pass1_runs_unshuffled(pdm, input, n, &p, &cells)?;
     pdm.begin_phase("3P2: column merges");
-    pass2_column_merges(pdm, &p, &cols, &windows)?;
+    pass2_column_merges(pdm, &p, &cells)?;
     pdm.begin_phase("3P2: shuffle+cleanup");
-    pass3_cleanup(pdm, &p, &windows, emit)
+    pass3_cleanup(pdm, &p, &cells, emit)
 }
 
 /// Sort `n ≤ M√M` keys from `input` in three passes (Lemma 4.1). The output
-/// region's first `n` keys are the sorted data (tail padding is `K::MAX`).
+/// region's first `n` keys are the sorted data.
 ///
 /// The sort owns `input`, which must be a whole allocated region (else it
 /// is refused before any I/O, with [`Pdm::release_region`]'s error), and
-/// releases it once pass 1 has read it. The caller must not read, write or
+/// writes every pass over it: the output region is `input`. With a
+/// checkpoint store attached, each pass writes regions of its own, `input`
+/// is released once pass 1 has read it, and the output is a new region.
+/// Apart from reading the output, the caller must not read, write or
 /// release `input` afterwards.
 ///
 /// # Example
@@ -210,7 +226,8 @@ pub(crate) fn three_pass2_core<K: PdmKey, S: Storage<K>>(
 /// pdm.ingest(&input, &data).unwrap();
 /// let rep = pdm_sort::three_pass2(&mut pdm, &input, data.len()).unwrap();
 /// assert_eq!(rep.read_passes, 3.0);
-/// assert_eq!(pdm.next_slot(), 2 * input.len_blocks() / 4); // 2N on D = 4 disks
+/// assert_eq!(pdm.next_slot(), input.len_blocks() / 4); // N on D = 4 disks
+/// assert_eq!(rep.output, input);
 /// assert!(pdm.inspect_prefix(&rep.output, 4096).unwrap().windows(2).all(|w| w[0] <= w[1]));
 /// ```
 pub fn three_pass2<K: PdmKey, S: Storage<K>>(
@@ -220,25 +237,20 @@ pub fn three_pass2<K: PdmKey, S: Storage<K>>(
 ) -> Result<SortReport> {
     pdm.check_whole_region(input)?;
     let p = plan(pdm, n)?;
-    let cols = alloc_staggered(pdm, p.b, p.l)?;
+    let mut cells = Cells::owned(pdm, input, p.l, p.b)?;
     pdm.begin_phase("3P2: runs+unshuffle");
-    pass1_runs_unshuffled(pdm, input, n, &p, &cols)?;
-    pdm.release_region(input)?;
-    pdm.begin_phase("3P2: column merges");
-    let windows = alloc_staggered(pdm, p.l, p.b)?;
-    pass2_column_merges(pdm, &p, &cols, &windows)?;
-    for col in &cols {
-        pdm.release_region(col)?;
-    }
-    pdm.begin_phase("3P2: shuffle+cleanup");
-    let out = pdm.alloc_region_for_keys(p.l * p.m)?;
-    let mut emitter = RegionEmitter::new(out);
+    pass1_runs_unshuffled(pdm, input, n, &p, &cells)?;
+    cells.begin_pass2(pdm, input, "3P2: column merges")?;
+    pass2_column_merges(pdm, &p, &cells)?;
+    let area = cells.begin_pass3(pdm, "3P2: shuffle+cleanup")?;
+    let mut emitter = RegionEmitter::over(area);
     let mut wb = WriteBehind::new(pdm);
-    let (emitted, clean) = pass3_cleanup(pdm, &p, &windows, &mut |pd, ks| {
+    let (emitted, clean) = pass3_cleanup(pdm, &p, &cells, &mut |pd, ks| {
         emitter.emit_behind(pd, &mut wb, ks)
     })?;
     wb.finish(pdm)?;
     pdm.end_phase();
+    let out = area.into_output(pdm)?;
 
     debug_assert_eq!(emitted, p.l * p.m);
     if !clean {
@@ -349,6 +361,13 @@ mod tests {
             let rep = run_sort(&mut pdm, &data);
             check_sorted(&mut pdm, &rep, &data);
         }
+        // An input whose block 0 is on disk 1: the tail continues its
+        // striping from there.
+        let data: Vec<u64> = (0..300u64).rev().collect();
+        let input = pdm.alloc_region_at(pdm.cfg().blocks_for(300), 1).unwrap();
+        pdm.ingest(&input, &data).unwrap();
+        let rep = three_pass2(&mut pdm, &input, 300).unwrap();
+        check_sorted(&mut pdm, &rep, &data);
     }
 
     #[test]

@@ -490,6 +490,14 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         Ok(())
     }
 
+    /// Whether a checkpoint store is attached (see [`Checkpoint`]). A
+    /// resumed pass re-reads its source from the first block, so a sorter
+    /// that would write a pass over the blocks the pass reads keeps them
+    /// apart while a store is attached.
+    pub fn checkpoint_attached(&self) -> bool {
+        self.ckpt.is_some()
+    }
+
     /// The disks' high-water mark in slots: no level at or above it has
     /// ever been allocated. Releases never lower it.
     pub fn next_slot(&self) -> usize {

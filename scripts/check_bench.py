@@ -27,7 +27,12 @@ its overlap leg's run wall time spent waiting in retirement) at or under
 caller waited on the oldest flush — a saturated write worker stalls on
 most batches while still hiding much of the wall clock, so that gate is
 set to catch near-total serialization (stall rate approaching 100%), not
-steady-state back-pressure; it counts waits, not time waited. Pass counts
+steady-state back-pressure; it counts waits, not time waited. It applies
+only to a row whose overlap leg runs above 1.6x its I/O floor,
+max(prefetch_batches, flush_batches) x latency_us: a leg at or below
+that already runs at the disks' speed, and whether a flush finds its
+batch done there is scheduling noise (the row is printed as not gated,
+with the reason). Pass counts
 in the artifact are recorded from legs the bench itself asserts
 identical, so no cross-leg check is needed here. Both A/B artifacts also
 fold the wall-clock telemetry of the overlap leg into each row — merged
@@ -213,6 +218,14 @@ def check_run_gen_invariants(doc, path):
 # proves the speculative pass-2 prefetch is not a regression in disguise.
 OVERLAP_MIN_IMPROVEMENT = {"seven_pass": 0.45, "expected_two_pass": 0.0}
 OVERLAP_MAX_FLUSH_STALL_RATE = 0.75
+# The flush-stall ceiling holds only for a row whose overlap leg runs above
+# this multiple of its I/O floor, max(prefetch_batches, flush_batches) x
+# latency_us. Over 20 quick runs a side on a shared 2-core box
+# (EXPERIMENTS.md, "Three-pass sorts in place") the healthy legs read
+# 1.06-1.73x their floor, the three-pass and seven_pass legs all under
+# 1.6x, and a build whose write-behind drained every batch before
+# returning read 1.74-2.45x with 100% flush stalls on every row.
+OVERLAP_FLUSH_GATE_FLOOR_FACTOR = 1.6
 # Ceiling on the share of run wall time the overlap leg spends blocked in
 # retirement waits. With grouped submissions amortizing the per-batch seek
 # charge, seven_pass's quick run read 0.34-0.41 on a shared 2-core box
@@ -295,7 +308,17 @@ def check_overlap_invariants(doc, path):
         batches = row.get("flush_batches", 0)
         if batches:
             stall_rate = row.get("flush_stalls", 0) / batches
-            if stall_rate > OVERLAP_MAX_FLUSH_STALL_RATE:
+            floor_ms = (max(row.get("prefetch_batches", 0), batches)
+                        * row.get("latency_us", 0) / 1000.0)
+            wall_ms = row.get("wall_ms_overlap", 0.0)
+            if floor_ms > 0 and wall_ms <= OVERLAP_FLUSH_GATE_FLOOR_FACTOR * floor_ms:
+                print(f"  ok: {ident}: flush stall rate {stall_rate:.1%} not "
+                      f"gated — the overlap leg ({wall_ms:.1f} ms) runs at "
+                      f"{wall_ms / floor_ms:.2f}x its I/O floor "
+                      f"({floor_ms:.1f} ms), within "
+                      f"{OVERLAP_FLUSH_GATE_FLOOR_FACTOR}x: it already "
+                      f"runs at the disks' speed")
+            elif stall_rate > OVERLAP_MAX_FLUSH_STALL_RATE:
                 fail(f"{path}: {ident}: flush stall rate {stall_rate:.1%} > "
                      f"{OVERLAP_MAX_FLUSH_STALL_RATE:.0%} — write-behind is "
                      f"serializing instead of overlapping")

@@ -5,7 +5,9 @@ Runs `pdmsort sort --stats` for every case in results/golden_passes.json
 and checks the measured read passes (from the `run` header, the first line
 of the pdm-run-v1 artifact) against the recorded expectation:
 an exact value (± tol) for deterministic algorithms, a [min, max] band
-for expected-case algorithms and baselines.
+for expected-case algorithms and baselines. A case with
+`"disk_space": {"max": X}` also caps the disk space `sort` prints
+(`disk space: S slots per disk (R× the input)`) at R <= X.
 
 Usage:
     scripts/check_golden.py [--binary target/release/pdmsort]
@@ -19,6 +21,7 @@ ones (bands are left alone) — review the diff before committing it.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,7 +52,7 @@ def run_case(binary, case, workdir, sort_args=()):
          "--key", key_kind(sort_args)],
         check=True, capture_output=True, text=True,
     )
-    subprocess.run(
+    sort = subprocess.run(
         [binary, "sort", inp, outp,
          "--disks", str(case["disks"]), "--b", str(case["b"]),
          "--algo", case["algo"], "--stats", stats, *sort_args],
@@ -58,7 +61,14 @@ def run_case(binary, case, workdir, sort_args=()):
     subprocess.run([binary, "verify", outp], check=True,
                    capture_output=True, text=True)
     with open(stats) as f:
-        return json.loads(f.readline())
+        return json.loads(f.readline()), disk_space(sort.stdout)
+
+
+def disk_space(log):
+    """R from sort's `disk space: S slots per disk (R× the input)` line."""
+    m = re.search(r"^disk space:\s+\d+ slots per disk \(([0-9.]+)× the input\)",
+                  log, re.M)
+    return float(m.group(1)) if m else None
 
 
 def check(expect, measured):
@@ -97,7 +107,7 @@ def main():
             continue
         with tempfile.TemporaryDirectory(prefix="pdm-golden-") as wd:
             try:
-                artifact = run_case(args.binary, case, wd, sort_args)
+                artifact, space = run_case(args.binary, case, wd, sort_args)
             except subprocess.CalledProcessError as e:
                 print(f"FAIL {case['name']}: pdmsort exited "
                       f"{e.returncode}\n{e.stderr}")
@@ -111,6 +121,15 @@ def main():
               f"(expected {desc}, fell_back={artifact.get('fell_back')})")
         if not ok:
             failures += 1
+        cap = case.get("disk_space")
+        if cap is not None:
+            ok = space is not None and space <= cap["max"]
+            status = "ok  " if ok else "FAIL"
+            shown = "no disk space line" if space is None else f"{space:.2f}×"
+            print(f"{status} {case['name']}: disk space {shown} the input "
+                  f"(expected <= {cap['max']})")
+            if not ok:
+                failures += 1
         if args.update and "exact" in expect:
             expect["exact"] = round(measured, 3)
 

@@ -64,7 +64,10 @@ fn reference_run(case: Case, data: &[u64], overlap: bool) -> (Vec<u64>, usize, u
     (r.out, r.phase_ops.len(), ops)
 }
 
-/// An uninterrupted run on `mem`, pass by pass.
+/// An uninterrupted run on `mem`, pass by pass, with a checkpoint store
+/// attached as the interrupted and resumed runs have, so it lays the sort
+/// out as they do (ThreePass1 and ThreePass2 run in place only without
+/// one).
 struct Reference {
     out: Vec<u64>,
     /// Blocks staged before the sort.
@@ -82,7 +85,11 @@ fn reference_phases(case: Case, data: &[u64], overlap: bool) -> Reference {
     pdm.set_overlap(overlap);
     let input = pdm.alloc_region_for_keys(case.n).unwrap();
     pdm.ingest(&input, data).unwrap();
+    let ckdir = unique_dir("ref");
+    let manifest = Manifest::new(case.algo.name(), &cfg, case.n, digest_of(data));
+    pdm.attach_checkpoint(CheckpointStore::create(&ckdir).unwrap(), manifest);
     let rep = case.algo.run(&mut pdm, &input, case.n, 2.0).unwrap();
+    std::fs::remove_dir_all(&ckdir).ok();
     Reference {
         out: pdm.inspect_prefix(&rep.output, case.n).unwrap(),
         staged: input.len_blocks() as u64,
@@ -314,6 +321,60 @@ fn a_stop_in_every_pass_resumes_across_each_release() {
             }
             std::fs::remove_dir_all(&scratch).ok();
             std::fs::remove_dir_all(&ckdir).ok();
+        }
+    }
+}
+
+#[test]
+fn three_pass_sorts_run_in_place_unless_a_store_is_attached() {
+    // ThreePass1 and ThreePass2 at D = 4, B = 16 (M = 256), at M√M and on
+    // 4,000 keys, whose short last run lacks 6 blocks. A plain run writes
+    // every pass over the input, plus a 2-level tail for those blocks, and
+    // returns the input as its output. With a checkpoint store attached a
+    // resumed pass re-reads its source, so each pass writes regions of its
+    // own and the sort holds 2.00× the input. Only the levels differ: the
+    // output, the counters (blocks, steps, per-disk counts, phases) and the
+    // probe stream are the same.
+    let (d, b) = (4, 16);
+    let cfg = PdmConfig::square(d, b);
+    for algo in [Algorithm::ThreePass1, Algorithm::ThreePass2] {
+        for (n, plain_levels, store_levels) in [(4096, 64, 128), (4000, 65, 131)] {
+            let data = workload_of(n);
+            for kind in [BackendKind::Mem, BackendKind::File] {
+                let run = |store: bool| {
+                    let built = StorageBuilder::new(kind, d, b).build::<u64>().unwrap();
+                    let mut pdm = Pdm::with_storage(cfg, built.storage).unwrap();
+                    let input = pdm.alloc_region_for_keys(n).unwrap();
+                    pdm.ingest(&input, &data).unwrap();
+                    pdm.reset_stats();
+                    pdm.enable_probe(1 << 20);
+                    let ckdir = unique_dir("in-place");
+                    if store {
+                        let manifest = Manifest::new(algo.name(), &cfg, n, digest_of(&data));
+                        pdm.attach_checkpoint(CheckpointStore::create(&ckdir).unwrap(), manifest);
+                    }
+                    let rep = algo.run(&mut pdm, &input, n, 2.0).unwrap();
+                    assert!(pdm.take_checkpoint_error().is_none());
+                    assert_eq!(rep.output == input, !store, "{algo} {n} {kind}");
+                    let out = pdm.inspect_prefix(&rep.output, n).unwrap();
+                    let high = pdm.next_slot();
+                    let (_, mut stats) = pdm.into_parts();
+                    let probe = stats.take_probe().unwrap();
+                    std::fs::remove_dir_all(&ckdir).ok();
+                    (out, stats, probe, high)
+                };
+                let tag = format!("{algo} on {n} keys, {kind}");
+                let (out, stats, probe, high) = run(false);
+                let (ck_out, ck_stats, ck_probe, ck_high) = run(true);
+                let mut want = data.clone();
+                want.sort_unstable();
+                assert_eq!(out, want, "{tag}");
+                assert_eq!(ck_out, want, "{tag} with a store");
+                assert_eq!(stats, ck_stats, "{tag}: the I/O moved");
+                assert_eq!(probe.dropped, 0, "{tag}");
+                assert_eq!(probe, ck_probe, "{tag}: the probe stream moved");
+                assert_eq!((high, ck_high), (plain_levels, store_levels), "{tag}");
+            }
         }
     }
 }
