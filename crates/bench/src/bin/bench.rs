@@ -116,7 +116,6 @@ struct AlgoRow {
     wall_ms: f64,
     read_passes: f64,
     write_passes: f64,
-    pool_hit_rate: Option<f64>,
 }
 
 /// One workload's greedy-vs-up/down run-formation A/B on the mem backend:
@@ -267,20 +266,15 @@ fn render_json(
     ));
     s.push_str("  \"algorithms\": [\n");
     for (i, r) in algo_rows.iter().enumerate() {
-        let pool = match r.pool_hit_rate {
-            Some(h) => format!(", \"pool_hit_rate\": {}", jf(h)),
-            None => String::new(),
-        };
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"backend\": \"{}\", \"n\": {}, \"wall_ms\": {}, \
-             \"read_passes\": {}, \"write_passes\": {}{}}}{}\n",
+             \"read_passes\": {}, \"write_passes\": {}}}{}\n",
             r.name,
             r.backend,
             r.n,
             jf(r.wall_ms),
             jf(r.read_passes),
             jf(r.write_passes),
-            pool,
             if i + 1 < algo_rows.len() { "," } else { "" }
         ));
     }
@@ -454,7 +448,6 @@ fn bench_algorithm(
         wall_ms,
         read_passes,
         write_passes,
-        pool_hit_rate: pdm.pool_stats().map(|p| p.hit_rate()),
     });
 }
 
@@ -1121,16 +1114,8 @@ fn main() {
     }
     for r in &algo_rows {
         eprintln!(
-            "  {:<16} [{}] n = {:>7}  {:>8.2} ms  {:.2}R/{:.2}W passes{}",
-            r.name,
-            r.backend,
-            r.n,
-            r.wall_ms,
-            r.read_passes,
-            r.write_passes,
-            r.pool_hit_rate
-                .map(|h| format!("  pool hit rate {:.1}%", h * 100.0))
-                .unwrap_or_default()
+            "  {:<16} [{}] n = {:>7}  {:>8.2} ms  {:.2}R/{:.2}W passes",
+            r.name, r.backend, r.n, r.wall_ms, r.read_passes, r.write_passes,
         );
     }
     for r in &run_gen_rows {

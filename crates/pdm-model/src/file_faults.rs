@@ -22,18 +22,19 @@
 //!   of the *intended* bytes, so the next read of that slot surfaces
 //!   [`crate::PdmError::Corrupt`]; without checksums this is silent
 //!   corruption, which is precisely the failure the feature exists to catch.
-//! * **fsync failure** — the nth sync fails with a transient error, healed
-//!   by the retry layer's reissue of `sync`.
+//! * **fsync failure** — the nth per-disk fsync fails with a transient
+//!   error, healed by the retry layer's reissue of `sync`.
 //!
 //! The schedule is a pure function of the shared operation counter: the
 //! *set* of operation indices that fault is fixed by the mode (and seed).
-//! `FileStorage` draws on the caller thread, once per block transfer and
-//! once per sync, so the mapping from logical operation to index is fully
+//! Both file backends draw in the order of the medium's
+//! [`crate::storage_async_file::FileWorker`]: a batch's kernel rounds in
+//! order, a round's disks in disk order with every block of the round
+//! drawn, and one fsync verdict per disk at a sync, so a `sync` over `D`
+//! disks draws `D` verdicts. `FileStorage` runs that worker on the caller
+//! thread, so the mapping from logical operation to index is fully
 //! deterministic. Under `AsyncFileStorage` the read worker and the write
-//! worker share the counter. Each draws in a fixed order (its messages in
-//! issue order, a message's kernel rounds in order, a round's disks in
-//! disk order, one fsync verdict per disk at a sync), but while overlap
-//! keeps both busy their draws
+//! worker share the counter, and while overlap keeps both busy their draws
 //! interleave, so which transfer lands on a faulting index depends on
 //! thread timing — the fault *count* for nth-op modes is still exactly
 //! one, and rate modes still converge to the configured rate.
@@ -61,7 +62,7 @@ pub enum FileFaultMode {
     /// The `n`th block *write* persists only the first half of the block
     /// and reports success — a torn write across a simulated crash.
     TornWrite(u64),
-    /// The `n`th fsync fails with a transient error.
+    /// The `n`th per-disk fsync fails with a transient error.
     FsyncFail(u64),
     /// Inject nothing (useful to keep the shim in place with faults off).
     Never,

@@ -13,13 +13,13 @@
 //!
 //! * [`machine::Pdm`] — the machine: striped regions, batch block I/O with
 //!   exact step accounting, and a capacity-enforced internal memory.
-//! * [`storage`] — pluggable backends: in-memory ([`storage::MemStorage`]),
-//!   and the worker engine ([`storage_worker`], one read and one write
-//!   thread for all disks) over two media: RAM
-//!   ([`storage_threaded::ThreadedStorage`]) for real wall-clock disk
-//!   parallelism, and host files ([`storage_async_file::AsyncFileStorage`],
-//!   io_uring behind the `uring` feature), whose medium
-//!   [`storage_file::FileStorage`] also drives on the caller thread. Each
+//! * [`storage`] — pluggable backends: two media, RAM and host files, under
+//!   the two drivers of [`storage_worker`]. On the caller thread they are
+//!   [`storage::MemStorage`] and [`storage_file::FileStorage`]; on one read
+//!   and one write worker thread for all disks they are
+//!   [`storage_threaded::ThreadedStorage`], for real wall-clock disk
+//!   parallelism, and [`storage_async_file::AsyncFileStorage`] (io_uring
+//!   behind the `uring` feature). Each
 //!   backend advertises what it can do through [`storage::StorageCaps`];
 //!   [`storage_builder::StorageBuilder`] stacks base backends with the
 //!   fault/retry wrappers.
@@ -91,7 +91,7 @@ pub mod prelude {
         PendingRead, PendingWrite, ReadAhead, TrackedRead, TrackedWrite, WriteBehind,
         DEFAULT_QUEUE_DEPTH,
     };
-    pub use crate::pool::{BlockPool, PoolStats};
+    pub use crate::pool::PoolStats;
     pub use crate::probe::{replay, sparkline, Probe, ProbeEvent, ReplayedPhase, ReplayedStats};
     pub use crate::stats::{
         DiskWall, IoStats, OverlapCounters, PhaseStall, PhaseStats, RetrySnapshot, Span, SpanSink,

@@ -241,9 +241,8 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
         }
     }
 
-    /// Block-buffer pool counters of the backend, when it has a pool: the
-    /// worker-engine backends, [`crate::storage_threaded::ThreadedStorage`]
-    /// and [`crate::storage_async_file::AsyncFileStorage`].
+    /// Block-buffer pool counters of the backend: `None`, since no
+    /// backend pools block buffers (see [`Storage::pool_stats`]).
     pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
         self.storage.pool_stats()
     }
@@ -640,11 +639,10 @@ impl<K: PdmKey, S: Storage<K>> Pdm<K, S> {
     /// [`PdmError::RegionOutOfBounds`] before anything is written.
     ///
     /// The region moves in blocking [`Storage::write_batch`] calls of at
-    /// most `D × DEFAULT_QUEUE_DEPTH` blocks: one service round per disk on
-    /// the worker engine, and a bounded copy into its block pool. The
-    /// `file` backend, and the retry and fault-injection wrappers, still
-    /// move each batch block by block. No stats, probe events or checkpoint
-    /// replay apply.
+    /// most `D × DEFAULT_QUEUE_DEPTH` blocks: one service round per disk,
+    /// and on the worker driver one bounded message buffer. The retry and
+    /// fault-injection wrappers still move each batch block by block. No
+    /// stats, probe events or checkpoint replay apply.
     pub fn ingest(&mut self, region: &Region, data: &[K]) -> Result<()> {
         self.check_drift()?;
         let total = region.len_keys();

@@ -535,7 +535,7 @@ impl<K: PdmKey> ReadAhead<K> {
 /// make room, and `finish` drains the rest.
 ///
 /// Room is made by retiring the oldest submission, blocking on it if need
-/// be, until the incoming one fits. The worker engine's one write worker
+/// be, until the incoming one fits. The worker driver's one write worker
 /// completes submissions in issue order, so a younger submission is never
 /// done while an older one waits, and a sweep for completed tokens could
 /// only find a prefix whose length depends on timing. Retiring by count

@@ -5,13 +5,17 @@
 //! ([`Storage::read_batch`] / [`Storage::write_batch`]) or issued as one
 //! overlapped submission ([`Storage::start_read_batch`] /
 //! [`Storage::start_write_batch`]). All policy (step accounting, memory
-//! enforcement) lives in the machine layer; backends only move bytes. A
-//! backend that moves blocks one at a time loops over the batch itself,
-//! and the fault and retry wrappers apply their per-block policy by
-//! forwarding one-block batches.
+//! enforcement) lives in the machine layer; backends only move bytes. The
+//! four base backends are two media (RAM, one file per disk) under two
+//! drivers (the caller thread, or a read and a write worker thread), all
+//! written once in [`crate::storage_worker`]; the fault and retry wrappers
+//! apply their per-block policy by forwarding one-block batches.
 
 use crate::error::{PdmError, Result};
 use crate::key::PdmKey;
+use crate::storage_threaded::RamDisks;
+use crate::storage_worker::CallerStorage;
+use std::time::Duration;
 
 /// What a storage backend can actually do, beyond moving blocks.
 ///
@@ -20,9 +24,9 @@ use crate::key::PdmKey;
 /// or verify checksums only when the feature is compiled in. Capabilities
 /// are *runtime* facts — e.g. [`StorageCaps::direct_io`] reflects whether
 /// `O_DIRECT` actually opened, not whether it was requested — so callers
-/// can branch on what the stack in front of them really provides. Whether
-/// a backend recycles block buffers is [`Storage::pool_stats`] being
-/// `Some`.
+/// can branch on what the stack in front of them really provides.
+/// `overlap` is the driver's: true exactly on the worker driver.
+/// `direct_io` and `checksums` are the medium's.
 ///
 /// Wrapper backends (fault injection, retry) report their inner backend's
 /// capabilities unchanged: they forward `start_*_batch` after applying
@@ -32,7 +36,8 @@ use crate::key::PdmKey;
 pub struct StorageCaps {
     /// `start_read_batch` / `start_write_batch` return genuinely
     /// asynchronous tokens — I/O proceeds while the caller computes, with
-    /// reads and writes on independent (duplex) queues.
+    /// reads and writes on independent (duplex) queues (the worker
+    /// driver).
     pub overlap: bool,
     /// Block transfers bypass the page cache (`O_DIRECT` open succeeded on
     /// every disk file).
@@ -66,12 +71,14 @@ pub trait Storage<K: PdmKey>: Send {
 
     /// Read a batch of blocks; `reqs[i]` is `(disk, slot)` and fills
     /// `out[i*B..(i+1)*B]` (`out.len() == reqs.len() × B`). A failed block
-    /// fails the call; blocks before it may already have been read.
+    /// fails the call; the batch's other blocks may already have been
+    /// read.
     fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()>;
 
     /// Write a batch of blocks; `reqs[i]` is `(disk, slot)` taking
     /// `data[i*B..(i+1)*B]` (`data.len() == reqs.len() × B`). A failed
-    /// block fails the call; blocks before it may already be written.
+    /// block fails the call; the batch's other blocks may already be
+    /// written.
     fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[K]) -> Result<()>;
 
     /// Flush any buffered state to the underlying medium.
@@ -79,22 +86,22 @@ pub trait Storage<K: PdmKey>: Send {
         Ok(())
     }
 
-    /// Block-buffer pool counters, for backends that recycle block buffers
-    /// (the worker-engine backends: threaded and async-file). `None` means
-    /// the backend has no pool — not that the pool is idle.
+    /// Block-buffer pool counters: `None` on every backend, since blocks
+    /// move through one key buffer per batch and nothing recycles block
+    /// buffers. The method stays for callers that still report a pool.
     fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
         None
     }
 
     /// What this backend can do (see [`StorageCaps`]).
     ///
-    /// The all-false default means [`Storage::start_read_batch`] /
+    /// Without `overlap`, [`Storage::start_read_batch`] /
     /// [`Storage::start_write_batch`] fall back to the eager (blocking)
-    /// paths — correct but with no latency hiding. The threaded and
-    /// async-file backends override this; wrapper layers (fault injection,
-    /// retry) forward their inner backend's caps unchanged — they apply
-    /// their per-block policies inside forwarded `start_*_batch` calls
-    /// (and, on the async-file backend, again at completion time).
+    /// paths — correct but with no latency hiding. Wrapper layers (fault
+    /// injection, retry) forward their inner backend's caps unchanged —
+    /// they apply their per-block policies inside forwarded
+    /// `start_*_batch` calls (and, on the async-file backend, again at
+    /// completion time).
     fn caps(&self) -> StorageCaps {
         StorageCaps::default()
     }
@@ -176,10 +183,6 @@ impl<K: PdmKey, S: Storage<K> + ?Sized> Storage<K> for Box<S> {
         (**self).sync()
     }
 
-    fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
-        (**self).pool_stats()
-    }
-
     fn caps(&self) -> StorageCaps {
         (**self).caps()
     }
@@ -208,88 +211,21 @@ impl<K: PdmKey, S: Storage<K> + ?Sized> Storage<K> for Box<S> {
     }
 }
 
-/// In-memory backend: each disk is a flat `Vec<K>` of block slots.
+/// In-memory backend: the RAM medium
+/// ([`crate::storage_threaded::RamDisks`], one flat `Vec<K>` of block slots
+/// per disk) driven on the caller thread.
 ///
 /// This is the default backend for experiments — it is exact with respect to
 /// the PDM *cost model* (the machine layer counts steps identically for all
 /// backends) while being fast enough for large parameter sweeps.
-#[derive(Debug)]
-pub struct MemStorage<K: PdmKey> {
-    disks: Vec<Vec<K>>,
-    block_size: usize,
-}
+pub type MemStorage<K> = CallerStorage<K, RamDisks<K>>;
 
 impl<K: PdmKey> MemStorage<K> {
     /// An empty store of `num_disks` disks with block size `block_size`.
     pub fn new(num_disks: usize, block_size: usize) -> Self {
-        Self {
-            disks: vec![Vec::new(); num_disks],
-            block_size,
-        }
-    }
-
-    fn check_disk(&self, disk: usize) -> Result<()> {
-        if disk >= self.disks.len() {
-            return Err(PdmError::BadDisk {
-                disk,
-                num_disks: self.disks.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Key offset of block `(disk, slot)` on its disk, once the address
-    /// is checked.
-    fn offset(&self, disk: usize, slot: usize) -> Result<usize> {
-        self.check_disk(disk)?;
-        let allocated = self.disks[disk].len() / self.block_size;
-        if slot >= allocated {
-            return Err(PdmError::BadSlot {
-                disk,
-                slot,
-                allocated,
-            });
-        }
-        Ok(slot * self.block_size)
-    }
-}
-
-impl<K: PdmKey> Storage<K> for MemStorage<K> {
-    fn num_disks(&self) -> usize {
-        self.disks.len()
-    }
-
-    fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    fn ensure_capacity(&mut self, disk: usize, slots: usize) -> Result<()> {
-        self.check_disk(disk)?;
-        let want = slots * self.block_size;
-        if self.disks[disk].len() < want {
-            self.disks[disk].resize(want, K::MAX);
-        }
-        Ok(())
-    }
-
-    fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()> {
-        check_batch_len(reqs.len(), self.block_size, out.len())?;
-        let b = self.block_size;
-        for (&(disk, slot), block) in reqs.iter().zip(out.chunks_exact_mut(b)) {
-            let off = self.offset(disk, slot)?;
-            block.copy_from_slice(&self.disks[disk][off..off + b]);
-        }
-        Ok(())
-    }
-
-    fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[K]) -> Result<()> {
-        check_batch_len(reqs.len(), self.block_size, data.len())?;
-        let b = self.block_size;
-        for (&(disk, slot), block) in reqs.iter().zip(data.chunks_exact(b)) {
-            let off = self.offset(disk, slot)?;
-            self.disks[disk][off..off + b].copy_from_slice(block);
-        }
-        Ok(())
+        let medium = RamDisks::new(num_disks, block_size, Duration::ZERO);
+        let worker = medium.worker();
+        Self::with_worker(medium, block_size, vec![0; num_disks], worker)
     }
 }
 
@@ -298,60 +234,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_block() {
-        let mut s: MemStorage<u64> = MemStorage::new(2, 4);
-        s.ensure_capacity(1, 3).unwrap();
-        s.write_batch(&[(1, 2)], &[5, 6, 7, 8]).unwrap();
-        let mut out = [0u64; 4];
-        s.read_batch(&[(1, 2)], &mut out).unwrap();
-        assert_eq!(out, [5, 6, 7, 8]);
-    }
-
-    #[test]
     fn fresh_blocks_read_as_max_padding() {
         let mut s: MemStorage<u32> = MemStorage::new(1, 2);
         s.ensure_capacity(0, 1).unwrap();
         let mut out = [0u32; 2];
         s.read_batch(&[(0, 0)], &mut out).unwrap();
         assert_eq!(out, [u32::MAX, u32::MAX]);
-    }
-
-    #[test]
-    fn bad_addresses_are_rejected() {
-        let mut s: MemStorage<u64> = MemStorage::new(2, 4);
-        s.ensure_capacity(0, 1).unwrap();
-        let mut out = [0u64; 4];
-        assert!(matches!(
-            s.read_batch(&[(5, 0)], &mut out),
-            Err(PdmError::BadDisk { .. })
-        ));
-        assert!(matches!(
-            s.read_batch(&[(0, 9)], &mut out),
-            Err(PdmError::BadSlot { .. })
-        ));
-        let mut small = [0u64; 3];
-        assert!(matches!(
-            s.read_batch(&[(0, 0)], &mut small),
-            Err(PdmError::BadBlockLen { .. })
-        ));
-        assert!(matches!(
-            s.write_batch(&[(0, 0)], &[1, 2, 3]),
-            Err(PdmError::BadBlockLen { .. })
-        ));
-    }
-
-    #[test]
-    fn batch_default_impl_round_trips() {
-        let mut s: MemStorage<u64> = MemStorage::new(3, 2);
-        for d in 0..3 {
-            s.ensure_capacity(d, 2).unwrap();
-        }
-        let reqs = [(0, 0), (1, 0), (2, 1)];
-        let data = [10u64, 11, 20, 21, 30, 31];
-        s.write_batch(&reqs, &data).unwrap();
-        let mut out = [0u64; 6];
-        s.read_batch(&reqs, &mut out).unwrap();
-        assert_eq!(out, data);
     }
 
     #[test]

@@ -4,20 +4,22 @@
 //! what both file-backed backends share: opening the files (with the
 //! `O_DIRECT` probe), the `meta.pdm` geometry manifest, the per-disk
 //! checksum tables, the physical-file fault hook and the cleanup of
-//! temporary directories. Two drivers move blocks through it:
-//! [`AsyncFileStorage`], the worker engine ([`crate::storage_worker`])
-//! whose read and write worker threads each hold a [`FileWorker`] for
-//! all disks, whose `start_*_batch` calls return at once so the machine's
-//! `--overlap` pipelines hide real disk latency; and
-//! [`crate::storage_file::FileStorage`], which moves one block at a time on
-//! the caller thread.
+//! temporary directories, and, in [`FileWorker`], the one path that moves
+//! blocks. The two drivers of [`crate::storage_worker`] run it:
+//! [`AsyncFileStorage`], the worker driver, whose read and write worker
+//! threads each hold a [`FileWorker`] for all disks and whose
+//! `start_*_batch` calls return at once so the machine's `--overlap`
+//! pipelines hide real disk latency; and
+//! [`crate::storage_file::FileStorage`], the caller driver, which holds one
+//! [`FileWorker`] on the caller thread.
 //!
 //! ## Submission and alignment
 //!
-//! Each of the two worker threads holds one [`FileWorker`]: its own handle
-//! on every disk file (private cursors — no shared-seek races), an aligned
-//! staging buffer per disk and, with the `uring` feature on Linux, one
-//! plain io_uring ring for all disks. A kernel round takes at most the
+//! Each [`FileWorker`] holds its own handle on every disk file (private
+//! cursors — no shared-seek races), an aligned staging buffer per disk
+//! and, on the worker driver with the `uring` feature on Linux, one plain
+//! io_uring ring for all disks (the caller driver always uses positioned
+//! I/O). A kernel round takes at most the
 //! queue depth of blocks from each disk, and never two writes to one slot.
 //! With a ring, a round holds the next blocks of every disk a message
 //! touches and goes to the kernel in one submission, so the disks of a
@@ -39,8 +41,9 @@
 //! ## Faults, retry and durability
 //!
 //! An armed [`FileFaults`] schedule draws one verdict per block transfer
-//! and per fsync; an armed completion-time retry policy reissues transient
-//! per-block failures on the worker, after the async I/O completed. With
+//! and one per disk at every fsync, in the worker's order on both drivers;
+//! an armed completion-time retry policy reissues transient per-block
+//! failures on the worker, after the async I/O completed. With
 //! `block-checksums`, each successful write records the FNV-1a sum of the
 //! intended bytes in its disk's in-memory table, and each read verifies
 //! against it before decoding.
@@ -64,9 +67,10 @@ use crate::storage::StorageCaps;
 use crate::storage_retry::{RetryCounters, RetryPolicy};
 #[cfg(feature = "block-checksums")]
 use crate::storage_worker::POISONED;
-use crate::storage_worker::{BlockResults, Medium, MediumWorker, Share, Station, WorkerStorage};
+use crate::storage_worker::{Entry, Medium, MediumWorker, Split, Station, WorkerStorage};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::mem::take;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,11 +93,13 @@ const O_DIRECT_FLAG: i32 = if cfg!(target_arch = "aarch64") {
 /// A byte staging area whose blocks start at a `DIRECT_ALIGN` boundary:
 /// the backing `Vec` is over-allocated by one alignment unit and sliced
 /// from the first aligned address, so no unsafe allocation tricks are
-/// needed. The offset is recomputed per use — growth may reallocate.
+/// needed. The offset is recomputed whenever growth reallocates.
 struct AlignedBuf {
     raw: Vec<u8>,
     block_bytes: usize,
     align: usize,
+    /// Byte index of the first aligned address in `raw`.
+    start: usize,
 }
 
 impl AlignedBuf {
@@ -102,6 +108,7 @@ impl AlignedBuf {
             raw: Vec::new(),
             block_bytes,
             align: align.max(1),
+            start: 0,
         }
     }
 
@@ -110,12 +117,13 @@ impl AlignedBuf {
         let want = count * self.block_bytes + self.align;
         if self.raw.len() < want {
             self.raw.resize(want, 0);
+            self.start = (self.align - (self.raw.as_ptr() as usize % self.align)) % self.align;
         }
     }
 
     /// Byte index of the first aligned address in `raw`.
     fn offset(&self) -> usize {
-        (self.align - (self.raw.as_ptr() as usize % self.align)) % self.align
+        self.start
     }
 
     /// Staged block `i`.
@@ -139,13 +147,6 @@ enum Driver {
     Uring(pdm_uring::Ring, Arc<UringShared>),
     /// Positioned read/write per block on each disk's private handle.
     Sync,
-}
-
-impl Driver {
-    /// Whether one round moves several disks at once.
-    fn concurrent(&self) -> bool {
-        !matches!(self, Driver::Sync)
-    }
 }
 
 /// Cumulative io_uring submit/reap batching counters, summed over every
@@ -186,7 +187,7 @@ impl UringShared {
     }
 }
 
-/// One file disk as one worker thread sees it: a private handle (its own
+/// One file disk as one [`FileWorker`] sees it: a private handle (its own
 /// cursor, so no shared-seek races) and an aligned staging buffer.
 struct FileDisk {
     file: File,
@@ -197,9 +198,9 @@ struct FileDisk {
     sums: Arc<Mutex<Vec<u64>>>,
 }
 
-/// One worker thread's service state over every file disk: each disk's
-/// handle, staging buffer and checksum table, and one kernel submission
-/// path for all of them.
+/// One thread's service state over every file disk: each disk's handle,
+/// staging buffer and checksum table, and one kernel submission path for
+/// all of them.
 pub struct FileWorker {
     disks: Vec<FileDisk>,
     /// Keys per block.
@@ -216,80 +217,110 @@ pub struct FileWorker {
     /// off the caller's critical path — and folded into the same counters
     /// as the issue-time retry layer's.
     retry: Arc<OnceLock<(RetryPolicy, RetryCounters)>>,
+    /// The kernel rounds of the batch being served.
+    plan: Plan,
+    /// One round's transfer results.
+    results: Vec<std::io::Result<()>>,
 }
 
-/// A kernel round: for each part, a disk and the slots it moves, in disk
-/// order.
-type Round<'a> = [(usize, &'a [usize])];
-
-/// Each part's `(disk, blocks)`, as [`Station::round`] records them.
-fn round_blocks(round: &Round<'_>) -> Vec<(usize, usize)> {
-    round
-        .iter()
-        .map(|&(disk, slots)| (disk, slots.len()))
-        .collect()
+/// A batch's kernel rounds, kept from batch to batch so planning one
+/// allocates nothing once the buffers have grown. A round is a list of
+/// parts, each a disk and a run of the split's entries on it (positions in
+/// [`Split::entries`]), disks in order.
+#[derive(Default)]
+struct Plan {
+    parts: Vec<(usize, Range<usize>)>,
+    /// Where each round ends in `parts`.
+    ends: Vec<usize>,
+    /// Each share's disk, next uncut entry and end, while planning.
+    next: Vec<(usize, usize, usize)>,
 }
 
-/// Where each share's results start in a message's answer.
-fn share_offsets<T>(shares: &[Share<T>]) -> Vec<usize> {
-    shares
-        .iter()
-        .scan(0, |at, (_, items)| {
-            let start = *at;
-            *at += items.len();
-            Some(start)
-        })
-        .collect()
-}
-
-/// Cut a disk's write share into kernel rounds of at most `depth` blocks,
-/// cutting also before a slot the round already stages: two writes to one
-/// slot must not share a kernel submission (the kernel may reorder within
-/// a batch).
-fn write_cuts<K>(batch: &[(usize, Vec<K>)], depth: usize) -> Vec<Range<usize>> {
-    let mut cuts = Vec::new();
-    let mut start = 0;
-    while start < batch.len() {
-        let mut end = start + 1;
-        while end < batch.len()
-            && end - start < depth
-            && !batch[start..end].iter().any(|(s, _)| *s == batch[end].0)
-        {
-            end += 1;
+impl Plan {
+    /// Cut every share of `split` into runs of at most `depth` blocks; a
+    /// write run also ends before a slot it already holds, since two
+    /// writes to one slot must not share a kernel submission (the kernel
+    /// may reorder within a batch). Round `r` takes the `r`-th run of every
+    /// share.
+    fn make(&mut self, split: &Split, depth: usize, write: bool) {
+        let entries = split.entries();
+        self.parts.clear();
+        self.ends.clear();
+        self.next.clear();
+        let mut start = 0;
+        for (disk, share) in split.shares() {
+            self.next.push((disk, start, start + share.len()));
+            start += share.len();
         }
-        cuts.push(start..end);
-        start = end;
+        let mut left = entries.len();
+        while left > 0 {
+            for (disk, at, end) in &mut self.next {
+                if *at == *end {
+                    continue;
+                }
+                let run = &entries[*at..(*end).min(*at + depth.max(1))];
+                let stop = *at + if write { write_cut(run) } else { run.len() };
+                self.parts.push((*disk, *at..stop));
+                left -= stop - *at;
+                *at = stop;
+            }
+            self.ends.push(self.parts.len());
+        }
     }
-    cuts
+
+    /// Every round's parts, in order.
+    fn rounds(&self) -> impl Iterator<Item = &[(usize, Range<usize>)]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let round = &self.parts[start..end];
+            start = end;
+            round
+        })
+    }
+}
+
+/// How many leading entries of `run` one kernel submission can write: up
+/// to the first slot it already holds, or all of them.
+fn write_cut(run: &[Entry]) -> usize {
+    let mut top = None;
+    for (k, &(slot, _)) in run.iter().enumerate() {
+        // Slots mostly rise along a share, which rules a repeat out.
+        if top.is_some_and(|t| slot <= t) && run[..k].iter().any(|e| e.0 == slot) {
+            return k;
+        }
+        top = top.max(Some(slot));
+    }
+    run.len()
+}
+
+/// Each part's disk and block count, as [`Station::round`] records them.
+fn blocks(round: &[(usize, Range<usize>)]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    round.iter().map(|(disk, run)| (*disk, run.len()))
+}
+
+/// The first failure of a batch in disk order: by position in
+/// [`Split::entries`].
+#[derive(Default)]
+struct FirstErr(Option<(usize, PdmError)>);
+
+impl FirstErr {
+    /// Keep `res` if it fails before the failure kept so far.
+    fn note(&mut self, at: usize, res: Result<()>) {
+        if let Err(e) = res {
+            if self.0.as_ref().is_none_or(|(first, _)| at < *first) {
+                self.0 = Some((at, e));
+            }
+        }
+    }
+
+    fn into_result(self) -> Result<()> {
+        self.0.map_or(Ok(()), |(_, e)| Err(e))
+    }
 }
 
 impl FileWorker {
-    /// Group the shares' cuts (`cuts[k]`: share `k`'s consecutive block
-    /// ranges) into kernel rounds of `(share, range)` parts. A ring takes
-    /// the `r`-th cut of every share in round `r`, so the disks of a
-    /// message move concurrently; positioned I/O takes one cut per round,
-    /// share after share.
-    fn rounds(&self, cuts: Vec<Vec<Range<usize>>>) -> Vec<Vec<(usize, Range<usize>)>> {
-        if !self.driver.concurrent() {
-            return cuts
-                .into_iter()
-                .enumerate()
-                .flat_map(|(k, c)| c.into_iter().map(move |r| vec![(k, r)]))
-                .collect();
-        }
-        let rounds = cuts.iter().map(Vec::len).max().unwrap_or(0);
-        (0..rounds)
-            .map(|r| {
-                cuts.iter()
-                    .enumerate()
-                    .filter_map(|(k, c)| Some((k, c.get(r)?.clone())))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Transfer one kernel round between each part's staging buffer and
-    /// its file, one result per slot, parts in order. The staging buffers
+    /// its file, one result per entry, parts in order. The staging buffers
     /// hold the payloads (writes) or receive them (reads). A ring takes
     /// the whole round in one submission, so its disks move concurrently;
     /// positioned I/O moves one block after another.
@@ -299,36 +330,38 @@ impl FileWorker {
     /// schedule): faulted blocks never reach the kernel — short transfers
     /// and EIO fail immediately, torn writes submit only the first half of
     /// the block and report success.
-    fn transfer(&mut self, round: &Round<'_>, write: bool) -> Vec<std::io::Result<()>> {
-        let blocks: usize = round.iter().map(|(_, slots)| slots.len()).sum();
+    fn transfer(
+        &mut self,
+        entries: &[Entry],
+        round: &[(usize, Range<usize>)],
+        write: bool,
+        results: &mut Vec<std::io::Result<()>>,
+    ) {
+        results.clear();
+        let blocks: usize = round.iter().map(|(_, run)| run.len()).sum();
         let verdicts: Option<Vec<BlockFault>> = self
             .faults
             .get()
             .map(|f| (0..blocks).map(|_| f.block_fault(write)).collect());
         let verdict = |i: usize| verdicts.as_ref().map_or(BlockFault::None, |v| v[i]);
-        // Each part's disk, borrowed once: the parts come in disk order.
-        let mut pick = self.disks.iter_mut().enumerate();
-        let parts: Vec<(&mut FileDisk, &[usize])> = round
-            .iter()
-            .map(|&(d, slots)| {
-                let disk = pick
-                    .find_map(|(i, disk)| (i == d).then_some(disk))
-                    .expect("round parts in disk order");
-                (disk, slots)
-            })
-            .collect();
         match &mut self.driver {
             #[cfg(all(feature = "uring", target_os = "linux"))]
             Driver::Uring(ring, shared) => {
                 use std::os::fd::AsRawFd;
                 let mut ops: Vec<pdm_uring::Op<'_>> = Vec::with_capacity(blocks);
                 let mut i = 0;
-                for (disk, slots) in parts {
+                // Each part's disk, borrowed once: the parts come in disk
+                // order.
+                let mut pick = self.disks.iter_mut().enumerate();
+                for (d, run) in round {
+                    let disk = pick
+                        .find_map(|(i, disk)| (i == *d).then_some(disk))
+                        .expect("round parts in disk order");
                     let fd = disk.file.as_raw_fd();
                     let bb = disk.staging.block_bytes;
                     let off = disk.staging.offset();
                     let staged = &mut disk.staging.raw[off..];
-                    for (chunk, &slot) in staged.chunks_mut(bb).zip(slots) {
+                    for (chunk, &(slot, _)) in staged.chunks_mut(bb).zip(&entries[run.clone()]) {
                         let offset = slot as u64 * bb as u64;
                         let fault = verdict(i);
                         i += 1;
@@ -353,58 +386,54 @@ impl FileWorker {
                     }
                 }
                 let before = ring.stats();
-                let results = ring.run(&mut ops);
+                let completions = ring.run(&mut ops);
                 shared.add(before, ring.stats());
                 // Scatter ring completions back over the blocks that were
                 // actually submitted; faulted blocks get their injected
                 // error in place.
-                let mut ring_results = results.into_iter();
-                (0..blocks)
-                    .map(|i| match verdict(i) {
+                let mut completions = completions.into_iter();
+                results.extend((0..blocks).map(|i| {
+                    match verdict(i) {
                         BlockFault::ShortTransfer => Err(FileFaults::short_transfer_error(write)),
                         BlockFault::Eio => Err(FileFaults::eio_error()),
-                        BlockFault::None | BlockFault::Torn => ring_results
+                        BlockFault::None | BlockFault::Torn => completions
                             .next()
                             .unwrap_or_else(|| Err(std::io::Error::other("lost ring completion"))),
-                    })
-                    .collect()
+                    }
+                }));
             }
             Driver::Sync => {
-                let mut results = Vec::with_capacity(blocks);
-                for (disk, slots) in parts {
+                for (d, run) in round {
+                    let disk = &mut self.disks[*d];
                     let bb = disk.staging.block_bytes;
                     let off = disk.staging.offset();
                     let staged = &mut disk.staging.raw[off..];
-                    for (chunk, &slot) in staged.chunks_mut(bb).zip(slots) {
+                    for (chunk, &(slot, _)) in staged.chunks_mut(bb).zip(&entries[run.clone()]) {
                         let i = results.len();
-                        results.push(positioned(&mut disk.file, chunk, slot, write, verdict(i)));
+                        results.push(positioned(&disk.file, chunk, slot, write, verdict(i)));
                     }
                 }
-                results
             }
         }
     }
 
-    /// Completion-time retry: given the transfer result of block `i` of
-    /// disk `disk`'s round, reissue it while it keeps failing transiently,
+    /// Completion-time retry: given the failed transfer `err` of block `i`
+    /// of disk `disk`'s run in this round, reissue it while it keeps
+    /// failing transiently,
     /// up to the armed policy's attempt budget. Runs on the worker — the
     /// async I/O already completed, so the caller's pipeline keeps
     /// draining other blocks while this one is re-driven. Mirrors the
     /// issue-time layer's accounting exactly: retry `k` charges
     /// `k · backoff_steps`, each reissue lands on this disk's per-disk
     /// counter, and a spent budget records one exhaustion.
-    fn complete_with_retry(
+    fn retry(
         &mut self,
         disk: usize,
         i: usize,
         slot: usize,
         write: bool,
-        first: std::io::Result<()>,
+        mut err: std::io::Error,
     ) -> std::io::Result<()> {
-        let mut err = match first {
-            Ok(()) => return Ok(()),
-            Err(e) => e,
-        };
         let Some((policy, counters)) = self.retry.get().cloned() else {
             return Err(err);
         };
@@ -429,32 +458,34 @@ impl FileWorker {
                 .map_or(BlockFault::None, |f| f.block_fault(write));
             let d = &mut self.disks[disk];
             let chunk = d.staging.block_mut(i);
-            match positioned(&mut d.file, chunk, slot, write, verdict) {
+            match positioned(&d.file, chunk, slot, write, verdict) {
                 Ok(()) => return Ok(()),
                 Err(e) => err = e,
             }
         }
     }
 
-    /// Decode block `i` of disk `disk`'s staged round into a pooled
-    /// buffer, verifying its checksum first when the feature is on.
+    /// Decode block `i` of disk `disk`'s staged round into `block`,
+    /// verifying its checksum first when the feature is on.
     fn decode_block<K: PdmKey>(
         &self,
-        station: &Station<K>,
+        station: &Station,
         disk: usize,
         i: usize,
         slot: usize,
-    ) -> Result<Vec<K>> {
+        block: &mut [K],
+    ) -> Result<()> {
         let bytes = self.disks[disk].staging.block(i);
         #[cfg(feature = "block-checksums")]
         if verify_sum(&self.disks[disk].sums, disk, slot, bytes)? {
-            station.wall(disk).add_verified(1);
+            station.verified(disk);
         }
         #[cfg(not(feature = "block-checksums"))]
-        let _ = slot;
-        let mut buf = station.pool.get(self.block_size);
-        buf.extend(bytes.chunks_exact(K::WIDTH).map(K::read_bytes));
-        Ok(buf)
+        let _ = (station, slot);
+        for (key, bytes) in block.iter_mut().zip(bytes.chunks_exact(K::WIDTH)) {
+            *key = K::read_bytes(bytes);
+        }
+        Ok(())
     }
 }
 
@@ -505,9 +536,10 @@ fn sync_fault(faults: &OnceLock<Arc<FileFaults>>) -> std::io::Result<()> {
     faults.get().map_or(Ok(()), |f| f.sync_fault())
 }
 
-/// One positioned block transfer on `file` under a fault verdict.
+/// One positioned block transfer on `file` under a fault verdict: one
+/// `pread`/`pwrite` on Unix, a seek and a transfer elsewhere.
 fn positioned(
-    file: &mut File,
+    file: &File,
     chunk: &mut [u8],
     slot: usize,
     write: bool,
@@ -519,11 +551,26 @@ fn positioned(
         BlockFault::ShortTransfer => return Err(FileFaults::short_transfer_error(write)),
         BlockFault::Eio => return Err(FileFaults::eio_error()),
     };
-    file.seek(SeekFrom::Start(slot as u64 * chunk.len() as u64))?;
-    if write {
-        file.write_all(&chunk[..len])
-    } else {
-        file.read_exact(chunk)
+    let offset = slot as u64 * chunk.len() as u64;
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileExt;
+        if write {
+            file.write_all_at(&chunk[..len], offset)
+        } else {
+            file.read_exact_at(chunk, offset)
+        }
+    }
+    #[cfg(not(unix))]
+    {
+        use std::io::{Read, Seek, SeekFrom};
+        let mut file = file;
+        file.seek(SeekFrom::Start(offset))?;
+        if write {
+            file.write_all(&chunk[..len])
+        } else {
+            file.read_exact(chunk)
+        }
     }
 }
 
@@ -531,102 +578,84 @@ impl<K: PdmKey> MediumWorker<K> for FileWorker {
     /// Reads go to the kernel at most `depth` blocks per disk per round.
     /// Transient per-block failures are reissued here (completion-time
     /// retry); with `block-checksums`, surviving reads are verified before
-    /// decode — off the caller's critical path — and mismatches surface as
-    /// [`PdmError::Corrupt`].
-    fn read(&mut self, station: &Station<K>, shares: &[Share<usize>], out: &mut BlockResults<K>) {
-        let depth = self.depth;
-        let cuts = shares
-            .iter()
-            .map(|(_, slots)| {
-                (0..slots.len())
-                    .step_by(depth)
-                    .map(|s| s..(s + depth).min(slots.len()))
-                    .collect()
-            })
-            .collect();
-        let offsets = share_offsets(shares);
-        let base = out.len();
-        out.resize_with(
-            base + shares.iter().map(|(_, s)| s.len()).sum::<usize>(),
-            || Ok(Vec::new()),
-        );
-        for round in self.rounds(cuts) {
-            let parts: Vec<(usize, &[usize])> = round
-                .iter()
-                .map(|(k, r)| (shares[*k].0, &shares[*k].1[r.clone()]))
-                .collect();
-            for &(disk, slots) in &parts {
-                self.disks[disk].staging.ensure(slots.len());
+    /// decode and mismatches surface as [`PdmError::Corrupt`].
+    fn read(&mut self, station: &Station, split: &Split, out: &mut [K]) -> Result<()> {
+        let b = self.block_size;
+        let entries = split.entries();
+        let (mut plan, mut results) = (take(&mut self.plan), take(&mut self.results));
+        plan.make(split, self.depth, false);
+        let mut first = FirstErr::default();
+        for round in plan.rounds() {
+            for (disk, run) in round {
+                self.disks[*disk].staging.ensure(run.len());
             }
-            let results = station.round(&round_blocks(&parts), || self.transfer(&parts, false));
-            let mut results = results.into_iter();
-            for ((k, r), &(disk, slots)) in round.iter().zip(&parts) {
-                for (i, (&slot, res)) in slots.iter().zip(results.by_ref()).enumerate() {
-                    out[base + offsets[*k] + r.start + i] =
-                        match self.complete_with_retry(disk, i, slot, false, res) {
-                            Ok(()) => self.decode_block(station, disk, i, slot),
-                            Err(e) => Err(PdmError::Io(e)),
-                        };
+            station.round(blocks(round), || {
+                self.transfer(entries, round, false, &mut results)
+            });
+            let mut done = results.drain(..);
+            for (disk, run) in round {
+                for (i, (at, res)) in run.clone().zip(done.by_ref()).enumerate() {
+                    let (slot, index) = entries[at];
+                    let res = match res.or_else(|e| self.retry(*disk, i, slot, false, e)) {
+                        Ok(()) => {
+                            let block = &mut out[index * b..(index + 1) * b];
+                            self.decode_block(station, *disk, i, slot, block)
+                        }
+                        Err(e) => Err(PdmError::Io(e)),
+                    };
+                    first.note(at, res);
                 }
             }
         }
+        (self.plan, self.results) = (plan, results);
+        first.into_result()
     }
 
     /// Writes go to the kernel at most `depth` blocks per disk per round,
-    /// and a disk's round is also cut before a slot it already stages (see
-    /// `write_cuts`).
-    fn write(
-        &mut self,
-        station: &Station<K>,
-        shares: &[Share<(usize, Vec<K>)>],
-        out: &mut Vec<Result<()>>,
-    ) {
-        let cuts = shares
-            .iter()
-            .map(|(_, batch)| write_cuts(batch, self.depth))
-            .collect();
-        let offsets = share_offsets(shares);
-        let base = out.len();
-        out.resize_with(
-            base + shares.iter().map(|(_, b)| b.len()).sum::<usize>(),
-            || Ok(()),
-        );
-        for round in self.rounds(cuts) {
-            let mut slots = Vec::with_capacity(round.len());
-            for (k, r) in &round {
-                let (disk, batch) = &shares[*k];
+    /// and a disk's run is also cut before a slot it already stages (see
+    /// `Plan::make`).
+    fn write(&mut self, station: &Station, split: &Split, data: &[K]) -> Result<()> {
+        let b = self.block_size;
+        let entries = split.entries();
+        let (mut plan, mut results) = (take(&mut self.plan), take(&mut self.results));
+        plan.make(split, self.depth, true);
+        let mut first = FirstErr::default();
+        for round in plan.rounds() {
+            for (disk, run) in round {
                 let staging = &mut self.disks[*disk].staging;
-                staging.ensure(r.len());
-                for (i, (_, data)) in batch[r.clone()].iter().enumerate() {
+                staging.ensure(run.len());
+                for (i, &(_, index)) in entries[run.clone()].iter().enumerate() {
                     let bytes = staging.block_mut(i);
-                    for (key, dst) in data.iter().zip(bytes.chunks_exact_mut(K::WIDTH)) {
+                    for (key, dst) in data[index * b..(index + 1) * b]
+                        .iter()
+                        .zip(bytes.chunks_exact_mut(K::WIDTH))
+                    {
                         key.write_bytes(dst);
                     }
                 }
-                slots.push(batch[r.clone()].iter().map(|(s, _)| *s).collect::<Vec<_>>());
             }
-            let parts: Vec<(usize, &[usize])> = round
-                .iter()
-                .zip(&slots)
-                .map(|((k, _), s)| (shares[*k].0, s.as_slice()))
-                .collect();
-            let results = station.round(&round_blocks(&parts), || self.transfer(&parts, true));
-            let mut results = results.into_iter();
-            for ((k, r), &(disk, slots)) in round.iter().zip(&parts) {
-                for (i, (&slot, res)) in slots.iter().zip(results.by_ref()).enumerate() {
+            station.round(blocks(round), || {
+                self.transfer(entries, round, true, &mut results)
+            });
+            let mut done = results.drain(..);
+            for (disk, run) in round {
+                for (i, (at, res)) in run.clone().zip(done.by_ref()).enumerate() {
+                    let slot = entries[at].0;
                     // Completion-time retry before the checksum is recorded:
                     // the worker still holds the staged payload, so a failed
                     // write can be re-driven without any caller involvement.
-                    let res = self.complete_with_retry(disk, i, slot, true, res);
+                    let res = res.or_else(|e| self.retry(*disk, i, slot, true, e));
                     #[cfg(feature = "block-checksums")]
                     if res.is_ok() {
-                        let d = &self.disks[disk];
+                        let d = &self.disks[*disk];
                         record_sum(&d.sums, slot, d.staging.block(i));
                     }
-                    out[base + offsets[*k] + r.start + i] = res.map_err(PdmError::Io);
+                    first.note(at, res.map_err(PdmError::Io));
                 }
             }
         }
+        (self.plan, self.results) = (plan, results);
+        first.into_result()
     }
 
     /// Every disk draws one fsync verdict and syncs, in disk order, even
@@ -822,8 +851,8 @@ fn write_meta(
 
 /// The file medium: one host file per disk under one directory.
 pub struct FileDisks {
-    /// Caller-thread handles: growth, and every transfer of the
-    /// caller-thread driver.
+    /// Caller-thread handles: growth (every transfer goes through a
+    /// [`FileWorker`]'s own handles).
     files: Vec<File>,
     paths: Vec<PathBuf>,
     dir: PathBuf,
@@ -942,46 +971,16 @@ impl FileDisks {
         let _ = self.faults.set(faults);
     }
 
-    /// Move one encoded block on the caller thread through disk `disk`'s
-    /// own handle: one fault draw, one positioned transfer, then the
-    /// checksum check (read) or record (write). The caller has
-    /// bounds-checked `(disk, slot)`.
-    pub(crate) fn transfer_block(
-        &mut self,
-        disk: usize,
-        slot: usize,
-        bytes: &mut [u8],
-        write: bool,
-    ) -> Result<()> {
-        let verdict = self
-            .faults
-            .get()
-            .map_or(BlockFault::None, |f| f.block_fault(write));
-        positioned(&mut self.files[disk], bytes, slot, write, verdict)?;
-        #[cfg(feature = "block-checksums")]
-        if write {
-            record_sum(&self.sums[disk], slot, bytes);
-        } else {
-            verify_sum(&self.sums[disk], disk, slot, bytes)?;
-        }
-        Ok(())
-    }
-
-    /// Draw one fsync-fault verdict, then fsync every disk file on the
-    /// caller thread — `sync_all`, not `sync_data`, so growth of the file
-    /// length survives a crash too.
-    pub(crate) fn sync_files(&self) -> Result<()> {
-        sync_fault(&self.faults)?;
-        for f in &self.files {
-            f.sync_all()?;
-        }
-        Ok(())
-    }
-
-    /// One worker thread's service state: a private handle and an aligned
-    /// staging buffer per disk, and one submission path for all disks that
-    /// takes `depth` blocks of every disk in one round.
-    fn worker(&self, block_bytes: usize, depth: usize) -> Result<FileWorker> {
+    /// One thread's service state: a private handle and an aligned staging
+    /// buffer per disk, and one submission path for all disks that takes
+    /// `depth` blocks of every disk in one round: a ring when `ring` asks
+    /// for one and the kernel grants it, positioned I/O otherwise.
+    pub(crate) fn worker(
+        &self,
+        block_bytes: usize,
+        depth: usize,
+        ring: bool,
+    ) -> Result<FileWorker> {
         let align = if self.direct_io { DIRECT_ALIGN } else { 1 };
         let disks = (0..self.paths.len())
             .map(|d| {
@@ -995,12 +994,18 @@ impl FileDisks {
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(FileWorker {
-            driver: driver((disks.len() * depth).min(MAX_RING_ENTRIES), &self.uring),
+            driver: if ring {
+                driver((disks.len() * depth).min(MAX_RING_ENTRIES), &self.uring)
+            } else {
+                Driver::Sync
+            },
             disks,
             block_size: self.block_size,
             depth,
             faults: Arc::clone(&self.faults),
             retry: Arc::clone(&self.retry),
+            plan: Plan::default(),
+            results: Vec::new(),
         })
     }
 }
@@ -1029,16 +1034,14 @@ impl<K: PdmKey> Medium<K> for FileDisks {
         )
     }
 
-    /// Worker threads service real file I/O while the caller computes, so
-    /// overlap genuinely hides disk latency; `direct_io` reports the
-    /// actual open outcome probed at creation; `checksums` follows the
-    /// `block-checksums` feature — read completions verify against the
-    /// per-disk FNV-1a tables on the workers, off the critical path.
+    /// `direct_io` reports the actual open outcome probed at creation;
+    /// `checksums` follows the `block-checksums` feature — reads verify
+    /// against the per-disk FNV-1a tables in the [`FileWorker`].
     fn caps(&self) -> StorageCaps {
         StorageCaps {
-            overlap: true,
             direct_io: self.direct_io,
             checksums: cfg!(feature = "block-checksums"),
+            ..StorageCaps::default()
         }
     }
 
@@ -1048,7 +1051,7 @@ impl<K: PdmKey> Medium<K> for FileDisks {
 }
 
 impl Drop for FileDisks {
-    /// Under the worker engine this runs after the workers were joined.
+    /// Both drivers drop their [`FileWorker`]s first.
     fn drop(&mut self) {
         if self.remove_on_drop {
             for (d, p) in self.paths.iter().enumerate() {
@@ -1132,7 +1135,7 @@ impl<K: PdmKey> AsyncFileStorage<K> {
     /// and spawn the two worker threads.
     fn on((medium, allocated): (FileDisks, Vec<usize>), queue_depth: usize) -> Result<Self> {
         let (block_size, depth) = (medium.block_size, queue_depth.max(1));
-        let worker = || medium.worker(block_size * K::WIDTH, depth);
+        let worker = || medium.worker(block_size * K::WIDTH, depth, true);
         let workers = (worker()?, worker()?);
         Ok(Self::spawn(medium, block_size, allocated, workers))
     }
@@ -1164,6 +1167,7 @@ impl<K: PdmKey> AsyncFileStorage<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file_faults::FileFaultMode;
     use crate::storage::Storage;
 
     #[test]
@@ -1248,6 +1252,62 @@ mod tests {
             assert!(paths.iter().all(|p| p.exists()));
         }
         assert!(paths.iter().all(|p| !p.exists()));
+    }
+
+    /// The slots an `Eio(1)` fault leaves unwritten on `s` when a write
+    /// batch lists disk 1 before disk 0, out of every slot written before.
+    fn unwritten_after_eio<S: Storage<u64>>(
+        mut s: S,
+        faults: impl FnOnce(&mut S),
+    ) -> Vec<(usize, usize)> {
+        let reqs = [(1, 0), (0, 0), (1, 1), (0, 1)];
+        for disk in 0..2 {
+            s.ensure_capacity(disk, 2).unwrap();
+        }
+        s.write_batch(&reqs, &[1; 16]).unwrap();
+        faults(&mut s);
+        let err = s.write_batch(&reqs, &[2; 16]).unwrap_err();
+        assert!(!err.is_transient(), "EIO is permanent: {err}");
+        let mut out = [0u64; 16];
+        s.read_batch(&reqs, &mut out).unwrap();
+        reqs.iter()
+            .zip(out.chunks(4))
+            .filter(|(_, block)| block[0] == 1)
+            .map(|(&addr, _)| addr)
+            .collect()
+    }
+
+    #[test]
+    fn both_file_drivers_draw_block_faults_in_the_same_order() {
+        use crate::storage_file::FileStorage;
+        let arm = || Arc::new(FileFaults::new(FileFaultMode::Eio(1)));
+        let file = unwritten_after_eio(FileStorage::<u64>::create_temp(2, 4).unwrap(), |s| {
+            s.set_file_faults(arm())
+        });
+        let async_file =
+            unwritten_after_eio(AsyncFileStorage::<u64>::create_temp(2, 4).unwrap(), |s| {
+                s.set_file_faults(arm())
+            });
+        // Disk 0's blocks draw first, in request order, and every other
+        // block of the batch is still written.
+        assert_eq!(file, [(0, 1)]);
+        assert_eq!(async_file, file);
+    }
+
+    #[test]
+    fn both_file_drivers_draw_one_fsync_verdict_per_disk() {
+        use crate::storage_file::FileStorage;
+        fn syncs<S: Storage<u64>>(mut s: S) -> Vec<bool> {
+            (0..2).map(|_| s.sync().is_ok()).collect()
+        }
+        let arm = || Arc::new(FileFaults::new(FileFaultMode::FsyncFail(1)));
+        let mut file = FileStorage::<u64>::create_temp(2, 4).unwrap();
+        file.set_file_faults(arm());
+        let mut async_file = AsyncFileStorage::<u64>::create_temp(2, 4).unwrap();
+        async_file.set_file_faults(arm());
+        // Disk 1's fsync of the first sync is the second verdict drawn.
+        assert_eq!(syncs(file), [false, true]);
+        assert_eq!(syncs(async_file), [false, true]);
     }
 
     #[test]

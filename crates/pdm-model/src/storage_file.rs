@@ -1,89 +1,98 @@
 //! Synchronous file-backed storage: the file medium
 //! ([`crate::storage_async_file::FileDisks`], one host file per disk)
-//! driven on the caller thread.
+//! under the caller driver ([`crate::storage_worker::CallerStorage`]).
 //!
 //! This is `pdmsort sort`'s default backend. It demonstrates the algorithms
 //! genuinely operating out-of-core: the working set on the host never
-//! exceeds the machine's tracked internal memory plus one staged block.
-//! Keys are serialized with their fixed-width little-endian [`PdmKey`]
-//! encoding.
+//! exceeds the machine's tracked internal memory plus the medium's staging
+//! buffers. Keys are serialized with their fixed-width little-endian
+//! [`PdmKey`] encoding.
 //!
 //! The files are the medium's, shared with
 //! [`crate::storage_async_file::AsyncFileStorage`]: their opening, the
 //! `meta.pdm` manifest, the checksum tables, the fault hook, the cleanup of
-//! temporary directories, and the crash-consistency contract described
-//! there. This driver only decides how blocks move: each one on the caller
-//! thread through the medium's own handle (one fault draw, one positioned
-//! transfer, then the checksum check or record), with no worker threads,
-//! pool or batching, and always buffered. Driving the medium's workers
-//! through the engine's batch path on the caller thread measured 16–22%
-//! slower (EXPERIMENTS.md, "File medium A/B").
+//! temporary directories, the crash-consistency contract described there,
+//! and the [`crate::storage_async_file::FileWorker`] that moves blocks.
+//! This driver runs one such worker on the caller thread, always on
+//! positioned I/O and always buffered, so each batch moves straight
+//! between the caller's keys and the files, with no threads and no
+//! overlap.
 //!
 //! It is the durable half of checkpoint/resume (see [`crate::checkpoint`]):
-//! [`Storage::sync`] makes every block written so far durable, with its
-//! checksum, before the machine persists a checkpoint manifest, and
-//! [`FileStorage::create_readback`] restores the allocation and the
-//! checksums a synced directory records.
+//! [`crate::storage::Storage::sync`] makes every block written so far
+//! durable, with its checksum, before the machine persists a checkpoint
+//! manifest, and [`FileStorage::create_readback`] restores the allocation
+//! and the checksums a synced directory records.
 
 use crate::error::Result;
 use crate::file_faults::FileFaults;
 use crate::key::PdmKey;
-use crate::storage::{check_batch_len, Storage, StorageCaps};
+use crate::overlap::DEFAULT_QUEUE_DEPTH;
 use crate::storage_async_file::FileDisks;
-use crate::storage_worker::{check_slot, grow, Medium};
+use crate::storage_worker::CallerStorage;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// One file per disk, blocks stored back-to-back, moved on the caller
 /// thread.
-pub struct FileStorage<K: PdmKey> {
-    disks: FileDisks,
-    /// Slots per disk; every transfer is checked against it.
-    allocated: Vec<usize>,
-    /// One encoded block.
-    staging: Vec<u8>,
-    _key: std::marker::PhantomData<K>,
-}
+pub type FileStorage<K> = CallerStorage<K, FileDisks>;
 
 impl<K: PdmKey> FileStorage<K> {
-    fn on((disks, allocated): (FileDisks, Vec<usize>)) -> Self {
-        Self {
-            staging: vec![0; disks.block_size * K::WIDTH],
-            disks,
-            allocated,
-            _key: std::marker::PhantomData,
-        }
+    /// Serve an opened medium through one positioned-I/O worker.
+    fn on((medium, allocated): (FileDisks, Vec<usize>)) -> Result<Self> {
+        let block_size = medium.block_size;
+        let worker = medium.worker(block_size * K::WIDTH, DEFAULT_QUEUE_DEPTH, false)?;
+        Ok(Self::with_worker(medium, block_size, allocated, worker))
     }
 
     /// Create disk files `disk-0.pdm … disk-{D-1}.pdm` under `dir`
     /// (truncating existing ones).
     pub fn create(dir: impl AsRef<Path>, num_disks: usize, block_size: usize) -> Result<Self> {
-        FileDisks::open(dir.as_ref(), num_disks, block_size, K::WIDTH, true, false).map(Self::on)
+        Self::on(FileDisks::open(
+            dir.as_ref(),
+            num_disks,
+            block_size,
+            K::WIDTH,
+            true,
+            false,
+        )?)
     }
 
     /// Open existing disk files under `dir` (as written by
     /// [`FileStorage::create`]) without truncating — for reading data back
     /// in a later process or via a fresh handle. When the directory holds a
-    /// `meta.pdm` manifest (written by [`Storage::sync`]), its geometry and
-    /// key width are validated against the request and the exact per-disk
-    /// allocation is restored from it.
+    /// `meta.pdm` manifest (written by `sync`), its geometry and key width
+    /// are validated against the request and the exact per-disk allocation
+    /// is restored from it.
     pub fn create_readback(
         dir: impl AsRef<Path>,
         num_disks: usize,
         block_size: usize,
     ) -> Result<Self> {
-        FileDisks::open(dir.as_ref(), num_disks, block_size, K::WIDTH, false, false).map(Self::on)
+        Self::on(FileDisks::open(
+            dir.as_ref(),
+            num_disks,
+            block_size,
+            K::WIDTH,
+            false,
+            false,
+        )?)
     }
 
     /// Create under a fresh unique directory in the OS temp dir; the files
     /// are removed when the storage is dropped.
     pub fn create_temp(num_disks: usize, block_size: usize) -> Result<Self> {
-        FileDisks::create_temp(num_disks, block_size, K::WIDTH, false).map(Self::on)
+        Self::on(FileDisks::create_temp(
+            num_disks,
+            block_size,
+            K::WIDTH,
+            false,
+        )?)
     }
 
     /// Paths of the disk files.
     pub fn paths(&self) -> &[PathBuf] {
-        self.disks.paths()
+        self.medium.paths()
     }
 
     /// Arm real-file fault injection: subsequent block transfers and
@@ -92,63 +101,7 @@ impl<K: PdmKey> FileStorage<K> {
     /// [`crate::storage_builder::StorageBuilder::inject_file`] calls this
     /// right after construction, before any I/O; a second call is ignored.
     pub fn set_file_faults(&mut self, faults: Arc<FileFaults>) {
-        self.disks.set_file_faults(faults);
-    }
-}
-
-impl<K: PdmKey> Storage<K> for FileStorage<K> {
-    fn num_disks(&self) -> usize {
-        self.allocated.len()
-    }
-
-    fn block_size(&self) -> usize {
-        self.disks.block_size
-    }
-
-    fn ensure_capacity(&mut self, disk: usize, slots: usize) -> Result<()> {
-        grow::<K, _>(&mut self.disks, &mut self.allocated, disk, slots)
-    }
-
-    fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()> {
-        check_batch_len(reqs.len(), self.disks.block_size, out.len())?;
-        for (&(disk, slot), block) in reqs.iter().zip(out.chunks_exact_mut(self.disks.block_size)) {
-            check_slot(&self.allocated, disk, slot)?;
-            self.disks
-                .transfer_block(disk, slot, &mut self.staging, false)?;
-            for (k, bytes) in block.iter_mut().zip(self.staging.chunks_exact(K::WIDTH)) {
-                *k = K::read_bytes(bytes);
-            }
-        }
-        Ok(())
-    }
-
-    fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[K]) -> Result<()> {
-        check_batch_len(reqs.len(), self.disks.block_size, data.len())?;
-        for (&(disk, slot), block) in reqs.iter().zip(data.chunks_exact(self.disks.block_size)) {
-            check_slot(&self.allocated, disk, slot)?;
-            for (k, bytes) in block.iter().zip(self.staging.chunks_exact_mut(K::WIDTH)) {
-                k.write_bytes(bytes);
-            }
-            self.disks
-                .transfer_block(disk, slot, &mut self.staging, true)?;
-        }
-        Ok(())
-    }
-
-    /// One fsync-fault draw and every disk file fsynced, then the medium's
-    /// checksum sidecars and manifest.
-    fn sync(&mut self) -> Result<()> {
-        self.disks.sync_files()?;
-        Medium::<K>::commit(&mut self.disks, &self.allocated)
-    }
-
-    /// Synchronous file I/O: no overlap, no pool, no direct I/O — but
-    /// checksums when the `block-checksums` feature is compiled in.
-    fn caps(&self) -> StorageCaps {
-        StorageCaps {
-            checksums: cfg!(feature = "block-checksums"),
-            ..Default::default()
-        }
+        self.medium.set_file_faults(faults);
     }
 }
 
@@ -159,6 +112,7 @@ mod tests {
     use crate::error::PdmError;
     use crate::key::Tagged;
     use crate::machine::Pdm;
+    use crate::storage::Storage;
     #[cfg(feature = "block-checksums")]
     use std::fs::OpenOptions;
     #[cfg(feature = "block-checksums")]
@@ -171,20 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_u64_blocks() {
-        let mut s: FileStorage<u64> = FileStorage::create_temp(2, 4).unwrap();
-        s.ensure_capacity(0, 2).unwrap();
-        s.ensure_capacity(1, 2).unwrap();
-        s.write_batch(&[(0, 1)], &[9, 8, 7, 6]).unwrap();
-        s.write_batch(&[(1, 0)], &[1, 2, 3, 4]).unwrap();
-        let mut out = [0u64; 4];
-        s.read_batch(&[(0, 1)], &mut out).unwrap();
-        assert_eq!(out, [9, 8, 7, 6]);
-        s.read_batch(&[(1, 0)], &mut out).unwrap();
-        assert_eq!(out, [1, 2, 3, 4]);
-    }
-
-    #[test]
     fn round_trip_tagged_records() {
         let mut s: FileStorage<Tagged> = FileStorage::create_temp(1, 2).unwrap();
         s.ensure_capacity(0, 1).unwrap();
@@ -193,17 +133,6 @@ mod tests {
         let mut out = [Tagged::new(0, 0); 2];
         s.read_batch(&[(0, 0)], &mut out).unwrap();
         assert_eq!(out, blk);
-    }
-
-    #[test]
-    fn bounds_checked_like_mem_storage() {
-        let mut s: FileStorage<u64> = FileStorage::create_temp(1, 4).unwrap();
-        s.ensure_capacity(0, 1).unwrap();
-        let mut out = [0u64; 4];
-        assert!(s.read_batch(&[(3, 0)], &mut out).is_err());
-        assert!(s.read_batch(&[(0, 5)], &mut out).is_err());
-        let mut bad = [0u64; 2];
-        assert!(s.read_batch(&[(0, 0)], &mut bad).is_err());
     }
 
     #[test]

@@ -190,10 +190,6 @@ impl<K: PdmKey, S: Storage<K>> Storage<K> for FlakyStorage<S> {
         self.inner.sync()
     }
 
-    fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
-        self.inner.pool_stats()
-    }
-
     fn wall_snapshot(&self) -> Option<crate::stats::StorageWallSnapshot> {
         self.inner.wall_snapshot()
     }

@@ -245,10 +245,6 @@ impl<K: PdmKey, S: Storage<K>> Storage<K> for RetryingStorage<S> {
         self.with_retry(true, None, |s| s.sync())
     }
 
-    fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
-        self.inner.pool_stats()
-    }
-
     fn wall_snapshot(&self) -> Option<crate::stats::StorageWallSnapshot> {
         self.inner.wall_snapshot()
     }

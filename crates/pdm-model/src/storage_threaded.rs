@@ -1,5 +1,7 @@
-//! Threaded storage: the worker engine ([`crate::storage_worker`]) over RAM
-//! disks with an optional emulated access latency.
+//! The RAM medium, and threaded storage: the worker driver
+//! ([`crate::storage_worker`]) over RAM disks with an optional emulated
+//! access latency. The caller driver over the same medium is
+//! [`crate::storage::MemStorage`].
 //!
 //! The logical cost model is identical across backends (the machine layer
 //! does all accounting); this backend exists to show the *wall-clock*
@@ -12,8 +14,8 @@
 //! time. A batch queued behind another starts its access when that one's
 //! ends, so a queue streams at the nominal latency, not at the latency plus
 //! whatever the OS adds to each sleep. The latency is slept *outside* the
-//! lock on a disk's data, so the read worker and the write worker genuinely
-//! overlap. Synchronous callers can't tell: a
+//! lock on the disks' data, so the read worker and the write worker
+//! genuinely overlap. Synchronous callers can't tell: a
 //! blocking batch is all-reads or all-writes and waits for its reply
 //! before returning, so the two workers only run side by side once the
 //! overlap layer keeps both streams in flight.
@@ -21,9 +23,7 @@
 use crate::error::Result;
 use crate::key::PdmKey;
 use crate::storage::StorageCaps;
-use crate::storage_worker::{
-    BlockResults, Medium, MediumWorker, Share, Station, WorkerStorage, POISONED,
-};
+use crate::storage_worker::{Medium, MediumWorker, Split, Station, WorkerStorage, POISONED};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -31,38 +31,52 @@ use std::time::Duration;
 /// worker and one write worker for all disks.
 pub type ThreadedStorage<K> = WorkerStorage<K, RamDisks<K>>;
 
-/// The RAM medium: one flat key array per disk, shared by the two workers
-/// behind a mutex per disk. Only the copy in or out holds the lock.
+/// The RAM medium: one flat key array per disk, every disk behind one
+/// mutex shared by the threads that serve it. A batch takes the lock once,
+/// for its copies only.
 pub struct RamDisks<K> {
-    disks: Vec<Arc<Mutex<Vec<K>>>>,
+    disks: Arc<Mutex<Vec<Vec<K>>>>,
     block_size: usize,
     latency: Duration,
 }
 
-/// One worker thread's view of the RAM disks: every disk's array.
+/// One thread's view of the RAM disks: every disk's array.
 pub struct RamWorker<K> {
-    disks: Vec<Arc<Mutex<Vec<K>>>>,
+    disks: Arc<Mutex<Vec<Vec<K>>>>,
     block_size: usize,
+}
+
+impl<K: PdmKey> RamDisks<K> {
+    /// `num_disks` empty disks whose worker-driven messages each wait out
+    /// `latency`.
+    pub(crate) fn new(num_disks: usize, block_size: usize, latency: Duration) -> Self {
+        Self {
+            disks: Arc::new(Mutex::new(vec![Vec::new(); num_disks])),
+            block_size,
+            latency,
+        }
+    }
+
+    /// One thread's service state over every disk.
+    pub(crate) fn worker(&self) -> RamWorker<K> {
+        RamWorker {
+            disks: Arc::clone(&self.disks),
+            block_size: self.block_size,
+        }
+    }
 }
 
 impl<K: PdmKey> Medium<K> for RamDisks<K> {
     type Worker = RamWorker<K>;
 
     fn grow(&mut self, disk: usize, slots: usize) -> Result<()> {
-        self.disks[disk]
-            .lock()
-            .expect(POISONED)
-            .resize(slots * self.block_size, K::MAX);
+        self.disks.lock().expect(POISONED)[disk].resize(slots * self.block_size, K::MAX);
         Ok(())
     }
 
-    /// The workers service requests while the caller computes, so overlap
-    /// genuinely hides (emulated) latency here.
+    /// RAM has neither direct I/O nor checksums.
     fn caps(&self) -> StorageCaps {
-        StorageCaps {
-            overlap: true,
-            ..StorageCaps::default()
-        }
+        StorageCaps::default()
     }
 
     fn access(&self) -> Duration {
@@ -72,36 +86,32 @@ impl<K: PdmKey> Medium<K> for RamDisks<K> {
 
 /// Each disk's share is one service round.
 impl<K: PdmKey> MediumWorker<K> for RamWorker<K> {
-    fn read(&mut self, station: &Station<K>, shares: &[Share<usize>], out: &mut BlockResults<K>) {
+    fn read(&mut self, station: &Station, split: &Split, out: &mut [K]) -> Result<()> {
         let b = self.block_size;
-        for (disk, slots) in shares {
-            station.round(&[(*disk, slots.len())], || {
-                let data = self.disks[*disk].lock().expect(POISONED);
-                for &slot in slots {
-                    let mut buf = station.pool.get(b);
-                    buf.extend_from_slice(&data[slot * b..(slot + 1) * b]);
-                    out.push(Ok(buf));
+        let disks = self.disks.lock().expect(POISONED);
+        for (disk, entries) in split.shares() {
+            let data = &disks[disk];
+            station.round([(disk, entries.len())], || {
+                for &(slot, i) in entries {
+                    out[i * b..(i + 1) * b].copy_from_slice(&data[slot * b..(slot + 1) * b]);
                 }
             });
         }
+        Ok(())
     }
 
-    fn write(
-        &mut self,
-        station: &Station<K>,
-        shares: &[Share<(usize, Vec<K>)>],
-        out: &mut Vec<Result<()>>,
-    ) {
+    fn write(&mut self, station: &Station, split: &Split, data: &[K]) -> Result<()> {
         let b = self.block_size;
-        for (disk, batch) in shares {
-            station.round(&[(*disk, batch.len())], || {
-                let mut data = self.disks[*disk].lock().expect(POISONED);
-                for (slot, payload) in batch {
-                    data[slot * b..(slot + 1) * b].copy_from_slice(payload);
-                    out.push(Ok(()));
+        let mut disks = self.disks.lock().expect(POISONED);
+        for (disk, entries) in split.shares() {
+            let blocks = &mut disks[disk];
+            station.round([(disk, entries.len())], || {
+                for &(slot, i) in entries {
+                    blocks[slot * b..(slot + 1) * b].copy_from_slice(&data[i * b..(i + 1) * b]);
                 }
             });
         }
+        Ok(())
     }
 }
 
@@ -114,22 +124,9 @@ impl<K: PdmKey> ThreadedStorage<K> {
     /// Spawn workers that sleep `latency` per serviced batch, emulating
     /// disks with that access time.
     pub fn with_latency(num_disks: usize, block_size: usize, latency: Duration) -> Self {
-        let disks: Vec<Arc<Mutex<Vec<K>>>> = (0..num_disks).map(|_| Arc::default()).collect();
-        let worker = || RamWorker {
-            disks: disks.clone(),
-            block_size,
-        };
-        let workers = (worker(), worker());
-        Self::spawn(
-            RamDisks {
-                disks,
-                block_size,
-                latency,
-            },
-            block_size,
-            vec![0; num_disks],
-            workers,
-        )
+        let medium = RamDisks::new(num_disks, block_size, latency);
+        let workers = (medium.worker(), medium.worker());
+        Self::spawn(medium, block_size, vec![0; num_disks], workers)
     }
 }
 

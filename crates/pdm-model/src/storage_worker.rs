@@ -1,29 +1,36 @@
-//! The worker storage engine shared by the threaded and async-file
-//! backends.
+//! The two storage drivers, written once over a pluggable medium.
 //!
-//! Two worker threads serve all `D` disks: a *read worker* and a *write
-//! worker*. A caller batch is one message to one of them, carrying every
-//! touched disk's share, and one reply back, so a parallel I/O step of the
-//! PDM costs one hand-off each way however many disks it touches. With
-//! overlap enabled, prefetches and flush-behinds run side by side on the
-//! two workers instead of convoying in one queue. What a disk *is* comes
-//! from a pluggable [`Medium`]: RAM with an emulated access latency
-//! ([`crate::storage_threaded::ThreadedStorage`]) or a host file driven by
-//! positioned I/O or io_uring
-//! ([`crate::storage_async_file::AsyncFileStorage`]). Each worker thread
-//! owns one [`MediumWorker`], which serves a whole message: the RAM medium
-//! copies the shares in disk order, and the file medium's ring takes every
-//! disk's blocks in one kernel submission. Everything else is written
-//! once, here:
+//! What a disk *is* comes from a [`Medium`]: RAM
+//! ([`crate::storage_threaded::RamDisks`]) or one host file per disk
+//! ([`crate::storage_async_file::FileDisks`]). How its blocks move is
+//! the medium's [`MediumWorker`], which serves a whole batch split by disk
+//! ([`Split`]): the RAM medium copies the shares in disk order, and the
+//! file medium's ring takes every disk's blocks in one kernel submission.
+//! Who runs the worker is the driver, so the four `--storage` backends are
+//! the 2 × 2 of medium and driver:
 //!
-//! - **Grouped dispatch.** A caller batch is validated against the
-//!   caller-side allocation table (disk, slot, payload length), split by
-//!   disk, and sent as *one* message. A bad request fails the whole batch
-//!   at issue, before anything is sent.
-//! - **Copy-at-issue writes.** Write payloads are copied into buffers from
-//!   a shared [`BlockPool`] before `start_write_batch` returns; the write
-//!   worker returns them after committing. Read replies travel in pooled
-//!   buffers that the completion token returns.
+//! | driver | RAM medium | file medium |
+//! |---|---|---|
+//! | [`CallerStorage`], on the caller thread | `mem` | `file` |
+//! | [`WorkerStorage`], on a read and a write worker thread | `threaded` | `async-file` |
+//!
+//! Both drivers check a batch against one caller-side allocation table
+//! (disk, slot, payload length) before anything moves, and split it by
+//! disk the same way. The caller driver then serves it inline, straight
+//! between the caller's keys and the medium, and records no wall-clock
+//! telemetry. The worker driver adds what overlap needs:
+//!
+//! - **Grouped dispatch.** Two worker threads serve all `D` disks: a
+//!   *read worker* and a *write worker*. A caller batch is one message to
+//!   one of them, carrying every touched disk's share, and one reply back,
+//!   so a parallel I/O step of the PDM costs one hand-off each way however
+//!   many disks it touches. With overlap enabled, prefetches and
+//!   flush-behinds run side by side on the two workers instead of
+//!   convoying in one queue. A bad request fails the whole batch at issue,
+//!   before anything is sent.
+//! - **Message buffers.** A write message carries one copy of the batch's
+//!   keys, made before `start_write_batch` returns; the read worker fills
+//!   one buffer per message, which the completion token copies out.
 //! - **The read/write hazard gate.** Separate read and write workers make
 //!   read-overtakes-write possible, so every issued write registers its
 //!   slot and the write worker retires the entry only after the bytes are
@@ -32,11 +39,10 @@
 //!   win the race. The pipeline discipline (write-behind drained before its
 //!   region is re-read, enforced at every phase boundary by the checkpoint
 //!   guard) keeps correct code off that path entirely.
-//! - **Completion tokens.** A token waits for its one reply and returns
-//!   every pooled buffer before it reports the first error (in disk
-//!   order), so an error never strands buffers inside a reply channel. The
-//!   blocking `read_batch`/`write_batch` are `start_*_batch(..)?.wait(..)`.
-//!   One worker completes its messages in issue order.
+//! - **Completion tokens.** A token waits for its one reply, which is the
+//!   first error in disk order or the batch. The blocking
+//!   `read_batch`/`write_batch` are `start_*_batch(..)?.wait(..)`. One
+//!   worker completes its messages in issue order.
 //! - **Emulated access.** A medium with an access time
 //!   ([`Medium::access`]) has the worker sleep it once per read or write
 //!   message, before the disks move; a message queued behind another
@@ -52,8 +58,7 @@
 
 use crate::error::{PdmError, Result};
 use crate::key::PdmKey;
-use crate::overlap::{PendingRead, PendingWrite};
-use crate::pool::{BlockPool, PoolStats};
+use crate::overlap::{PendingRead, PendingWrite, DEFAULT_QUEUE_DEPTH};
 use crate::stats::{DiskWallRec, SpanSink, StorageWallSnapshot, UringWall};
 use crate::storage::{check_batch_len, Storage, StorageCaps};
 use std::cell::{Cell, OnceCell};
@@ -63,25 +68,25 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The caller-side half of a medium: what the engine asks of the disks as
-/// a whole. What moves blocks lives in [`Medium::Worker`].
+/// The caller-side half of a medium: what a driver asks of the disks as a
+/// whole. What moves blocks lives in [`Medium::Worker`].
 pub trait Medium<K: PdmKey>: Send + 'static {
-    /// One worker thread's service state over every disk; the read worker
-    /// and the write worker each get one.
+    /// One thread's service state over every disk: the caller driver holds
+    /// one, and the worker driver's read and write worker each get one.
     type Worker: MediumWorker<K>;
 
     /// Grow disk `disk` to `slots` block slots (called on the caller
     /// thread, only when the allocation grows).
     fn grow(&mut self, disk: usize, slots: usize) -> Result<()>;
 
-    /// Persist metadata once the write queue has drained and every disk
-    /// has synced (the tail of [`Storage::sync`]); `allocated` is the
-    /// per-disk allocation.
+    /// Persist metadata once every disk has synced (the tail of
+    /// [`Storage::sync`]); `allocated` is the per-disk allocation.
     fn commit(&mut self, _allocated: &[usize]) -> Result<()> {
         Ok(())
     }
 
-    /// Capabilities of a storage over this medium.
+    /// What the medium itself provides: `direct_io` and `checksums`.
+    /// `overlap` is the driver's.
     fn caps(&self) -> StorageCaps;
 
     /// io_uring batching counters summed over the workers (zero for media
@@ -90,47 +95,116 @@ pub trait Medium<K: PdmKey>: Send + 'static {
         UringWall::default()
     }
 
-    /// The emulated access time a read or write message waits out before
-    /// its disks move: zero on a real medium.
+    /// The emulated access time a worker-driven read or write message
+    /// waits out before its disks move: zero on a real medium.
     fn access(&self) -> Duration {
         Duration::ZERO
     }
 }
 
-/// One worker thread's service state over every disk: moves the blocks of
-/// a message's shares.
+/// One thread's service state over every disk: moves the blocks of a
+/// batch's shares between the disks and one key buffer, block `i` of the
+/// batch being keys `i·B..(i+1)·B` of the buffer. Every block is
+/// attempted; the answer is the first failure in disk order (then in
+/// request order within a disk), or success.
 pub trait MediumWorker<K: PdmKey>: Send + 'static {
-    /// Read every share's slots (already bounds-checked) into pooled
-    /// buffers, pushing one result per slot onto `out`, shares in order.
-    /// Each service round runs inside the station's `round`.
-    fn read(&mut self, station: &Station<K>, shares: &[Share<usize>], out: &mut BlockResults<K>);
+    /// Read every share's slots (already bounds-checked) into `out`. Each
+    /// service round runs inside the station's `round`.
+    fn read(&mut self, station: &Station, split: &Split, out: &mut [K]) -> Result<()>;
 
-    /// Commit every share's `(slot, payload)` pairs (in issue order within
-    /// a share), pushing one result per block onto `out`, shares in order.
-    /// The engine returns the payloads to the pool and retires their
-    /// hazard entries afterwards.
-    fn write(
-        &mut self,
-        station: &Station<K>,
-        shares: &[Share<(usize, Vec<K>)>],
-        out: &mut Vec<Result<()>>,
-    );
+    /// Commit every share's blocks from `data`, in entry order within a
+    /// share, so a slot written twice keeps its last write.
+    fn write(&mut self, station: &Station, split: &Split, data: &[K]) -> Result<()>;
 
-    /// Make every disk's committed writes durable (the write worker's half
-    /// of [`Storage::sync`]): every disk syncs, even after one fails, and
-    /// the first error in disk order is the answer.
+    /// Make every disk's committed writes durable (the worker's half of
+    /// [`Storage::sync`]): every disk syncs, even after one fails, and the
+    /// first error in disk order is the answer.
     fn sync(&mut self) -> Result<()> {
         Ok(())
     }
 }
 
-/// One worker thread's state: its direction, the block pool, every disk's
-/// wall-clock recorder, the trace sink and the medium's emulated access
-/// time. A [`MediumWorker`] reports its service rounds through it.
-pub struct Station<K> {
+/// A block of a batch: its slot, and its index in the batch.
+pub type Entry = (usize, usize);
+
+/// A batch split by disk: each touched disk's [`Entry`]s in request
+/// order, disks in order. Refilling reuses the buffers.
+#[derive(Debug, Default)]
+pub struct Split {
+    /// Every entry, grouped by disk.
+    entries: Vec<Entry>,
+    /// Each touched disk, and where its entries end in `entries`.
+    ends: Vec<(usize, usize)>,
+    /// Per-disk fill positions while filling.
+    at: Vec<usize>,
+}
+
+impl Split {
+    /// An empty split with room for a batch of `blocks` blocks over
+    /// `num_disks` disks.
+    fn with_capacity(num_disks: usize, blocks: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(blocks),
+            ends: Vec::with_capacity(num_disks),
+            at: Vec::with_capacity(num_disks),
+        }
+    }
+
+    /// Check `reqs`, `(disk, slot)` addresses, against the per-disk
+    /// allocation `allocated`, then split them by disk.
+    fn fill(&mut self, allocated: &[usize], reqs: &[(usize, usize)]) -> Result<()> {
+        self.at.clear();
+        self.at.resize(allocated.len(), 0);
+        for &(disk, slot) in reqs {
+            check_slot(allocated, disk, slot)?;
+            self.at[disk] += 1;
+        }
+        self.ends.clear();
+        let mut end = 0;
+        for (disk, at) in self.at.iter_mut().enumerate() {
+            let count = std::mem::replace(at, end);
+            if count > 0 {
+                end += count;
+                self.ends.push((disk, end));
+            }
+        }
+        self.entries.clear();
+        self.entries.resize(reqs.len(), (0, 0));
+        for (i, &(disk, slot)) in reqs.iter().enumerate() {
+            self.entries[self.at[disk]] = (slot, i);
+            self.at[disk] += 1;
+        }
+        Ok(())
+    }
+
+    /// Whether the batch is empty.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every entry, grouped by disk, disks in order.
+    pub fn entries(&self) -> &[Entry] {
+        &self.entries
+    }
+
+    /// Every share, disks in order: its disk and its entries.
+    pub fn shares(&self) -> impl Iterator<Item = (usize, &[Entry])> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&(disk, end)| {
+            let entries = &self.entries[start..end];
+            start = end;
+            (disk, entries)
+        })
+    }
+}
+
+/// One thread's service state: its direction, every disk's wall-clock
+/// recorder, the trace sink and the medium's emulated access time. A
+/// [`MediumWorker`] reports its service rounds through it.
+pub struct Station {
     write: bool,
-    /// The pool read replies are drawn from.
-    pub(crate) pool: Arc<BlockPool<K>>,
+    /// Every disk's recorder; empty on the caller driver, which records
+    /// nothing.
     wall: Vec<Arc<DiskWallRec>>,
     sink: Arc<OnceLock<Arc<SpanSink>>>,
     /// Emulated access time per message (zero on a real medium).
@@ -142,7 +216,19 @@ pub struct Station<K> {
     waited: Cell<Duration>,
 }
 
-impl<K> Station<K> {
+impl Station {
+    /// A station that records no telemetry and waits out no access.
+    fn untimed() -> Self {
+        Self {
+            write: false,
+            wall: Vec::new(),
+            sink: Arc::default(),
+            access: Duration::ZERO,
+            free_at: Cell::new(Instant::now()),
+            waited: Cell::new(Duration::ZERO),
+        }
+    }
+
     /// Wait out the emulated access of a message issued at `issued`: one
     /// access per message, since a message is one parallel step whose
     /// disks wait side by side. A message issued while the previous one's
@@ -167,27 +253,42 @@ impl<K> Station<K> {
         self.waited.set(now.elapsed());
     }
 
-    /// Disk `disk`'s wall-clock recorder.
+    /// Note one block read of disk `disk` checksum-verified.
     #[cfg(feature = "block-checksums")]
-    pub(crate) fn wall(&self, disk: usize) -> &DiskWallRec {
-        &self.wall[disk]
+    pub(crate) fn verified(&self, disk: usize) {
+        if let Some(wall) = self.wall.get(disk) {
+            wall.add_verified(1);
+        }
     }
 
-    /// Run one service round that moves `blocks` blocks of each listed
+    /// Run one service round that moves the blocks of each listed
     /// `(disk, blocks)`. For every one of those disks, the round's wall
     /// time plus the message's access wait is one latency-histogram sample
     /// and, when a sink is attached, one span on the disk's track (`2·disk`
     /// read, `2·disk + 1` write); its blocks then retire from the queue
     /// gauge.
-    pub(crate) fn round<R>(&self, disks: &[(usize, usize)], f: impl FnOnce() -> R) -> R {
-        let waited = self.waited.get();
+    #[inline]
+    pub(crate) fn round<R>(
+        &self,
+        parts: impl IntoIterator<Item = (usize, usize)>,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        if self.wall.is_empty() {
+            return f();
+        }
         let t0 = Instant::now();
         let res = f();
-        let t1 = Instant::now();
+        self.record(parts, t0, Instant::now());
+        res
+    }
+
+    /// Record a round that ran from `t0` to `t1` (see [`Station::round`]).
+    fn record(&self, parts: impl IntoIterator<Item = (usize, usize)>, t0: Instant, t1: Instant) {
+        let waited = self.waited.get();
         let ns = (t1.saturating_duration_since(t0) + waited).as_nanos() as u64;
         let start = t0.checked_sub(waited).unwrap_or(t0);
         let name = if self.write { "write" } else { "read" };
-        for &(disk, blocks) in disks {
+        for (disk, blocks) in parts {
             let wall = &self.wall[disk];
             if self.write {
                 wall.write.record(ns);
@@ -200,22 +301,140 @@ impl<K> Station<K> {
             }
             wall.queue_sub(blocks as u64);
         }
-        res
     }
 }
 
-/// One message carries every touched disk's share of a caller batch, in
-/// disk order: one send, one worker wake-up and one reply per batch.
-/// Reads and writes carry the instant they were issued, which places
-/// their emulated access.
+/// Why a lock shared with a disk worker can fail: the worker panicked
+/// while holding it.
+pub(crate) const POISONED: &str = "a disk worker panicked holding a shared lock";
+
+/// Bounds-check `(disk, slot)` against a per-disk allocation table.
+fn check_slot(allocated: &[usize], disk: usize, slot: usize) -> Result<()> {
+    match allocated.get(disk) {
+        Some(&slots) if slot < slots => Ok(()),
+        Some(&slots) => Err(PdmError::BadSlot {
+            disk,
+            slot,
+            allocated: slots,
+        }),
+        None => Err(PdmError::BadDisk {
+            disk,
+            num_disks: allocated.len(),
+        }),
+    }
+}
+
+/// Grow disk `disk` of `medium` to `slots` slots when that is more than
+/// its entry in `allocated`, keeping the table in step (the medium's
+/// [`Storage::ensure_capacity`]).
+fn grow<K: PdmKey, M: Medium<K>>(
+    medium: &mut M,
+    allocated: &mut [usize],
+    disk: usize,
+    slots: usize,
+) -> Result<()> {
+    let num_disks = allocated.len();
+    let current = allocated
+        .get_mut(disk)
+        .ok_or(PdmError::BadDisk { disk, num_disks })?;
+    if slots > *current {
+        medium.grow(disk, slots)?;
+        *current = slots;
+    }
+    Ok(())
+}
+
+/// Storage whose `D` disks are served on the caller thread by one
+/// [`MediumWorker`] over the medium `M` (see the module docs). A batch
+/// moves straight between the caller's keys and the medium, and a
+/// steady-state batch allocates nothing.
+pub struct CallerStorage<K: PdmKey, M: Medium<K>> {
+    /// Dropped before the medium (and any files it removes).
+    worker: M::Worker,
+    pub(crate) medium: M,
+    block_size: usize,
+    /// Allocation per disk; every request is checked against it.
+    allocated: Vec<usize>,
+    split: Split,
+    station: Station,
+}
+
+impl<K: PdmKey, M: Medium<K>> CallerStorage<K, M> {
+    /// Serve `medium`, whose disks start with `allocated` slots each,
+    /// through `worker`.
+    pub(crate) fn with_worker(
+        medium: M,
+        block_size: usize,
+        allocated: Vec<usize>,
+        worker: M::Worker,
+    ) -> Self {
+        Self {
+            worker,
+            medium,
+            block_size,
+            // Room for the largest batch the machine issues (`ingest` and
+            // `inspect`), so a sort's batches allocate nothing.
+            split: Split::with_capacity(allocated.len(), allocated.len() * DEFAULT_QUEUE_DEPTH),
+            allocated,
+            station: Station::untimed(),
+        }
+    }
+
+    /// Check a batch of `keys` keys and split it by disk.
+    fn check(&mut self, reqs: &[(usize, usize)], keys: usize) -> Result<()> {
+        check_batch_len(reqs.len(), self.block_size, keys)?;
+        self.split.fill(&self.allocated, reqs)
+    }
+}
+
+impl<K: PdmKey, M: Medium<K>> Storage<K> for CallerStorage<K, M> {
+    fn num_disks(&self) -> usize {
+        self.allocated.len()
+    }
+
+    fn block_size(&self) -> usize {
+        self.block_size
+    }
+
+    fn ensure_capacity(&mut self, disk: usize, slots: usize) -> Result<()> {
+        grow(&mut self.medium, &mut self.allocated, disk, slots)
+    }
+
+    fn read_batch(&mut self, reqs: &[(usize, usize)], out: &mut [K]) -> Result<()> {
+        self.check(reqs, out.len())?;
+        self.worker.read(&self.station, &self.split, out)
+    }
+
+    fn write_batch(&mut self, reqs: &[(usize, usize)], data: &[K]) -> Result<()> {
+        self.check(reqs, data.len())?;
+        self.worker.write(&self.station, &self.split, data)
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        self.worker.sync()?;
+        self.medium.commit(&self.allocated)
+    }
+
+    /// The medium's: the caller driver does not overlap.
+    fn caps(&self) -> StorageCaps {
+        self.medium.caps()
+    }
+}
+
+/// One message carries every touched disk's share of a caller batch: one
+/// send, one worker wake-up and one reply per batch. Reads and writes
+/// carry the instant they were issued, which places their emulated access.
 enum Request<K> {
     Read {
-        shares: Vec<Share<usize>>,
+        split: Split,
+        /// Keys in the batch.
+        keys: usize,
         issued: Instant,
-        reply: Sender<BlockResults<K>>,
+        reply: Sender<Result<Vec<K>>>,
     },
     Write {
-        shares: Vec<Share<(usize, Vec<K>)>>,
+        split: Split,
+        data: Vec<K>,
         issued: Instant,
         reply: Sender<Result<()>>,
     },
@@ -261,17 +480,6 @@ impl<T> Reply<T> {
     }
 }
 
-/// Why a lock shared with a disk worker can fail: the worker panicked
-/// while holding it.
-pub(crate) const POISONED: &str = "a disk worker panicked holding a shared lock";
-
-/// One disk's share of a message: the disk, and its slots (or
-/// `(slot, payload)` pairs) in issue order.
-pub type Share<T> = (usize, Vec<T>);
-
-/// A read message's answer: a block or an error per slot, in share order.
-pub type BlockResults<K> = Vec<Result<Vec<K>>>;
-
 /// In-flight write slots (`(disk, slot)` → outstanding writes).
 type Hazards = Arc<Mutex<HashMap<(usize, usize), usize>>>;
 
@@ -279,94 +487,54 @@ fn hung_up() -> PdmError {
     PdmError::BadConfig("disk worker hung up".into())
 }
 
-/// Bounds-check `(disk, slot)` against a per-disk allocation table.
-pub(crate) fn check_slot(allocated: &[usize], disk: usize, slot: usize) -> Result<()> {
-    let slots = *allocated.get(disk).ok_or(PdmError::BadDisk {
-        disk,
-        num_disks: allocated.len(),
-    })?;
-    if slot >= slots {
-        return Err(PdmError::BadSlot {
-            disk,
-            slot,
-            allocated: slots,
-        });
-    }
-    Ok(())
-}
-
-/// Grow disk `disk` of `medium` to `slots` slots when that is more than
-/// its entry in `allocated`, keeping the table in step (the medium's
-/// [`Storage::ensure_capacity`]).
-pub(crate) fn grow<K: PdmKey, M: Medium<K>>(
-    medium: &mut M,
-    allocated: &mut [usize],
-    disk: usize,
-    slots: usize,
-) -> Result<()> {
-    let num_disks = allocated.len();
-    let current = allocated
-        .get_mut(disk)
-        .ok_or(PdmError::BadDisk { disk, num_disks })?;
-    if slots > *current {
-        medium.grow(disk, slots)?;
-        *current = slots;
-    }
-    Ok(())
-}
-
 /// A worker thread's loop over its [`MediumWorker`]; returns when the
 /// engine drops its sender.
 fn serve<K: PdmKey, W: MediumWorker<K>>(
     mut worker: W,
-    station: Station<K>,
+    station: Station,
     hazards: Hazards,
     rx: Receiver<Request<K>>,
 ) {
     while let Ok(req) = rx.recv() {
         match req {
             Request::Read {
-                shares,
+                split,
+                keys,
                 issued,
                 reply,
             } => {
-                if !shares.is_empty() {
+                if !split.is_empty() {
                     station.wait_access(issued);
                 }
-                let mut out = Vec::with_capacity(shares.iter().map(|(_, s)| s.len()).sum());
-                worker.read(&station, &shares, &mut out);
-                let _ = reply.send(out);
+                let mut out = vec![K::MAX; keys];
+                let res = worker.read(&station, &split, &mut out);
+                let _ = reply.send(res.map(|()| out));
             }
             Request::Write {
-                shares,
+                split,
+                data,
                 issued,
                 reply,
             } => {
-                if !shares.is_empty() {
+                if !split.is_empty() {
                     station.wait_access(issued);
                 }
-                let mut out = Vec::with_capacity(shares.iter().map(|(_, b)| b.len()).sum());
-                worker.write(&station, &shares, &mut out);
+                let res = worker.write(&station, &split, &data);
                 // The bytes are committed: only now may a read of these
                 // slots pass the hazard gate.
                 let mut pending = hazards.lock().expect(POISONED);
-                for (disk, batch) in &shares {
-                    for (slot, _) in batch {
-                        if let Some(count) = pending.get_mut(&(*disk, *slot)) {
+                for (disk, entries) in split.shares() {
+                    for &(slot, _) in entries {
+                        if let Some(count) = pending.get_mut(&(disk, slot)) {
                             *count -= 1;
                             if *count == 0 {
-                                pending.remove(&(*disk, *slot));
+                                pending.remove(&(disk, slot));
                             }
                         }
                     }
                 }
                 drop(pending);
-                for (_, batch) in shares {
-                    for (_, buf) in batch {
-                        station.pool.put(buf);
-                    }
-                }
-                let _ = reply.send(out.into_iter().find(Result::is_err).unwrap_or(Ok(())));
+                let _ = reply.send(res);
             }
             Request::Sync { reply } => {
                 let _ = reply.send(worker.sync());
@@ -386,7 +554,6 @@ pub struct WorkerStorage<K: PdmKey, M> {
     /// The read worker's queue, then the write worker's.
     queues: Vec<Sender<Request<K>>>,
     handles: Vec<JoinHandle<()>>,
-    pool: Arc<BlockPool<K>>,
     hazards: Hazards,
     /// Per-disk wall-clock recorders shared with both workers (telemetry
     /// only — never consulted for correctness).
@@ -411,11 +578,6 @@ impl<K: PdmKey, M: Medium<K>> WorkerStorage<K, M> {
             allocated,
             queues: Vec::with_capacity(2),
             handles: Vec::with_capacity(2),
-            // Steady state keeps ~2 buffers per disk in flight; 4×D gives
-            // slack for the overlap layer's double-buffering and grows per
-            // dispatch via reserve_retained. Pinned to this block size so a
-            // buffer from another geometry is never recycled here.
-            pool: Arc::new(BlockPool::for_blocks(4 * num_disks.max(1), block_size)),
             hazards: Arc::default(),
             wall: (0..num_disks)
                 .map(|_| Arc::new(DiskWallRec::new()))
@@ -426,7 +588,6 @@ impl<K: PdmKey, M: Medium<K>> WorkerStorage<K, M> {
         for (write, worker) in [(false, reader), (true, writer)] {
             let station = Station {
                 write,
-                pool: Arc::clone(&s.pool),
                 wall: s.wall.clone(),
                 sink: Arc::clone(&s.sink),
                 access: s.medium.access(),
@@ -453,61 +614,39 @@ impl<K: PdmKey, M: Medium<K>> WorkerStorage<K, M> {
             .map_err(|_| hung_up())
     }
 
-    /// Split `items` (each tagged with its disk) into per-disk shares in
-    /// disk order, counting each share's blocks into its disk's queue
-    /// gauge (the worker retires them round by round).
-    fn shares<T>(&self, items: impl Iterator<Item = (usize, T)>) -> Vec<Share<T>> {
-        let mut groups: Vec<Vec<T>> = (0..self.allocated.len()).map(|_| Vec::new()).collect();
-        for (disk, item) in items {
-            groups[disk].push(item);
+    /// Check `reqs` against the allocation and split them by disk.
+    fn split(&self, reqs: &[(usize, usize)]) -> Result<Split> {
+        let mut split = Split::default();
+        split.fill(&self.allocated, reqs)?;
+        Ok(split)
+    }
+
+    /// Count each share of `split` into its disk's queue gauge, which the
+    /// worker retires round by round.
+    fn queue(&self, split: &Split) {
+        for (disk, entries) in split.shares() {
+            self.wall[disk].queue_add(entries.len() as u64);
         }
-        let mut shares = Vec::new();
-        for (disk, share) in groups.into_iter().enumerate() {
-            if !share.is_empty() {
-                self.wall[disk].queue_add(share.len() as u64);
-                shares.push((disk, share));
-            }
-        }
-        shares
     }
 }
 
-/// Completion token for a grouped read batch: the one reply, and the
-/// request index each of its results scatters back to.
+/// Completion token for a grouped read batch: the one reply.
 struct GroupedPending<K> {
-    order: Vec<usize>,
-    reply: Reply<BlockResults<K>>,
+    reply: Reply<Result<Vec<K>>>,
     keys: usize,
-    block_size: usize,
-    pool: Arc<BlockPool<K>>,
 }
 
 impl<K: PdmKey> PendingRead<K> for GroupedPending<K> {
-    /// Returns every delivered buffer to the pool before reporting the
-    /// first error (in disk order).
     fn wait(self: Box<Self>, out: &mut [K]) -> Result<()> {
-        let b = self.block_size;
-        let mut first_err = (out.len() != self.keys).then_some(PdmError::BadBlockLen {
-            got: out.len(),
-            expected: self.keys,
-        });
-        let Some(results) = self.reply.take() else {
-            return Err(first_err.unwrap_or_else(hung_up));
-        };
-        for (i, res) in self.order.into_iter().zip(results) {
-            match res {
-                Ok(data) => {
-                    if first_err.is_none() {
-                        out[i * b..(i + 1) * b].copy_from_slice(&data);
-                    }
-                    self.pool.put(data);
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
+        let reply = self.reply.take();
+        if out.len() != self.keys {
+            return Err(PdmError::BadBlockLen {
+                got: out.len(),
+                expected: self.keys,
+            });
         }
-        first_err.map_or(Ok(()), Err)
+        out.copy_from_slice(&reply.ok_or_else(hung_up)??);
+        Ok(())
     }
 
     fn is_ready(&self) -> bool {
@@ -559,12 +698,13 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
         self.medium.commit(&self.allocated)
     }
 
-    fn pool_stats(&self) -> Option<PoolStats> {
-        Some(self.pool.stats())
-    }
-
+    /// The medium's, and overlap: the workers move blocks while the
+    /// caller computes.
     fn caps(&self) -> StorageCaps {
-        self.medium.caps()
+        StorageCaps {
+            overlap: true,
+            ..self.medium.caps()
+        }
     }
 
     fn wall_snapshot(&self) -> Option<StorageWallSnapshot> {
@@ -586,51 +726,28 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
         &mut self,
         reqs: &[(usize, usize)],
     ) -> Result<Box<dyn PendingRead<K> + Send>> {
+        let split = self.split(reqs)?;
         {
             let hazards = self.hazards.lock().expect(POISONED);
             for &(disk, slot) in reqs {
-                check_slot(&self.allocated, disk, slot)?;
                 if hazards.contains_key(&(disk, slot)) {
                     return Err(PdmError::ReadDuringFlush { disk, slot });
                 }
             }
         }
-        // A whole batch's reply buffers are in flight at once — and with
-        // overlap enabled, a write batch may be too. Retaining less than
-        // that re-allocates the excess on every batch.
-        self.pool
-            .reserve_retained(2 * reqs.len() + self.allocated.len());
-        let shares = self.shares(
-            reqs.iter()
-                .enumerate()
-                .map(|(i, &(disk, slot))| (disk, (i, slot))),
-        );
-        let mut order = Vec::with_capacity(reqs.len());
-        let shares = shares
-            .into_iter()
-            .map(|(disk, share)| {
-                let (idx, slots): (Vec<usize>, Vec<usize>) = share.into_iter().unzip();
-                order.extend(idx);
-                (disk, slots)
-            })
-            .collect();
+        self.queue(&split);
+        let keys = reqs.len() * self.block_size;
         let (reply, rx) = Reply::new();
-        let issued = Instant::now();
         self.send(
             false,
             Request::Read {
-                shares,
-                issued,
+                split,
+                keys,
+                issued: Instant::now(),
                 reply,
             },
         )?;
-        Ok(Box::new(GroupedPending {
-            order,
-            reply: rx,
-            keys: reqs.len() * self.block_size,
-            block_size: self.block_size,
-            pool: Arc::clone(&self.pool),
-        }))
+        Ok(Box::new(GroupedPending { reply: rx, keys }))
     }
 
     fn start_write_batch(
@@ -638,33 +755,22 @@ impl<K: PdmKey, M: Medium<K>> Storage<K> for WorkerStorage<K, M> {
         reqs: &[(usize, usize)],
         data: &[K],
     ) -> Result<Box<dyn PendingWrite + Send>> {
-        let b = self.block_size;
-        check_batch_len(reqs.len(), b, data.len())?;
-        for &(disk, slot) in reqs {
-            check_slot(&self.allocated, disk, slot)?;
-        }
-        self.pool
-            .reserve_retained(2 * reqs.len() + self.allocated.len());
+        check_batch_len(reqs.len(), self.block_size, data.len())?;
+        let split = self.split(reqs)?;
         // Registered before the worker can possibly see the request.
         let mut hazards = self.hazards.lock().expect(POISONED);
         for &(disk, slot) in reqs {
             *hazards.entry((disk, slot)).or_insert(0) += 1;
         }
         drop(hazards);
-        let shares = self.shares(reqs.iter().zip(data.chunks_exact(b)).map(
-            |(&(disk, slot), payload)| {
-                let mut block = self.pool.get(b);
-                block.extend_from_slice(payload);
-                (disk, (slot, block))
-            },
-        ));
+        self.queue(&split);
         let (reply, rx) = Reply::new();
-        let issued = Instant::now();
         self.send(
             true,
             Request::Write {
-                shares,
-                issued,
+                split,
+                data: data.to_vec(),
+                issued: Instant::now(),
                 reply,
             },
         )?;
@@ -683,14 +789,15 @@ impl<K: PdmKey, M> Drop for WorkerStorage<K, M> {
     }
 }
 
-/// Engine behaviours, run once per medium from one list.
+/// Driver behaviours, run from one list over the four backends.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PdmConfig;
     use crate::machine::Pdm;
-    use crate::overlap::DEFAULT_QUEUE_DEPTH;
+    use crate::storage::MemStorage;
     use crate::storage_async_file::AsyncFileStorage;
+    use crate::storage_file::FileStorage;
     use crate::storage_threaded::ThreadedStorage;
     use std::thread::ThreadId;
 
@@ -702,9 +809,9 @@ mod tests {
     /// Tries of a timing-dependent check before it counts as failed.
     const ATTEMPTS: usize = 5;
 
-    macro_rules! engine_tests {
-        ($medium:ident, $make:expr; $($test:ident),* $(,)?) => {
-            mod $medium {
+    macro_rules! backend_tests {
+        ($backend:ident, $make:expr; $($test:ident),* $(,)?) => {
+            mod $backend {
                 use super::*;
                 $(
                     #[test]
@@ -716,23 +823,30 @@ mod tests {
         };
     }
 
-    macro_rules! for_each_medium {
-        ($($test:ident),* $(,)?) => {
-            engine_tests!(ram, |d, b, lat| ThreadedStorage::<u64>::with_latency(d, b, lat); $($test),*);
-            engine_tests!(file, |d, b, _| AsyncFileStorage::<u64>::create_temp(d, b).unwrap(); $($test),*);
+    /// The 2 × 2: `caller_ram` is `mem` and `caller_file` is `file` (the
+    /// caller driver); `ram` is `threaded` and `file` is `async-file` (the
+    /// worker driver). The worker column also runs the cases that need
+    /// worker threads.
+    macro_rules! for_each_backend {
+        (all: $($all:ident),* ; worker: $($worker:ident),* $(,)?) => {
+            backend_tests!(caller_ram, |d, b, _| MemStorage::<u64>::new(d, b); $($all),*);
+            backend_tests!(caller_file, |d, b, _| FileStorage::<u64>::create_temp(d, b).unwrap(); $($all),*);
+            backend_tests!(ram, |d, b, lat| ThreadedStorage::<u64>::with_latency(d, b, lat); $($all,)* $($worker),*);
+            backend_tests!(file, |d, b, _| AsyncFileStorage::<u64>::create_temp(d, b).unwrap(); $($all,)* $($worker),*);
         };
     }
 
-    for_each_medium!(
+    for_each_backend!(
+        all:
         round_trip_via_machine,
         batched_round_trip_many_blocks_per_disk,
         repeated_slot_in_one_batch_keeps_the_last_write,
         bounds_and_disk_index_in_errors,
-        overlapped_issue_rejects_bad_slots_with_their_disk,
+        overlapped_issue_rejects_bad_slots_with_their_disk;
+        worker:
         read_of_slot_with_write_in_flight_is_refused,
         duplex_read_overtakes_queued_writes,
         drop_joins_workers_after_draining_queued_writes,
-        block_buffers_are_recycled_across_batches,
         wall_telemetry_is_one_sample_and_span_per_disk_per_batch,
     );
 
@@ -761,7 +875,7 @@ mod tests {
     /// with the disk's index) and logs every service round.
     struct Recorder(Log);
 
-    /// One [`Recorder`] worker thread's service state over `disks` disks.
+    /// One [`Recorder`] thread's service state over `disks` disks.
     struct RecordingWorker {
         disks: usize,
         log: Log,
@@ -785,36 +899,25 @@ mod tests {
     }
 
     impl MediumWorker<u64> for RecordingWorker {
-        fn read(
-            &mut self,
-            station: &Station<u64>,
-            shares: &[Share<usize>],
-            out: &mut BlockResults<u64>,
-        ) {
-            for (disk, slots) in shares {
-                station.round(&[(*disk, slots.len())], || {
-                    log(&self.log, "read", *disk, slots.len());
-                    for _ in slots {
-                        let mut buf = station.pool.get(4);
-                        buf.resize(4, *disk as u64);
-                        out.push(Ok(buf));
+        fn read(&mut self, station: &Station, split: &Split, out: &mut [u64]) -> Result<()> {
+            for (disk, entries) in split.shares() {
+                station.round([(disk, entries.len())], || {
+                    log(&self.log, "read", disk, entries.len());
+                    for &(_, i) in entries {
+                        out[i * 4..(i + 1) * 4].fill(disk as u64);
                     }
                 });
             }
+            Ok(())
         }
 
-        fn write(
-            &mut self,
-            station: &Station<u64>,
-            shares: &[Share<(usize, Vec<u64>)>],
-            out: &mut Vec<Result<()>>,
-        ) {
-            for (disk, batch) in shares {
-                station.round(&[(*disk, batch.len())], || {
-                    log(&self.log, "write", *disk, batch.len());
-                    out.extend(batch.iter().map(|_| Ok(())));
+        fn write(&mut self, station: &Station, split: &Split, _data: &[u64]) -> Result<()> {
+            for (disk, entries) in split.shares() {
+                station.round([(disk, entries.len())], || {
+                    log(&self.log, "write", disk, entries.len());
                 });
             }
+            Ok(())
         }
 
         fn sync(&mut self) -> Result<()> {
@@ -847,7 +950,7 @@ mod tests {
         s.write_batch(&reqs, &vec![1; reqs.len() * b]).unwrap();
         let mut out = vec![0u64; reqs.len() * b];
         s.read_batch(&reqs, &mut out).unwrap();
-        // The one reply scatters back to request order.
+        // The one reply lands in request order.
         for (i, &(disk, _)) in reqs.iter().enumerate() {
             assert_eq!(out[i * b..(i + 1) * b], [disk as u64; 4], "request {i}");
         }
@@ -901,16 +1004,64 @@ mod tests {
     }
 
     #[test]
+    fn the_caller_driver_serves_every_disk_on_the_caller_thread() {
+        let (d, b) = (4, 4);
+        let calls: Log = Arc::default();
+        let worker = RecordingWorker {
+            disks: d,
+            log: Arc::clone(&calls),
+        };
+        let mut s = CallerStorage::with_worker(Recorder(Arc::clone(&calls)), b, vec![2; d], worker);
+        // Disks out of order: the split serves them in disk order, and
+        // the reads land in request order.
+        let reqs: Vec<(usize, usize)> = (0..2 * d).map(|i| (d - 1 - i % d, i / d)).collect();
+        s.write_batch(&reqs, &vec![1; reqs.len() * b]).unwrap();
+        let mut out = vec![0u64; reqs.len() * b];
+        s.read_batch(&reqs, &mut out).unwrap();
+        for (i, &(disk, _)) in reqs.iter().enumerate() {
+            assert_eq!(out[i * b..(i + 1) * b], [disk as u64; 4], "request {i}");
+        }
+        s.sync().unwrap();
+        let caller = std::thread::current().id();
+        let call = |kind, disk, blocks| Call {
+            thread: caller,
+            kind,
+            disk,
+            blocks,
+        };
+        let mut expect: Vec<Call> = (0..d).map(|disk| call("write", disk, 2)).collect();
+        expect.extend((0..d).map(|disk| call("read", disk, 2)));
+        expect.extend((0..d).map(|disk| call("sync", disk, 0)));
+        expect.push(call("commit", 0, 0));
+        assert_eq!(*calls.lock().unwrap(), expect);
+        assert!(!s.caps().overlap && s.wall_snapshot().is_none());
+    }
+
+    #[test]
+    fn a_split_groups_each_disk_in_request_order_and_reuses_its_buffers() {
+        let mut split = Split::default();
+        split
+            .fill(&[8; 4], &[(2, 7), (0, 1), (2, 3), (0, 1)])
+            .unwrap();
+        let shares: Vec<_> = split.shares().collect();
+        assert_eq!(
+            shares,
+            [(0, &[(1, 1), (1, 3)][..]), (2, &[(7, 0), (3, 2)][..])]
+        );
+        let capacity = split.entries.capacity();
+        split.fill(&[8; 4], &[(3, 0)]).unwrap();
+        assert_eq!(split.shares().collect::<Vec<_>>(), [(3, &[(0, 0)][..])]);
+        assert_eq!(split.entries.capacity(), capacity);
+        split.fill(&[8; 4], &[]).unwrap();
+        assert!(split.is_empty());
+    }
+
+    #[test]
     fn queued_messages_start_their_access_when_the_last_one_ends() {
         let access = Duration::from_millis(2);
-        let station = Station::<u64> {
-            write: true,
-            pool: Arc::new(BlockPool::for_blocks(1, 4)),
-            wall: Vec::new(),
-            sink: Arc::default(),
+        let station = Station {
             access,
-            free_at: Cell::new(Instant::now()),
-            waited: Cell::new(Duration::ZERO),
+            ..Station::untimed()
         };
         // A message that finds the disks idle waits out a whole access
         // from when the worker takes it up.
@@ -950,11 +1101,17 @@ mod tests {
         assert_eq!(all[..n], data[..]);
         assert_eq!(all.len(), (2 * batch + 1) * b);
         assert!(all[n..].iter().all(|&k| k == u64::MAX));
-        // Each batch is one service round on every disk it touches, each
-        // way; only the partial block's disk sees the third batch.
         let tail_disk = r.addr(2 * batch).unwrap().disk;
         let (s, _) = pdm.into_parts();
-        for (disk, dw) in s.wall_snapshot().unwrap().disks.iter().enumerate() {
+        // Exactly the worker driver overlaps and records telemetry.
+        let Some(snap) = s.wall_snapshot() else {
+            assert!(!s.caps().overlap);
+            return;
+        };
+        assert!(s.caps().overlap);
+        // Each batch is one service round on every disk it touches, each
+        // way; only the partial block's disk sees the third batch.
+        for (disk, dw) in snap.disks.iter().enumerate() {
             let rounds = 2 + u64::from(disk == tail_disk);
             assert_eq!(dw.write.count, rounds, "disk {disk}: write rounds");
             assert_eq!(dw.read.count, rounds, "disk {disk}: read rounds");
@@ -966,7 +1123,7 @@ mod tests {
     ) {
         let (d, b) = (2, 8);
         // 64 slots per disk against the default queue depth of 32 takes
-        // more than one kernel round per worker on the file medium.
+        // more than one kernel round per disk on the file medium.
         let mut s = sized(make(d, b, Duration::ZERO), 64);
         let reqs: Vec<(usize, usize)> = (0..128).map(|i| (i % d, i / d)).collect();
         let data: Vec<u64> = (0..reqs.len() * b).map(|i| i as u64 * 31).collect();
@@ -974,7 +1131,8 @@ mod tests {
         let mut out = vec![0u64; data.len()];
         s.read_batch(&reqs, &mut out).unwrap();
         assert_eq!(out, data);
-        // The overlapped path delivers the same bytes.
+        // The overlapped path places the blocks of a reversed batch by
+        // request order too.
         let rev: Vec<(usize, usize)> = reqs.iter().rev().copied().collect();
         let w = s.start_write_batch(&rev, &data).unwrap();
         w.wait().unwrap();
@@ -1068,12 +1226,6 @@ mod tests {
             Err(e) => panic!("expected BadSlot on disk 1 at issue, got {e:?}"),
             Ok(_) => panic!("a bad slot must fail at issue, not at wait"),
         }
-        let st = s.pool_stats().unwrap();
-        assert_eq!(
-            st.returns,
-            st.hits + st.misses,
-            "refused batches leaked buffers: {st:?}"
-        );
         // Nothing of the refused write reached the disk.
         let mut out = [0u64; 4];
         s.read_batch(&[(0, 0)], &mut out).unwrap();
@@ -1155,44 +1307,6 @@ mod tests {
         let w = s.start_write_batch(&reqs, &[5; 32]).unwrap();
         drop(s);
         w.wait().unwrap();
-    }
-
-    fn block_buffers_are_recycled_across_batches<S: Storage<u64>>(
-        make: impl Fn(usize, usize, Duration) -> S,
-    ) {
-        let d = 4;
-        let mut s = sized(make(d, 8, Duration::ZERO), 4);
-        let reqs: Vec<(usize, usize)> = (0..2 * d).map(|i| (i % d, i / d)).collect();
-        let data = vec![7u64; reqs.len() * 8];
-        let mut out = vec![0u64; reqs.len() * 8];
-        // Warmup primes the pool; everything after should be hits.
-        s.write_batch(&reqs, &data).unwrap();
-        s.read_batch(&reqs, &mut out).unwrap();
-        let warm = s.pool_stats().unwrap();
-        for _ in 0..20 {
-            s.write_batch(&reqs, &data).unwrap();
-            s.read_batch(&reqs, &mut out).unwrap();
-        }
-        let st = s.pool_stats().unwrap();
-        assert_eq!(out, data);
-        // A get can race ahead of the puts of in-flight buffers from the
-        // same batch, so steady state may add a few buffers — but each
-        // extra miss grows the pool permanently, so growth is bounded by
-        // one batch's worth, never per-iteration.
-        assert!(
-            st.misses - warm.misses <= reqs.len() as u64,
-            "steady state kept allocating block buffers: {st:?} after warmup {warm:?}"
-        );
-        assert!(
-            st.hit_rate() > 0.9,
-            "pool hit rate {:.3} ≤ 0.9: {st:?}",
-            st.hit_rate()
-        );
-        assert_eq!(
-            st.returns,
-            st.hits + st.misses,
-            "every buffer handed out came back"
-        );
     }
 
     fn wall_telemetry_is_one_sample_and_span_per_disk_per_batch<S: Storage<u64>>(

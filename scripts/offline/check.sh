@@ -18,7 +18,7 @@ step cargo test -q --offline $NORUN
 step cargo test -q --offline -p pdm-model --features uring --lib $NORUN
 step cargo test -q --offline -p pdm-model -p pdm-cli --features block-checksums --lib $NORUN
 step cargo test -q --offline -p pdm-integration --features block-checksums --test fault_matrix \
-  --test fault_injection --test records --test checkpoint_resume $NORUN
+  --test fault_injection --test records --test checkpoint_resume --test backends $NORUN
 [ -z "$NORUN" ] || { echo "BUILD OK"; exit 0; }
 for ex in io_overlap quickstart; do step cargo run -q --release --offline -p pdm-integration --example $ex; done
 BIN="${CARGO_TARGET_DIR:-target}/release"
