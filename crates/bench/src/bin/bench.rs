@@ -17,7 +17,7 @@
 
 use pdm_model::prelude::*;
 use pdm_sort::dispatch::DEFAULT_ALPHA;
-use pdm_sort::{merge, Algorithm};
+use pdm_sort::{kernels, merge, Algorithm};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -101,6 +101,34 @@ struct KernelRow {
     allocs: u64,
 }
 
+/// `kernels::sort_run` (or `sort_segments`, on a column of `k` sorted
+/// segments) against the comparison kernels on the same keys. The gate
+/// (`check_bench.py`) wants the kernel faster than `sort_unstable` (and, on
+/// a column, the loser tree) where it radix-sorts (`radix_bytes > 0`), and
+/// within 10% of the kernel it falls back to where it does not:
+/// `sort_unstable` for a run, the loser tree for a column.
+struct SortRow {
+    name: &'static str,
+    /// The key distribution: `permuted` (distinct keys drawn from 64·n
+    /// values, the keys of one ThreePass2 run at 64 runs; 3 bytes vary),
+    /// `uniform32` and `uniform40` (uniform keys below 2³² and 2⁴⁰: the
+    /// kernel's byte gate and one byte past it), `random63` (63-bit
+    /// uniform keys, `pdmsort gen --dist random`), or `reversed` (distinct
+    /// descending keys; as a column, a reversed input's pass-2 column:
+    /// ascending segments in descending order).
+    keys: &'static str,
+    n: usize,
+    /// Segments of a column row (`sort_segments`); `None` on a run row.
+    k: Option<usize>,
+    /// Bytes the kernel radix-sorts over; 0 where it falls back.
+    radix_bytes: usize,
+    ns_per_key: f64,
+    sort_unstable_ns_per_key: f64,
+    /// The loser-tree merge of the same column (`merge_equal_segments`).
+    loser_ns_per_key: Option<f64>,
+    allocs: u64,
+}
+
 struct MergeRow {
     name: String,
     n: usize,
@@ -121,7 +149,9 @@ struct AlgoRow {
 /// One workload's greedy-vs-up/down run-formation A/B on the mem backend:
 /// the greedy leg is seven-pass (fixed `M√M`-key runs, 7 passes on every
 /// input), the up/down leg the up/down merge sort, whose pass count adapts
-/// to the input's presortedness.
+/// to the input's presortedness. The mergesort leg is the like-for-like
+/// baseline for up/down: the same merge driver over load-sort-store runs
+/// of `M` keys.
 struct RunGenRow {
     workload: &'static str,
     n: usize,
@@ -135,6 +165,8 @@ struct RunGenRow {
     updown_merge_levels: u64,
     updown_read_passes: f64,
     updown_write_passes: f64,
+    mergesort_read_passes: f64,
+    mergesort_write_passes: f64,
 }
 
 /// The run-formation workloads, in the order they appear in the artifact.
@@ -221,6 +253,7 @@ fn render_wall_fields(w: &WallPercentiles) -> String {
 fn render_json(
     quick: bool,
     kernels_rows: &[KernelRow],
+    sort_rows: &[SortRow],
     merge_rows: &[MergeRow],
     cleaner: &(usize, usize, f64, f64),
     algo_rows: &[AlgoRow],
@@ -231,17 +264,44 @@ fn render_json(
     s.push_str("  \"schema_version\": 1,\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str("  \"kernels\": [\n");
-    for (i, r) in kernels_rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"ns_per_key\": {}, \"allocs\": {}}}{}\n",
+    let mut kernels: Vec<String> = kernels_rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"name\": \"{}\", \"n\": {}, \"ns_per_key\": {}, \"allocs\": {}}}",
+                r.name,
+                r.n,
+                jf(r.ns_per_key),
+                r.allocs,
+            )
+        })
+        .collect();
+    kernels.extend(sort_rows.iter().map(|r| {
+        format!(
+            "{{\"name\": \"{}\", \"keys\": \"{}\", \"n\": {}{}, \"radix_bytes\": {}, \
+             \"ns_per_key\": {}, \"sort_unstable_ns_per_key\": {}{}, \"allocs\": {}}}",
             r.name,
+            r.keys,
             r.n,
+            r.k.map_or(String::new(), |k| format!(", \"k\": {k}")),
+            r.radix_bytes,
             jf(r.ns_per_key),
+            jf(r.sort_unstable_ns_per_key),
+            r.loser_ns_per_key.map_or(String::new(), |l| format!(
+                ", \"loser_ns_per_key\": {}",
+                jf(l)
+            )),
             r.allocs,
-            if i + 1 < kernels_rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
+        )
+    }));
+    s.push_str(
+        &kernels
+            .iter()
+            .map(|r| format!("    {r}"))
+            .collect::<Vec<_>>()
+            .join(",\n"),
+    );
+    s.push_str("\n  ],\n");
     s.push_str("  \"merges\": [\n");
     for (i, r) in merge_rows.iter().enumerate() {
         s.push_str(&format!(
@@ -285,7 +345,8 @@ fn render_json(
             "    {{\"workload\": \"{}\", \"n\": {}, \"m\": {}, \
              \"greedy_runs\": {}, \"greedy_read_passes\": {}, \"greedy_write_passes\": {}, \
              \"updown_runs\": {}, \"updown_avg_run_len\": {}, \"updown_merge_levels\": {}, \
-             \"updown_read_passes\": {}, \"updown_write_passes\": {}}}{}\n",
+             \"updown_read_passes\": {}, \"updown_write_passes\": {}, \
+             \"mergesort_read_passes\": {}, \"mergesort_write_passes\": {}}}{}\n",
             r.workload,
             r.n,
             r.m,
@@ -297,6 +358,8 @@ fn render_json(
             r.updown_merge_levels,
             jf(r.updown_read_passes),
             jf(r.updown_write_passes),
+            jf(r.mergesort_read_passes),
+            jf(r.mergesort_write_passes),
             if i + 1 < run_gen_rows.len() { "," } else { "" }
         ));
     }
@@ -357,6 +420,145 @@ fn bench_sort_kernel(n: usize, reps: usize, rows: &mut Vec<KernelRow>) {
         ns_per_key: ns as f64 / n as f64,
         allocs,
     });
+}
+
+/// One timed leg of [`time_legs`]: copy the keys it is given and sort them.
+type Leg<'a> = &'a mut dyn FnMut(&[u64]);
+
+/// Best-of-`reps` nanoseconds per key of each leg over `keys`: every leg
+/// copies `keys` into its buffer and sorts it, the legs alternate within
+/// each rep so that drift on a shared machine hits them alike, and a rep
+/// runs each leg often enough to cover 65,536 keys.
+fn time_legs(reps: usize, keys: &[u64], legs: &mut [Leg<'_>]) -> Vec<f64> {
+    let inner = (65_536 / keys.len()).max(1);
+    let mut best = vec![u64::MAX; legs.len()];
+    for _ in 0..reps.max(1) {
+        for (leg, best) in legs.iter_mut().zip(best.iter_mut()) {
+            let t0 = Instant::now();
+            for _ in 0..inner {
+                leg(std::hint::black_box(keys));
+            }
+            *best = (*best).min(t0.elapsed().as_nanos() as u64);
+        }
+    }
+    best.iter()
+        .map(|&ns| ns as f64 / (inner * keys.len()) as f64)
+        .collect()
+}
+
+/// Distinct keys drawn from `64·n` values: the keys one run of a
+/// ThreePass2 sort sees when the input is a permutation of 64 runs.
+fn permuted_keys(n: usize, seed: u64) -> Vec<u64> {
+    let mut keys = pdm_bench::data::permutation(64 * n, seed);
+    keys.truncate(n);
+    keys
+}
+
+/// The keys of one sort-kernel row (see [`SortRow::keys`]).
+fn sort_row_keys(keys: &str, n: usize, seed: u64) -> Vec<u64> {
+    match keys {
+        "permuted" => permuted_keys(n, seed),
+        "uniform32" => pdm_bench::data::uniform(n, 1 << 32, seed),
+        "uniform40" => pdm_bench::data::uniform(n, 1 << 40, seed),
+        "random63" => pdm_bench::data::uniform(n, u64::MAX >> 1, seed),
+        "reversed" => (0..n as u64).rev().map(|k| 3 * k).collect(),
+        other => unreachable!("unknown sort-row keys '{other}'"),
+    }
+}
+
+/// `kernels::sort_run` against `sort_unstable` on one run of `n` keys.
+fn bench_sort_run(keys: &'static str, n: usize, reps: usize, rows: &mut Vec<SortRow>) {
+    let data = sort_row_keys(keys, n, 47);
+    let (mut run, mut scratch) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let mut by_kernel = |d: &[u64]| {
+        run.clear();
+        run.extend_from_slice(d);
+        kernels::sort_run(&mut run, &mut scratch);
+    };
+    let allocs = count_allocs(|| by_kernel(&data));
+    let mut plain = data.clone();
+    let mut by_sort = |d: &[u64]| {
+        plain.copy_from_slice(d);
+        plain.sort_unstable();
+    };
+    let ns = time_legs(reps, &data, &mut [&mut by_kernel, &mut by_sort]);
+    assert_eq!(
+        run, plain,
+        "sort_run and sort_unstable disagree on {keys} n={n}"
+    );
+    rows.push(SortRow {
+        name: "sort_run",
+        keys,
+        n,
+        k: None,
+        radix_bytes: kernels::radix_bytes(&data, 1).unwrap_or(0),
+        ns_per_key: ns[0],
+        sort_unstable_ns_per_key: ns[1],
+        loser_ns_per_key: None,
+        allocs,
+    });
+}
+
+/// `kernels::sort_segments` on ThreePass2's column shape (`k` sorted
+/// segments, `n` keys) against `sort_unstable` and the loser-tree merge
+/// (`merge_equal_segments`) of the same column.
+fn bench_sort_segments(
+    keys: &'static str,
+    n: usize,
+    k: usize,
+    reps: usize,
+    rows: &mut Vec<SortRow>,
+) {
+    let mut data = sort_row_keys(keys, n, 49);
+    let part = n / k;
+    for seg in data.chunks_mut(part) {
+        seg.sort_unstable();
+    }
+    let (mut run, mut scratch) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let mut by_kernel = |d: &[u64]| {
+        run.clear();
+        run.extend_from_slice(d);
+        kernels::sort_segments(&mut run, part, &mut scratch);
+    };
+    let allocs = count_allocs(|| by_kernel(&data));
+    let mut plain = data.clone();
+    let mut by_sort = |d: &[u64]| {
+        plain.copy_from_slice(d);
+        plain.sort_unstable();
+    };
+    let mut merged = Vec::with_capacity(n);
+    let mut by_loser = |d: &[u64]| pdm_sort::common::merge_equal_segments(d, part, &mut merged);
+    let ns = time_legs(
+        reps,
+        &data,
+        &mut [&mut by_kernel, &mut by_sort, &mut by_loser],
+    );
+    assert_eq!(
+        run, plain,
+        "sort_segments and sort_unstable disagree on {keys}"
+    );
+    assert_eq!(
+        run, merged,
+        "sort_segments and the loser tree disagree on {keys}"
+    );
+    rows.push(SortRow {
+        name: "sort_segments",
+        keys,
+        n,
+        k: Some(k),
+        radix_bytes: kernels::radix_bytes(&data, part).unwrap_or(0),
+        ns_per_key: ns[0],
+        sort_unstable_ns_per_key: ns[1],
+        loser_ns_per_key: Some(ns[2]),
+        allocs,
+    });
+}
+
+/// Heap allocations `f` makes.
+fn count_allocs(mut f: impl FnMut()) -> u64 {
+    let a0 = alloc_counter::allocations();
+    f();
+    alloc_counter::allocations() - a0
 }
 
 fn bench_kway_merge(n: usize, k: usize, reps: usize, rows: &mut Vec<MergeRow>) {
@@ -452,9 +654,10 @@ fn bench_algorithm(
 }
 
 /// A/B greedy vs up/down run formation on one workload: seven-pass against
-/// the up/down merge sort. The up/down leg's run census comes from the
-/// probe gauges the merge sort emits (`rungen.runs`, `rungen.merge_levels`);
-/// the greedy leg always cuts ⌈n/M⌉ memory-sized runs.
+/// the up/down merge sort, beside the merge sort over load-sort-store runs.
+/// The up/down leg's run census comes from the probe gauges the merge sort
+/// emits (`rungen.runs`, `rungen.merge_levels`); the greedy leg always cuts
+/// ⌈n/M⌉ memory-sized runs.
 fn bench_run_gen(workload: &'static str, b: usize, n: usize, rows: &mut Vec<RunGenRow>) {
     let m = b * b;
     let data: Vec<u64> = match workload {
@@ -494,6 +697,7 @@ fn bench_run_gen(workload: &'static str, b: usize, n: usize, rows: &mut Vec<RunG
     };
     let (grp, gwp, _, _) = leg(Algorithm::SevenPass);
     let (urp, uwp, uruns, ulevels) = leg(Algorithm::UpDownMergeSort);
+    let (mrp, mwp, _, _) = leg(Algorithm::MergeSort);
     let uruns = uruns.expect("up/down leg emitted no rungen.runs gauge");
     rows.push(RunGenRow {
         workload,
@@ -507,6 +711,8 @@ fn bench_run_gen(workload: &'static str, b: usize, n: usize, rows: &mut Vec<RunG
         updown_merge_levels: ulevels.unwrap_or(0),
         updown_read_passes: urp,
         updown_write_passes: uwp,
+        mergesort_read_passes: mrp,
+        mergesort_write_passes: mwp,
     });
 }
 
@@ -988,6 +1194,20 @@ fn main() {
         &mut kernel_rows,
     );
 
+    // The run sizes of ThreePass2 at B = 64 and B = 256 (and MergeSort's
+    // at B = 64) on both sides of the radix kernel's byte gate, and
+    // ThreePass2's pass-2 column at B = 256 on the radix path and on both
+    // of its fallbacks (too many bytes, too few turns).
+    let mut sort_rows = Vec::new();
+    for keys in ["permuted", "uniform32", "uniform40", "random63"] {
+        for n in [1 << 12, 1 << 16] {
+            bench_sort_run(keys, n, reps, &mut sort_rows);
+        }
+    }
+    for keys in ["permuted", "random63", "reversed"] {
+        bench_sort_segments(keys, 1 << 14, 64, reps, &mut sort_rows);
+    }
+
     let mut merge_rows = Vec::new();
     bench_kway_merge(1 << 14, 64, reps, &mut merge_rows);
     if !quick {
@@ -1068,6 +1288,7 @@ fn main() {
     let json = render_json(
         quick,
         &kernel_rows,
+        &sort_rows,
         &merge_rows,
         &cleaner,
         &algo_rows,
@@ -1080,6 +1301,19 @@ fn main() {
         eprintln!(
             "  {:<16} n = {:>7}  {:>8.2} ns/key  {} allocs",
             r.name, r.n, r.ns_per_key, r.allocs
+        );
+    }
+    for r in &sort_rows {
+        eprintln!(
+            "  {:<16} n = {:>7}  {:<8} {} radix bytes: {:>6.2} vs sort_unstable {:>6.2}{} ns/key",
+            r.name,
+            r.n,
+            r.keys,
+            r.radix_bytes,
+            r.ns_per_key,
+            r.sort_unstable_ns_per_key,
+            r.loser_ns_per_key
+                .map_or(String::new(), |l| format!(" vs loser {l:.2}")),
         );
     }
     for r in &merge_rows {
@@ -1121,7 +1355,7 @@ fn main() {
     for r in &run_gen_rows {
         eprintln!(
             "  run_gen {:<13} n = {:>7}  greedy {} runs {:.2}R vs updown {} runs \
-             (avg len {:.0} = {:.1}×M, {} merge levels) {:.2}R passes",
+             (avg len {:.0} = {:.1}×M, {} merge levels) {:.2}R vs mergesort {:.2}R passes",
             r.workload,
             r.n,
             r.greedy_runs,
@@ -1131,6 +1365,7 @@ fn main() {
             r.updown_avg_run_len / r.m as f64,
             r.updown_merge_levels,
             r.updown_read_passes,
+            r.mergesort_read_passes,
         );
     }
 }

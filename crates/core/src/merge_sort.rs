@@ -8,7 +8,10 @@
 //!
 //! * [`merge_sort`] loads `M` keys, sorts them and stores them as one run,
 //!   so it takes `1 + ⌈log_f ⌈N/M⌉⌉` passes ([`predicted_passes`]) on every
-//!   input;
+//!   input. The sort is [`kernels::sort_run`]: integer keys are
+//!   radix-sorted through an `M`-key scratch buffer, allocated for them
+//!   only, so run formation holds `2M` keys for them and `M` for the
+//!   others;
 //! * [`updown_merge_sort`] runs the alternating up/down replacement
 //!   selection of Bender et al. ("Run Generation Revisited"): it keeps `M`
 //!   keys resident, extends the current run with the nearest key that still
@@ -47,6 +50,7 @@
 //! on the data.
 
 use crate::common::{Algorithm, SortReport};
+use crate::kernels;
 use crate::merge::LoserTree;
 use pdm_model::prelude::*;
 use std::cmp::Reverse;
@@ -237,6 +241,7 @@ fn load_sort_store<K: PdmKey, S: Storage<K>>(
     let (b, in_blocks) = (cfg.block_size, cfg.blocks_for(n));
     let run_blocks = cfg.mem_capacity / b;
     let mut buf = pdm.alloc_buf(cfg.mem_capacity)?;
+    let mut scratch = pdm.alloc_buf(kernels::scratch_len::<K>(cfg.mem_capacity))?;
     let loads = (0..in_blocks)
         .step_by(run_blocks)
         .map(|first| {
@@ -258,7 +263,7 @@ fn load_sort_store<K: PdmKey, S: Storage<K>>(
         let keys = buf.len().min(n - read_keys);
         read_keys += keys;
         buf.truncate(keys);
-        buf.sort_unstable();
+        kernels::sort_run(buf.as_vec_mut(), scratch.as_vec_mut());
         buf.resize(blocks * b, K::MAX);
         let region = pdm.alloc_region_for_keys(keys)?;
         stores.write(pdm, (0..blocks).map(|i| (region, i)), &buf)?;

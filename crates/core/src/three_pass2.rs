@@ -5,13 +5,15 @@
 //! `m = √M`:
 //!
 //! * **Pass 1 — runs + unshuffle.** Read `M` keys at a time, sort in
-//!   memory, and write each run *already unshuffled* into `m = √M` parts of
-//!   one block each (part `j` takes sorted positions `≡ j (mod m)`). Part
-//!   `j` of run `i` is block `i` of column `j`.
+//!   memory ([`kernels::sort_run`], which radix-sorts integer keys through
+//!   the write buffer), and write each run *already unshuffled* into
+//!   `m = √M` parts of one block each (part `j` takes sorted positions
+//!   `≡ j (mod m)`). Part `j` of run `i` is block `i` of column `j`.
 //! * **Pass 2 — column merges.** For each `j`: read column `j` (`l` sorted
-//!   blocks, `≤ M` keys), merge in memory into `L_j`, and write `L_j`'s
-//!   `√M`-key chunks as the *windows*' blocks — chunk `t` is window `t`,
-//!   block `j`.
+//!   blocks, `≤ M` keys), merge in memory into `L_j` (integer keys are
+//!   radix-sorted instead, [`kernels::sort_segments`]; the result is the
+//!   same), and write `L_j`'s `√M`-key chunks as the *windows*' blocks —
+//!   chunk `t` is window `t`, block `j`.
 //! * **Pass 3 — shuffle + cleanup.** Window `t` holds exactly the keys of
 //!   `Z_t` (the `t`-th `M`-key window of the shuffled sequence `Z`). Since
 //!   the cleanup sorts each window anyway, the shuffle permutation never
@@ -44,9 +46,9 @@
 //! of a region, allocate them up front and release none.
 
 use crate::common::{
-    merge_equal_segments, require_square_cfg, Algorithm, Cells, Cleaner, Emit, RegionEmitter,
-    SortReport,
+    require_square_cfg, Algorithm, Cells, Cleaner, Emit, RegionEmitter, SortReport,
 };
+use crate::kernels;
 use pdm_model::prelude::*;
 
 /// Maximum keys `ThreePass2` sorts on a machine with memory `m`: `M·√M`.
@@ -113,13 +115,15 @@ pub(crate) fn pass1_runs_unshuffled<K: PdmKey, S: Storage<K>>(
         if lo < hi {
             ra.next_into(pdm, run.as_vec_mut())?;
         }
+        // Sort the real keys, then pad: a `MAX` key would make every byte
+        // of a radix key vary. The write buffer is the sort's scratch.
         run.truncate(n.saturating_sub(lo * b).min(m));
+        let mut wbuf = pdm.alloc_buf(m)?;
+        kernels::sort_run(run.as_vec_mut(), wbuf.as_vec_mut());
         run.resize(m, K::MAX);
-        run.sort_unstable();
 
         // Unshuffle: part j gets sorted positions j, j+b, j+2b, … — a b×b
         // transpose into the write buffer (block j contiguous).
-        let mut wbuf = pdm.alloc_buf(m)?;
         {
             let v = wbuf.as_vec_mut();
             v.resize(m, K::MAX);
@@ -136,6 +140,7 @@ pub(crate) fn pass1_runs_unshuffled<K: PdmKey, S: Storage<K>>(
 
 /// Pass 2: merge each column's `l` sorted blocks into `L_j` and scatter its
 /// `√M`-key chunks across the windows, chunk `t` to `cells.win(t, j)`.
+/// Integer keys are sorted rather than merged ([`kernels::sort_segments`]).
 pub(crate) fn pass2_column_merges<K: PdmKey, S: Storage<K>>(
     pdm: &mut Pdm<K, S>,
     p: &Plan,
@@ -150,10 +155,9 @@ pub(crate) fn pass2_column_merges<K: PdmKey, S: Storage<K>>(
     for j in 0..b {
         let mut buf = pdm.alloc_buf(l * b)?;
         ra.next_into(pdm, buf.as_vec_mut())?;
-        let mut merged = pdm.alloc_buf(l * b)?;
-        merge_equal_segments(&buf, b, merged.as_vec_mut());
-        drop(buf);
-        wb.write(pdm, (0..l).map(|t| cells.win(t, j)), &merged)?;
+        let mut scratch = pdm.alloc_buf(l * b)?;
+        kernels::sort_segments(buf.as_vec_mut(), b, scratch.as_vec_mut());
+        wb.write(pdm, (0..l).map(|t| cells.win(t, j)), &buf)?;
     }
     wb.finish(pdm)
 }

@@ -30,14 +30,23 @@ pub trait PdmKey: Copy + Ord + Send + Sync + Debug + 'static {
     fn gauge_distance(&self, _other: &Self) -> i64 {
         0
     }
+
+    /// The key as a `u64` word whose order is the key's order, for key
+    /// types that map one-to-one onto such a word: the integers of at most
+    /// 64 bits, through [`RankedKey::rank`]. `None` (the default) for every
+    /// other key type. The in-memory sort kernel (`pdm_sort::kernels`)
+    /// radix-sorts the bytes of these words, and sorts keys without one by
+    /// comparison; the choice is made per key type at compile time.
+    const RADIX_KEY: Option<fn(&Self) -> u64> = None;
 }
 
 macro_rules! impl_int_key {
-    ($($t:ty),*) => {$(
+    ($radix_key:expr; $($t:ty),*) => {$(
         impl PdmKey for $t {
             const WIDTH: usize = std::mem::size_of::<$t>();
             const MIN: Self = <$t>::MIN;
             const MAX: Self = <$t>::MAX;
+            const RADIX_KEY: Option<fn(&Self) -> u64> = $radix_key;
 
             fn write_bytes(&self, out: &mut [u8]) {
                 out[..Self::WIDTH].copy_from_slice(&self.to_le_bytes());
@@ -59,7 +68,8 @@ macro_rules! impl_int_key {
     )*};
 }
 
-impl_int_key!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
+impl_int_key!(Some(<Self as RankedKey>::rank); u8, u16, u32, u64, i8, i16, i32, i64);
+impl_int_key!(None; u128, i128);
 
 /// A key–payload record: ordered by `key` alone, carrying an opaque 64-bit
 /// payload (e.g. a pointer into a record store). This is the usual shape for
@@ -357,6 +367,23 @@ mod tests {
         let long = S::from_str_padded("abcdefgh");
         assert_eq!(long.bytes, *b"abcd");
         assert_eq!(<S as PdmKey>::MAX.as_str(), None, "0xff is not UTF-8");
+    }
+
+    #[test]
+    fn radix_keys_are_one_to_one_and_keep_the_order() {
+        fn word<K: PdmKey>(k: K) -> u64 {
+            K::RADIX_KEY.expect("an integer key has a radix word")(&k)
+        }
+        for w in [i64::MIN, -1, 0, 1, i64::MAX].windows(2) {
+            assert!(word(w[0]) < word(w[1]), "{} !< {}", w[0], w[1]);
+        }
+        assert!(word(-1i8) < word(0i8) && word(i32::MIN) < word(i32::MIN + 1));
+        assert_eq!((word(0u64), word(u64::MAX)), (0, u64::MAX));
+        assert_eq!(word(u32::MAX), u64::from(u32::MAX));
+        // wider keys and keys ordered by more than one word compare
+        assert!(<u128 as PdmKey>::RADIX_KEY.is_none());
+        assert!(<Tagged as PdmKey>::RADIX_KEY.is_none());
+        assert!(<StrN<8> as PdmKey>::RADIX_KEY.is_none());
     }
 
     #[test]

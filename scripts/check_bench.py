@@ -8,6 +8,13 @@ wall-clock regressions beyond a tolerance.
 Structural invariants (always checked on the current file):
   * the loser-tree merge must beat the BinaryHeap reference on every
     `kway_merge_*` row — the whole point of the kernel;
+  * the in-memory sort kernel (`kernels` rows with `radix_bytes`): where
+    it radix-sorts (`radix_bytes` > 0) it must beat `sort_unstable` on the
+    same keys, and on a column of sorted segments the loser-tree merge
+    too; where it falls back (`radix_bytes` 0) it must stay within 10% of
+    the kernel it then runs after one scan, `sort_unstable` on a run and
+    the loser tree on a column. The artifact must hold rows on both sides
+    of the radix gate;
   * the run-formation A/B section: up/down run formation may never read
     more passes than greedy on any benched workload, and on the
     nearly-sorted workload it must strictly win with an average run
@@ -106,6 +113,13 @@ def check_schema(doc, path):
         require(row, "n", int, ctx)
         require(row, "ns_per_key", float, ctx)
         require(row, "allocs", int, ctx)
+        if "radix_bytes" in row:
+            require(row, "keys", str, ctx)
+            require(row, "radix_bytes", int, ctx)
+            require(row, "sort_unstable_ns_per_key", float, ctx)
+            if "loser_ns_per_key" in row:
+                require(row, "k", int, ctx)
+                require(row, "loser_ns_per_key", float, ctx)
     for row in require(doc, "merges", list, path) or []:
         ctx = f"{path}:merges[{row.get('name', '?')}]"
         require(row, "name", str, ctx)
@@ -134,6 +148,8 @@ def check_schema(doc, path):
         require(row, "updown_merge_levels", int, ctx)
         require(row, "updown_read_passes", float, ctx)
         require(row, "updown_write_passes", float, ctx)
+        require(row, "mergesort_read_passes", float, ctx)
+        require(row, "mergesort_write_passes", float, ctx)
 
 
 def check_invariants(doc, path):
@@ -149,7 +165,54 @@ def check_invariants(doc, path):
         else:
             print(f"  ok: {name} n={n}: loser {loser:.2f} < heap {heap:.2f} "
                   f"ns/key ({heap / loser:.2f}x)")
+    check_sort_kernel_invariants(doc, path)
     check_run_gen_invariants(doc, path)
+
+
+# Where the sort kernel falls back it runs `sort_unstable` (on a column,
+# the loser tree) after one scan of the run, which may cost at most this
+# fraction of the kernel it falls back to.
+SORT_FALLBACK_MAX_OVERHEAD = 0.10
+
+
+def check_sort_kernel_invariants(doc, path):
+    """Gate the radix sort kernel against the comparison kernels."""
+    rows = [row for row in doc.get("kernels", []) if "radix_bytes" in row]
+    if not any(row.get("radix_bytes", 0) > 0 for row in rows):
+        fail(f"{path}: no sort-kernel row takes the radix path")
+    if not any(row.get("radix_bytes", 0) == 0 for row in rows):
+        fail(f"{path}: no sort-kernel row falls back to sort_unstable")
+    for row in rows:
+        ident = (f"{row.get('name', '?')} {row.get('keys', '?')} "
+                 f"n={row.get('n', 0)}")
+        kernel = row.get("ns_per_key", float("inf"))
+        plain = row.get("sort_unstable_ns_per_key", 0.0)
+        if row.get("radix_bytes", 0) > 0:
+            if not kernel < plain:
+                fail(f"{path}: {ident}: radix path ({kernel:.2f} ns/key) does "
+                     f"not beat sort_unstable ({plain:.2f} ns/key)")
+            else:
+                print(f"  ok: {ident}: radix over {row['radix_bytes']} bytes "
+                      f"{kernel:.2f} < sort_unstable {plain:.2f} ns/key")
+            loser = row.get("loser_ns_per_key")
+            if loser is not None and not kernel < loser:
+                fail(f"{path}: {ident}: radix path ({kernel:.2f} ns/key) does "
+                     f"not beat the loser-tree merge ({loser:.2f} ns/key)")
+            elif loser is not None:
+                print(f"  ok: {ident}: radix {kernel:.2f} < loser tree "
+                      f"{loser:.2f} ns/key")
+        else:
+            name, base = "sort_unstable", plain
+            if row.get("loser_ns_per_key") is not None:
+                name, base = "the loser tree", row["loser_ns_per_key"]
+            if kernel > (1.0 + SORT_FALLBACK_MAX_OVERHEAD) * base:
+                fail(f"{path}: {ident}: fallback ({kernel:.2f} ns/key) costs "
+                     f"more than {SORT_FALLBACK_MAX_OVERHEAD:.0%} over {name} "
+                     f"({base:.2f} ns/key)")
+            else:
+                print(f"  ok: {ident}: fallback {kernel:.2f} within "
+                      f"{SORT_FALLBACK_MAX_OVERHEAD:.0%} of {name} "
+                      f"{base:.2f} ns/key")
 
 
 def check_run_gen_invariants(doc, path):
@@ -470,7 +533,8 @@ def check_fault_invariants(doc, path):
 def rows_by_identity(doc):
     out = {}
     for row in doc.get("kernels", []):
-        out[("kernel", row.get("name"), row.get("n"))] = ("ns_per_key", row)
+        out[("kernel", row.get("name"), row.get("keys"), row.get("n"))] = (
+            "ns_per_key", row)
     for row in doc.get("merges", []):
         out[("merge", row.get("name"), row.get("n"), row.get("k"))] = (
             "loser_ns_per_key", row)
